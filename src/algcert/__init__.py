@@ -26,7 +26,6 @@ from .decomposition import (
     KHSplit,
     PeirceDecomposition,
     ZGrading,
-    brace,
     kh_split,
     peirce_decompose,
     z_grading,

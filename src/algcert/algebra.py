@@ -7,13 +7,16 @@ generators, and an optional unit. Elements are dense exact coordinate
 vectors over that basis.
 
 The presentation is treated as immutable once built; every operation is a
-pure function of its inputs.
+pure function of its inputs. The axiom checks and the named generation
+hypotheses (``HYPOTHESES``) are therefore memoised on the presentation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from .closure import assoc_closure, generator_set
 from .errors import (
     DimensionError,
     FormatError,
@@ -72,6 +75,7 @@ class AlgebraPresentation:
                 raise FormatError("non-unital presentation must not declare a unit")
             self.unit = None
         self._basis_cache = None
+        self._memo = {}
         self._half = field.inv(field.coerce(2))
 
     # -- construction helpers -------------------------------------------
@@ -335,27 +339,11 @@ def restrict_from_hull(P, el):
     return P.element(el.coords[:-1])
 
 
-def ideal_span(P, x, unit_coeff=0):
-    """Span of all products b_i * (unit_coeff + x) * b_j, saturated on both sides.
-
-    With unit_coeff=0 this is the two-sided product space R x R; unit_coeff=1
-    gives R(1+x)R, which is how complements like 1-e are handled without
-    leaving the algebra.
-    """
-    F = P.field
-    b = SpanBuilder(F, P.dim)
-    frontier = []
-    coeff = F.coerce(unit_coeff)
-    for i in range(P.dim):
-        left = P.mul(P.basis_element(i), x)
-        for j in range(P.dim):
-            w = P.mul(left, P.basis_element(j))
-            if coeff:
-                w = P.add(w, P.scale(coeff, P.mul_basis(i, j)))
-            if b.add(w.coords):
-                frontier.append(w)
-    # Saturate: a product space of this shape is already a two-sided ideal,
-    # but the fixed point is confirmed rather than assumed.
+def _ideal_closure(P, seeds):
+    """Span of seeds, saturated under left and right multiplication by the
+    basis. The fixed point is confirmed rather than assumed."""
+    b = SpanBuilder(P.field, P.dim)
+    frontier = [w for w in seeds if b.add(w.coords)]
     while frontier:
         new = []
         for r in frontier:
@@ -366,6 +354,30 @@ def ideal_span(P, x, unit_coeff=0):
                         new.append(w)
         frontier = new
     return b.subspace()
+
+
+def ideal_span(P, x, unit_coeff=0):
+    """Span of all products b_i * (unit_coeff + x) * b_j, saturated on both sides.
+
+    With unit_coeff=0 this is the two-sided product space R x R; unit_coeff=1
+    gives R(1+x)R, which is how complements like 1-e are handled without
+    leaving the algebra.
+    """
+    coeff = P.field.coerce(unit_coeff)
+
+    def products():
+        for i in range(P.dim):
+            left = P.mul(P.basis_element(i), x)
+            for j in range(P.dim):
+                w = P.mul(left, P.basis_element(j))
+                yield P.add(w, P.scale(coeff, P.mul_basis(i, j))) if coeff else w
+
+    return _ideal_closure(P, products())
+
+
+def principal_ideal(P, x):
+    """Two-sided ideal generated by x (contains x itself)."""
+    return _ideal_closure(P, [x])
 
 
 @dataclass(frozen=True)
@@ -385,15 +397,99 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_presentation(P):
-    """Check the algebra axioms and report the generation hypotheses.
+def _per_presentation(fn):
+    """Memoise fn(P) on P; presentations are immutable."""
 
-    Axiom violations (associativity, involution laws, idempotency, unit law)
-    are returned as data. For every declared idempotent e the report also
-    records whether ReR = R, R(1-e)R = R and, when an involution is present,
-    whether ee* = e*e = 0 and R(1-e-e*)R = R, each computed by two-sided
-    ideal saturation.
+    @functools.wraps(fn)
+    def memoised(P):
+        if fn not in P._memo:
+            P._memo[fn] = fn(P)
+        return P._memo[fn]
+
+    return memoised
+
+
+def _generators_generate(P, e):
+    """The declared generators (with the unit, when present) span R as an
+    associative subalgebra."""
+    if not P.generators:
+        return False
+    items = [(name, el, "declared") for name, el in sorted(P.generators.items())]
+    if P.unital:
+        items.append(("@1", P.unit, "unit"))
+    return assoc_closure(P, generator_set("associative", items)).final.is_full
+
+
+def _desk_simple(P, e):
+    """Desk-scale check: every basis element generates R as an ideal."""
+    return all(
+        principal_ideal(P, P.basis_element(i)).is_full for i in range(P.dim)
+    )
+
+
+@_per_presentation
+def _square_zero_witness(P):
+    """Desk-scale semiprimeness check: the label of a basis element that
+    generates a square-zero ideal, or None when no basis element does."""
+    for i in range(P.dim):
+        ideal = principal_ideal(P, P.basis_element(i))
+        if ideal.rank == 0:
+            continue
+        rows = [P.element(r) for r in ideal.basis]
+        if all(P.is_zero(P.mul(u, v)) for u in rows for v in rows):
+            return P.basis_labels[i]
+    return None
+
+
+# Hypothesis name -> evaluator(P, e) for the idempotent e (None where the
+# hypothesis does not mention e). Every hypothesis about e* is False when P
+# has no involution.
+HYPOTHESES = {
+    "involution": lambda P, e: P.has_involution,
+    "e^2=e": lambda P, e: P.equal(P.mul(e, e), e),
+    "ee*=0": lambda P, e: P.has_involution and P.is_zero(P.mul(e, P.involve(e))),
+    "e*e=0": lambda P, e: P.has_involution and P.is_zero(P.mul(P.involve(e), e)),
+    "ReR=R": lambda P, e: ideal_span(P, e).is_full,
+    "Re*R=R": lambda P, e: P.has_involution and ideal_span(P, P.involve(e)).is_full,
+    "R(1-e)R=R": lambda P, e: ideal_span(P, P.neg(e), unit_coeff=1).is_full,
+    "R(1-e-e*)R=R": lambda P, e: P.has_involution
+    and ideal_span(P, P.neg(P.add(e, P.involve(e))), unit_coeff=1).is_full,
+    "e+e*=1": lambda P, e: P.has_involution
+    and P.unital
+    and P.equal(P.add(e, P.involve(e)), P.unit),
+    # s = 1-e-e*; without a unit, the hull's unit keeps s nonzero.
+    "s!=0": lambda P, e: P.has_involution
+    and not (P.unital and P.equal(P.add(e, P.involve(e)), P.unit)),
+    "R=alg<gens>": _generators_generate,
+    "simple(desk-scale)": _desk_simple,
+    "semiprime(desk-scale)": lambda P, e: _square_zero_witness(P) is None,
+}
+
+
+def hypotheses_for(P, e, wants):
+    """Evaluate named generation hypotheses for the idempotent e.
+
+    Results are memoised on P per name and idempotent. A failed
+    semiprimeness check also reports its square-zero-ideal witness.
     """
+    out = {}
+    for name in wants:
+        if name not in HYPOTHESES:
+            raise ValueError(f"unknown hypothesis {name!r}")
+        key = (name, None if e is None else e.coords)
+        if key not in P._memo:
+            P._memo[key] = HYPOTHESES[name](P, e)
+        out[name] = P._memo[key]
+    if out.get("semiprime(desk-scale)") is False:
+        out["square-zero-ideal-witness"] = _square_zero_witness(P)
+    return out
+
+
+@_per_presentation
+def axiom_violations(P):
+    """The violated algebra axioms, as a tuple of Violations: associativity,
+    the involution laws, the unit law, then e^2 = e for every declared
+    idempotent in name order."""
     violations = []
     F = P.field
     dim = P.dim
@@ -473,28 +569,28 @@ def validate_presentation(P):
                     Violation("unit", (i,), f"declared unit does not fix b{i}")
                 )
 
-    hypotheses = {}
-    for name in sorted(P.idempotents):
-        e = P.idempotents[name]
-        h = {}
-        h["e^2=e"] = P.equal(P.mul(e, e), e)
-        if not h["e^2=e"]:
+    for name, e in sorted(P.idempotents.items()):
+        if not hypotheses_for(P, e, ("e^2=e",))["e^2=e"]:
             violations.append(
                 Violation("idempotent", (name,), f"{name}^2 != {name}")
             )
-        h["ReR=R"] = ideal_span(P, e).is_full
-        h["R(1-e)R=R"] = ideal_span(P, P.neg(e), unit_coeff=1).is_full
-        if P.has_involution:
-            estar = P.involve(e)
-            h["ee*=0"] = P.is_zero(P.mul(e, estar))
-            h["e*e=0"] = P.is_zero(P.mul(estar, e))
-            s_neg = P.neg(P.add(e, estar))
-            h["R(1-e-e*)R=R"] = ideal_span(P, s_neg, unit_coeff=1).is_full
-            if P.unital:
-                s = P.add(P.unit, s_neg)
-                h["s!=0"] = not P.is_zero(s)
-            else:
-                h["s!=0"] = True  # the hull unit keeps 1-e-e* nonzero
-        hypotheses[name] = h
+    return tuple(violations)
 
+
+def validate_presentation(P):
+    """Check the algebra axioms and report the generation hypotheses.
+
+    Axiom violations (associativity, involution laws, idempotency, unit law)
+    are returned as data. For every declared idempotent e the report also
+    records whether ReR = R, R(1-e)R = R and, when an involution is present,
+    whether ee* = e*e = 0 and R(1-e-e*)R = R, each computed by two-sided
+    ideal saturation.
+    """
+    violations = list(axiom_violations(P))
+    wants = ("e^2=e", "ReR=R", "R(1-e)R=R")
+    if P.has_involution:
+        wants += ("ee*=0", "e*e=0", "R(1-e-e*)R=R", "s!=0")
+    hypotheses = {
+        name: hypotheses_for(P, e, wants) for name, e in sorted(P.idempotents.items())
+    }
     return ValidationReport(violations, hypotheses)

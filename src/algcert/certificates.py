@@ -11,14 +11,23 @@ apply.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .algebra import ideal_span, unital_hull, validate_presentation
+from .algebra import (
+    axiom_violations,
+    embed_in_hull,
+    hypotheses_for,
+    ideal_span,
+    restrict_from_hull,
+    unital_hull,
+)
 from .closure import (
     GeneratorSet,
+    assert_lie_closed,
     assoc_closure,
     generator_set,
     lie_closure,
@@ -37,21 +46,6 @@ from .linalg import CombinationSolver, SpanBuilder
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
-
-CLAIMS = (
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma5",
-    "lemma6",
-    "lemma7",
-    "theorem1",
-    "theorem2",
-    "lemma8",
-    "lemma9",
-    "stagnation",
-)
 
 
 @dataclass
@@ -149,101 +143,6 @@ def _resolve_idempotent(P, e):
     return e
 
 
-def principal_ideal(P, x):
-    """Two-sided ideal generated by x (contains x itself)."""
-    b = SpanBuilder(P.field, P.dim)
-    frontier = []
-    if b.add(x.coords):
-        frontier.append(x)
-    while frontier:
-        new = []
-        for r in frontier:
-            for i in range(P.dim):
-                e_i = P.basis_element(i)
-                for w in (P.mul(e_i, r), P.mul(r, e_i)):
-                    if b.add(w.coords):
-                        new.append(w)
-        frontier = new
-    return b.subspace()
-
-
-def _desk_simple(P):
-    """Desk-scale check: every basis element generates R as an ideal."""
-    return all(
-        principal_ideal(P, P.basis_element(i)).is_full for i in range(P.dim)
-    )
-
-
-def _generators_generate(P):
-    """The declared generators (with the unit, when present) span R as an
-    associative subalgebra."""
-    if not P.generators:
-        return False
-    items = [(name, el, "declared") for name, el in _sorted_generators(P)]
-    if P.unital:
-        items.append(("@1", P.unit, "unit"))
-    trace = assoc_closure(P, generator_set("associative", items))
-    return trace.final.is_full
-
-
-def _desk_semiprime(P):
-    """Desk-scale check: no basis element generates a square-zero ideal.
-
-    Returns (ok, witness_label_or_None).
-    """
-    for i in range(P.dim):
-        ideal = principal_ideal(P, P.basis_element(i))
-        if ideal.rank == 0:
-            continue
-        rows = [P.element(r) for r in ideal.basis]
-        if all(P.is_zero(P.mul(u, v)) for u in rows for v in rows):
-            return False, P.basis_labels[i]
-    return True, None
-
-
-def hypotheses_for(P, e, wants):
-    """Evaluate named generation hypotheses for the idempotent e."""
-    out = {}
-    estar = P.involve(e) if P.has_involution else None
-    for name in wants:
-        if name == "involution":
-            out[name] = P.has_involution
-        elif name == "e^2=e":
-            out[name] = P.equal(P.mul(e, e), e)
-        elif name == "ee*=0":
-            out[name] = P.has_involution and P.is_zero(P.mul(e, estar))
-        elif name == "e*e=0":
-            out[name] = P.has_involution and P.is_zero(P.mul(estar, e))
-        elif name == "ReR=R":
-            out[name] = ideal_span(P, e).is_full
-        elif name == "Re*R=R":
-            out[name] = P.has_involution and ideal_span(P, estar).is_full
-        elif name == "R(1-e)R=R":
-            out[name] = ideal_span(P, P.neg(e), unit_coeff=1).is_full
-        elif name == "R(1-e-e*)R=R":
-            out[name] = P.has_involution and ideal_span(
-                P, P.neg(P.add(e, estar)), unit_coeff=1
-            ).is_full
-        elif name == "e+e*=1":
-            out[name] = (
-                P.has_involution
-                and P.unital
-                and P.equal(P.add(e, estar), P.unit)
-            )
-        elif name == "R=alg<gens>":
-            out[name] = _generators_generate(P)
-        elif name == "simple(desk-scale)":
-            out[name] = _desk_simple(P)
-        elif name == "semiprime(desk-scale)":
-            ok, witness = _desk_semiprime(P)
-            out[name] = ok
-            if not ok:
-                out["square-zero-ideal-witness"] = witness
-        else:
-            raise ValueError(f"unknown hypothesis {name!r}")
-    return out
-
-
 def _hypothesis_certificate(P, claim, results, seed=None, extra=None):
     failed = [k for k, v in results.items() if v is False]
     detail = {"hypotheses": results, "failed_hypotheses": failed}
@@ -259,14 +158,14 @@ def _hypothesis_certificate(P, claim, results, seed=None, extra=None):
 
 
 def _require_valid(P):
-    report = validate_presentation(P)
-    if report.violations:
-        first = report.violations[0]
+    """The axiom gate: raise FormatError on the first violated axiom."""
+    violations = axiom_violations(P)
+    if violations:
+        first = violations[0]
         raise FormatError(
             f"presentation violates {first.axiom} at {first.indices}: "
             f"{first.message}"
         )
-    return report
 
 
 # -- targets ---------------------------------------------------------------
@@ -284,17 +183,12 @@ def commutator_span(P):
 def derived_subspace(P):
     """The derived subalgebra of R under the commutator.
 
-    The commutator span is already bracket-closed; the closure pass is run
-    anyway so the result is certified closed rather than assumed.
+    The commutator span is already bracket-closed; that is checked on its
+    basis so the result is certified closed rather than assumed.
     """
     span = commutator_span(P)
-    if span.rank == 0:
-        return span
-    gens = generator_set(
-        "lie",
-        [(f"c{k}", P.element(row), "commutator-span") for k, row in enumerate(span.basis)],
-    )
-    return lie_closure(P, gens).final
+    assert_lie_closed(P, span)
+    return span
 
 
 def skew_commutator_span(P):
@@ -311,13 +205,8 @@ def skew_commutator_span(P):
 def derived_K_subspace(P):
     """The derived subalgebra [K, K] of the skew part, certified closed."""
     span = skew_commutator_span(P)
-    if span.rank == 0:
-        return span
-    gens = generator_set(
-        "lie",
-        [(f"k{k}", P.element(row), "K-commutator-span") for k, row in enumerate(span.basis)],
-    )
-    return lie_closure(P, gens).final
+    assert_lie_closed(P, span)
+    return span
 
 
 # -- working copy / word machinery ------------------------------------------
@@ -328,21 +217,7 @@ def _working(P):
     if P.unital:
         return P, (lambda el: el), (lambda el: el)
     H = unital_hull(P)
-    F = P.field
-
-    def lift(el):
-        return H.element(tuple(el.coords) + (F.zero,))
-
-    def lower(el):
-        if el.coords[-1]:
-            raise FormatError("element does not lie inside the base algebra")
-        return P.element(el.coords[:-1])
-
-    return H, lift, lower
-
-
-def _sorted_generators(P):
-    return [(name, P.generators[name]) for name in sorted(P.generators)]
+    return H, functools.partial(embed_in_hull, H), functools.partial(restrict_from_hull, P)
 
 
 class _WordLevels:
@@ -472,7 +347,6 @@ def lemma1_certificate(P, e=None):
     gens = generator_set("lie", items)
     trace = lie_closure(P, gens)
     target = derived_subspace(P)
-    span = commutator_span(P)
     return Certificate(
         claim="lemma1",
         verdict=_verdict(trace.final, target),
@@ -483,7 +357,7 @@ def lemma1_certificate(P, e=None):
         detail={
             "hypotheses": hyp,
             "peirce_dims": pd.dims(),
-            "commutator_span_rank": span.rank,
+            "commutator_span_rank": target.rank,
             "derived_rank": target.rank,
         },
     )
@@ -504,7 +378,7 @@ def _lemma2_impl(P, e, f=None, cap=6, budget=None):
     f_is_complement = f is None
     f_w = Pw.sub(Pw.unit, e_w) if f_is_complement else lift(f)
 
-    gens = [(name, lift(el)) for name, el in _sorted_generators(P)]
+    gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
     if not gens:
         raise MissingGeneratorsError(f"{P.name} declares no generators")
 
@@ -717,6 +591,19 @@ def lemma3_jordan_check(P, pair_generators, seed=0, samples=100):
     )
 
 
+def _lemma3_claim(P, opts):
+    """lemma3 on the bases of the off-diagonal Peirce components of e."""
+    pd = peirce_decompose(P, _resolve_idempotent(P, None))
+    items = []
+    sides = []
+    for side, comp in (("-", pd.eRf), ("+", pd.fRe)):
+        for k, row in enumerate(comp.basis):
+            items.append((f"p{side}{k}", P.element(row), "component-basis"))
+            sides.append(side)
+    gens = generator_set("assoc-pair", items, sides)
+    return lemma3_jordan_check(P, gens, seed=opts.seed)
+
+
 # -- theorem1 ---------------------------------------------------------------
 
 
@@ -765,7 +652,6 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
     )
     trace = lie_closure(P, lie_gens)
     target = derived_subspace(P)
-    span = commutator_span(P)
     verdict = PASS if jordan_ok and _final_equals(trace.final, target) else FAIL
     return Certificate(
         claim="theorem1",
@@ -783,7 +669,7 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
             "jordan_generation_ok": jordan_ok,
             "pair_dims": (comp_minus.rank, comp_plus.rank),
             "transfer_identity_checks": transfer_checks,
-            "commutator_span_rank": span.rank,
+            "commutator_span_rank": target.rank,
             "derived_rank": target.rank,
         },
         seed=seed,
@@ -887,7 +773,7 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
 
     budget = word_budget(budget)
     Pw, lift, lower = _working(P)
-    gens = [(name, lift(el)) for name, el in _sorted_generators(P)]
+    gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
     if not gens:
         raise MissingGeneratorsError(f"{P.name} declares no generators")
     words = _WordLevels(Pw, gens, budget)
@@ -1326,15 +1212,15 @@ def lemma9_check(P, samples=20, seed=0):
     Checked contrapositively: k K k is nonzero for every nonzero skew basis
     vector and for sampled random nonzero skew elements.
     """
-    hyp = {"involution": P.has_involution}
-    if not P.has_involution:
+    hyp = hypotheses_for(P, None, ("involution",))
+    if not hyp["involution"]:
         return _hypothesis_certificate(P, "lemma9", hyp, seed=seed)
-    ok, witness = _desk_semiprime(P)
-    hyp["semiprime(desk-scale)"] = ok
-    if not ok:
+    hyp.update(hypotheses_for(P, None, ("semiprime(desk-scale)",)))
+    witness = hyp.pop("square-zero-ideal-witness", None)
+    kh = kh_split(P)
+    K_rows = [P.element(r) for r in kh.K.basis]
+    if witness is not None:
         # Illustrate the failure: a nonzero skew element annihilated by K.
-        kh = kh_split(P)
-        K_rows = [P.element(r) for r in kh.K.basis]
         demo = None
         for k in K_rows:
             if not P.is_zero(k) and all(
@@ -1348,8 +1234,6 @@ def lemma9_check(P, samples=20, seed=0):
         }
         return _hypothesis_certificate(P, "lemma9", hyp, seed=seed, extra=extra)
 
-    kh = kh_split(P)
-    K_rows = [P.element(r) for r in kh.K.basis]
     rng = random.Random(seed)
 
     def k_K_k_nonzero(k):
@@ -1434,3 +1318,40 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
         },
         seed=seed,
     )
+
+
+def _stagnation_claim(P, opts):
+    """The stagnation probe on [K, K] when P has an involution, else on [R, R]."""
+    target = derived_K_subspace(P) if P.has_involution else derived_subspace(P)
+    return stagnation_probe(
+        P, target, trials=opts.trials, max_gen=opts.max_gen, seed=opts.seed
+    )
+
+
+# -- claim registry -------------------------------------------------------------
+
+# Claim name -> runner(P, opts); opts carries seed, cap, trials and max_gen.
+CLAIMS = {
+    "lemma1": lambda P, opts: lemma1_certificate(P),
+    "lemma2": lambda P, opts: lemma2_certificate(P, cap=opts.cap),
+    "lemma3": _lemma3_claim,
+    "lemma4": lambda P, opts: lemma4_check(P),
+    "lemma5": lambda P, opts: lemma5_certificate(P, cap=opts.cap),
+    "lemma6": lambda P, opts: lemma6_check(P),
+    "lemma7": lambda P, opts: lemma7_reduction_check(
+        P, trials=min(opts.trials, 20), seed=opts.seed
+    ),
+    "thm1": lambda P, opts: theorem1_certify(P, seed=opts.seed, cap=opts.cap),
+    "thm2": lambda P, opts: theorem2_certify(P, seed=opts.seed, cap=opts.cap),
+    "lemma8": lambda P, opts: lemma8_check(P),
+    "lemma9": lambda P, opts: lemma9_check(
+        P, samples=min(opts.trials, 50), seed=opts.seed
+    ),
+    "stagnation": _stagnation_claim,
+}
+
+
+def certify(P, claim, opts):
+    """Run a registered claim behind the axiom gate."""
+    _require_valid(P)
+    return CLAIMS[claim](P, opts)

@@ -45,11 +45,6 @@ _VERDICT_EXIT = {
     certs.HYPOTHESIS_NOT_MET: EXIT_HYPOTHESIS,
 }
 
-CLI_CLAIMS = (
-    "lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma7",
-    "thm1", "thm2", "lemma8", "lemma9", "stagnation",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so bad flags map to exit 1."""
@@ -96,7 +91,7 @@ def _build_parser():
 
     p_cert = sub.add_parser("certify", help="run a generation certificate")
     p_cert.add_argument("file")
-    p_cert.add_argument("--claim", required=True, choices=CLI_CLAIMS)
+    p_cert.add_argument("--claim", required=True, choices=certs.CLAIMS)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--cap", type=int, default=6)
     p_cert.add_argument("--trials", type=int, default=50)
@@ -265,49 +260,7 @@ def _cmd_oracle(P, args):
 
 
 def _cmd_certify(P, args):
-    claim = args.claim
-    if claim == "thm1":
-        cert = certs.theorem1_certify(P, seed=args.seed, cap=args.cap)
-    elif claim == "thm2":
-        cert = certs.theorem2_certify(P, seed=args.seed, cap=args.cap)
-    elif claim == "lemma1":
-        cert = certs.lemma1_certificate(P)
-    elif claim == "lemma2":
-        cert = certs.lemma2_certificate(P, cap=args.cap)
-    elif claim == "lemma3":
-        e = certs._resolve_idempotent(P, None)
-        pd = peirce_decompose(P, e)
-        items = []
-        sides = []
-        for side, comp in (("-", pd.eRf), ("+", pd.fRe)):
-            for k, row in enumerate(comp.basis):
-                items.append((f"p{side}{k}", P.element(row), "component-basis"))
-                sides.append(side)
-        gens = generator_set("assoc-pair", items, sides)
-        cert = certs.lemma3_jordan_check(P, gens, seed=args.seed)
-    elif claim == "lemma4":
-        cert = certs.lemma4_check(P)
-    elif claim == "lemma5":
-        cert = certs.lemma5_certificate(P, cap=args.cap)
-    elif claim == "lemma6":
-        cert = certs.lemma6_check(P)
-    elif claim == "lemma7":
-        cert = certs.lemma7_reduction_check(P, trials=min(args.trials, 20), seed=args.seed)
-    elif claim == "lemma8":
-        cert = certs.lemma8_check(P)
-    elif claim == "lemma9":
-        cert = certs.lemma9_check(P, samples=min(args.trials, 50), seed=args.seed)
-    elif claim == "stagnation":
-        target = (
-            certs.derived_K_subspace(P)
-            if P.has_involution
-            else certs.derived_subspace(P)
-        )
-        cert = certs.stagnation_probe(
-            P, target, trials=args.trials, max_gen=args.max_gen, seed=args.seed
-        )
-    else:  # unreachable; argparse restricts choices
-        raise CliInputError(f"unknown claim {claim!r}")
+    cert = certs.certify(P, args.claim, args)
     return _VERDICT_EXIT[cert.verdict], {"certificates": [cert.to_json_dict()]}
 
 

@@ -119,7 +119,7 @@ def _check_trace_invariants(rounds):
         raise AssertionError("closure rank decreased")
 
 
-def _saturate_linear(P, seeds, product_round, closed_check):
+def _saturate_linear(P, seeds, product_round, assert_closed):
     builder = SpanBuilder(P.field, P.dim)
     vectors = []
     for el in seeds:
@@ -141,7 +141,7 @@ def _saturate_linear(P, seeds, product_round, closed_check):
         if not grew:
             break
     final = builder.subspace()
-    closed_check(final)
+    assert_closed(P, final)
     _check_trace_invariants(rounds)
     return ClosureTrace(tuple(rounds), final, rnd)
 
@@ -164,17 +164,24 @@ def _assoc_round(P):
     return rounds
 
 
-def _closed_under(P, op_pairs):
-    def check(final):
-        rows = [P.element(r) for r in final.basis]
-        for u in rows:
-            for v in rows:
-                for w in op_pairs(u, v):
-                    if not final.contains(w.coords):
-                        raise AssertionError(
-                            "final subspace escaped under re-applied products"
-                        )
-    return check
+def _assert_closed(P, final, op_pairs):
+    rows = [P.element(r) for r in final.basis]
+    for u in rows:
+        for v in rows:
+            for w in op_pairs(u, v):
+                if not final.contains(w.coords):
+                    raise AssertionError(
+                        "final subspace escaped under re-applied products"
+                    )
+
+
+def assert_lie_closed(P, final):
+    """Raise AssertionError unless the subspace is closed under [a,b]."""
+    _assert_closed(P, final, lambda u, v: (P.commutator(u, v),))
+
+
+def _assert_assoc_closed(P, final):
+    _assert_closed(P, final, lambda u, v: (P.mul(u, v), P.mul(v, u)))
 
 
 def lie_closure(P, S):
@@ -182,9 +189,7 @@ def lie_closure(P, S):
     if S.structure != "lie":
         raise StructureError("lie_closure needs a lie generator set")
     seeds = [el for _, el, _ in S.elements]
-    return _saturate_linear(
-        P, seeds, _lie_round(P), _closed_under(P, lambda u, v: (P.commutator(u, v),))
-    )
+    return _saturate_linear(P, seeds, _lie_round(P), assert_lie_closed)
 
 
 def assoc_closure(P, S):
@@ -192,12 +197,7 @@ def assoc_closure(P, S):
     if S.structure != "associative":
         raise StructureError("assoc_closure needs an associative generator set")
     seeds = [el for _, el, _ in S.elements]
-    return _saturate_linear(
-        P,
-        seeds,
-        _assoc_round(P),
-        _closed_under(P, lambda u, v: (P.mul(u, v), P.mul(v, u))),
-    )
+    return _saturate_linear(P, seeds, _assoc_round(P), _assert_assoc_closed)
 
 
 def pair_closure(P, S, kind=None, components=None):

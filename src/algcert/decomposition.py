@@ -169,8 +169,3 @@ def kh_split(P, grading=None):
             for i in range(-2, 3)
         }
     return KHSplit(K, H, graded)
-
-
-def brace(P, a):
-    """a - a*; lands in K and kills symmetric elements."""
-    return P.brace(a)

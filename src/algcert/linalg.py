@@ -55,8 +55,10 @@ class RationalField:
     def parse(self, s):
         if not isinstance(s, str) or not _RAT_RE.match(s):
             raise FormatError(f"not a rational scalar: {s!r}")
-        q = Fraction(s)
-        return q
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator in rational scalar: {s!r}") from None
 
     def format(self, a):
         return str(a)

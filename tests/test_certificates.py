@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import algcert as ac
-from algcert import certificates as cc
+from algcert import algebra, certificates as cc
 from algcert import formats
 from helpers import elem, m2, m3, m4, unit_elem
 
@@ -397,3 +397,63 @@ def test_identity_suite_random_instances():
             assert P.equal(
                 P.jordan_triple(a, b, c), P.commutator(P.commutator(a, b), c)
             )
+
+
+def _count_ideal_spans(monkeypatch):
+    """Record (x, unit_coeff) of every ideal_span computation."""
+    calls = []
+    original = algebra.ideal_span
+
+    def counting(P, x, unit_coeff=0):
+        calls.append((id(P), x.coords, unit_coeff))
+        return original(P, x, unit_coeff)
+
+    monkeypatch.setattr(algebra, "ideal_span", counting)
+    monkeypatch.setattr(cc, "ideal_span", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, certify, verdict",
+    [
+        (lambda: ac.build_example2(2), ac.theorem2_certify, "hypothesis-not-met"),
+        (lambda: m3("flip"), ac.theorem1_certify, "pass"),
+    ],
+    ids=["thm2-example2-D2", "thm1-m3-flip"],
+)
+def test_ideal_hypotheses_computed_once_per_presentation(monkeypatch, build, certify, verdict):
+    calls = _count_ideal_spans(monkeypatch)
+    P = build()
+    assert certify(P).verdict == verdict
+    assert calls and len(set(calls)) == len(calls)
+    # Validation and a rerun reuse the memoised hypotheses of the same presentation.
+    ac.validate_presentation(P)
+    assert certify(P).verdict == verdict
+    assert len(set(calls)) == len(calls)
+
+
+def _lie_closure_of_basis(P, span):
+    gens = ac.generator_set(
+        "lie", [(f"c{k}", P.element(row), "span") for k, row in enumerate(span.basis)]
+    )
+    return ac.lie_closure(P, gens).final
+
+
+def test_derived_targets_equal_closure_of_their_span():
+    for P in (m3("flip"), ac.build_example1(4), ac.build_example2(2)):
+        assert cc.derived_subspace(P) == _lie_closure_of_basis(P, cc.commutator_span(P))
+        if P.has_involution:  # example1 has none, so no [K, K]
+            assert cc.derived_K_subspace(P) == _lie_closure_of_basis(
+                P, cc.skew_commutator_span(P)
+            )
+
+
+def test_hypotheses_for_names_witness_and_memoises(monkeypatch):
+    P = ac.build_example2(1)
+    first = algebra.hypotheses_for(P, None, ("semiprime(desk-scale)",))
+    assert first["semiprime(desk-scale)"] is False
+    assert first["square-zero-ideal-witness"] is not None
+    monkeypatch.setattr(algebra, "principal_ideal", None)  # recomputing would fail
+    assert algebra.hypotheses_for(P, None, ("semiprime(desk-scale)",)) == first
+    with pytest.raises(ValueError):
+        algebra.hypotheses_for(P, None, ("no-such-hypothesis",))

@@ -223,3 +223,36 @@ def test_all_claims_run_on_suitable_instances(capsys, tmp_path):
     for claim, expected in (("lemma8", 0), ("lemma9", 0), ("lemma4", 3)):
         code, _, _ = _run(capsys, "certify", sym, "--claim", claim, "--seed", "1")
         assert code == expected
+
+
+def test_every_claim_checks_the_axioms_first(capsys, tmp_path):
+    # M2 flip with b0*b0 = 2*b0 is not associative: every claim must refuse
+    # it with exit 1 and no report, whatever its own hypotheses say.
+    path = _build(capsys, tmp_path, "m2f.json", "--kind", "matrix_n", "--n", "2",
+                  "--involution", "flip")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["mul"][0][3] = "2"
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    claims = ("lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma7",
+              "thm1", "thm2", "lemma8", "lemma9", "stagnation")
+    for claim in claims:
+        code, out, err = _run(capsys, "certify", path, "--claim", claim,
+                              "--seed", "3", "--trials", "8")
+        assert code == 1, claim
+        assert "presentation violates associativity" in err, claim
+        assert out == "", claim
+
+
+def test_zero_denominator_is_a_format_error(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["mul"][0][3] = "1/0"
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.mul[0][3]:")

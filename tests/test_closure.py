@@ -3,7 +3,7 @@
 import pytest
 
 import algcert as ac
-from algcert.closure import oracle_until_stagnation
+from algcert.closure import assert_lie_closed, oracle_until_stagnation
 from algcert.errors import (
     BudgetExceededError,
     GeneratorSideError,
@@ -227,3 +227,11 @@ def test_oracle_agreement_small_instances():
     cases.append((ex2, assoc_gens(ex2, ["E12", "E21", "x*E11"]), ac.assoc_closure))
     for P, gens, closer in cases:
         _oracle_agreement(P, gens, closer)
+
+
+def test_assert_lie_closed_rejects_open_span():
+    # [E12, E21] = E11 - E22 lies outside span(E12, E21).
+    P = m2()
+    with pytest.raises(AssertionError):
+        assert_lie_closed(P, P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")]))
+    assert_lie_closed(P, ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final)
