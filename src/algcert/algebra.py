@@ -341,9 +341,15 @@ def restrict_from_hull(P, el):
 
 def _ideal_closure(P, seeds):
     """Span of seeds, saturated under left and right multiplication by the
-    basis. The fixed point is confirmed rather than assumed."""
+    basis. The fixed point is confirmed rather than assumed, except at full
+    rank: a span of rank dim is R, which is an ideal."""
     b = SpanBuilder(P.field, P.dim)
-    frontier = [w for w in seeds if b.add(w.coords)]
+    frontier = []
+    for w in seeds:
+        if b.add(w.coords):
+            if b.is_full:
+                return b.subspace()
+            frontier.append(w)
     while frontier:
         new = []
         for r in frontier:
@@ -351,6 +357,8 @@ def _ideal_closure(P, seeds):
                 e_i = P.basis_element(i)
                 for w in (P.mul(e_i, r), P.mul(r, e_i)):
                     if b.add(w.coords):
+                        if b.is_full:
+                            return b.subspace()
                         new.append(w)
         frontier = new
     return b.subspace()

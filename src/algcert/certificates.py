@@ -486,12 +486,29 @@ def lemma2_certificate(P, e=None, f=None, cap=6, budget=None):
 # -- lemma3 ---------------------------------------------------------------
 
 
-def _distinct_index_monomials(P, pair_gens, budget=None):
+def _index_sequences(n_outer, n_inner):
+    """(iseq, jseq) pairs of the distinct-index monomials, in emission order:
+    s + 1 pairwise distinct outer indices and s arbitrary inner ones."""
+    for s in range(n_outer):
+        if s > 0 and not n_inner:
+            return
+        for iseq in itertools.permutations(range(n_outer), s + 1):
+            for jseq in itertools.product(range(n_inner), repeat=s):
+                yield iseq, jseq
+
+
+def _distinct_index_monomials(P, pair_gens, components, budget=None):
     """Alternating monomials whose outer-side indices are pairwise distinct.
 
     For the '+' family these are a+_{i1} b-_{j1} a+_{i2} ... a+_{i_{s+1}}
     with distinct i's and arbitrary j's, and symmetrically for '-'.
     Deduplicated by span per side.
+
+    ``components`` = (minus, plus) are subspaces that contain every monomial
+    of their side. A side stops once its span has that component's rank: no
+    later monomial can grow it, so the emitted set is the same as that of the
+    full enumeration, and only the words enumerated before the stop are
+    charged to the budget.
     """
     budget = word_budget(budget)
     count = 0
@@ -500,28 +517,26 @@ def _distinct_index_monomials(P, pair_gens, budget=None):
         by_side[side].append((label, el))
     items = []
     sides = []
-    for sigma in ("-", "+"):
+    for sigma, ceiling in (("-", components[0].rank), ("+", components[1].rank)):
         outer = by_side[sigma]
         inner = by_side["-" if sigma == "+" else "+"]
         got = SpanBuilder(P.field, P.dim)
-        for s in range(len(outer)):
-            if s > 0 and not inner:
+        for iseq, jseq in _index_sequences(len(outer), len(inner)):
+            if got.rank == ceiling:
                 break
-            for iseq in itertools.permutations(range(len(outer)), s + 1):
-                for jseq in itertools.product(range(len(inner)), repeat=s):
-                    count += 1
-                    if count > budget:
-                        raise BudgetExceededError(count, budget)
-                    el = outer[iseq[0]][1]
-                    word = outer[iseq[0]][0]
-                    for t in range(s):
-                        el = P.mul(P.mul(el, inner[jseq[t]][1]), outer[iseq[t + 1]][1])
-                        word += f"*{inner[jseq[t]][0]}*{outer[iseq[t + 1]][0]}"
-                    if P.is_zero(el):
-                        continue
-                    if got.add(el.coords):
-                        items.append((f"mono{sigma}{len(items)}", el, f"monomial:{word}"))
-                        sides.append(sigma)
+            count += 1
+            if count > budget:
+                raise BudgetExceededError(count, budget)
+            el = outer[iseq[0]][1]
+            word = outer[iseq[0]][0]
+            for t in range(len(jseq)):
+                el = P.mul(P.mul(el, inner[jseq[t]][1]), outer[iseq[t + 1]][1])
+                word += f"*{inner[jseq[t]][0]}*{outer[iseq[t + 1]][0]}"
+            if P.is_zero(el):
+                continue
+            if got.add(el.coords):
+                items.append((f"mono{sigma}{len(items)}", el, f"monomial:{word}"))
+                sides.append(sigma)
     return generator_set("jordan-pair", items, sides)
 
 
@@ -572,7 +587,9 @@ def lemma3_jordan_check(P, pair_generators, seed=0, samples=100):
             )
         identity_checks += 2
 
-    monomials = _distinct_index_monomials(P, pair_generators)
+    # The monomials are iterated triple products of the inputs, so they lie
+    # in the associative pair the inputs generate.
+    monomials = _distinct_index_monomials(P, pair_generators, target_trace.final)
     trace = pair_closure(P, monomials, "jordan-pair", components=target_trace.final)
     verdict = _verdict(trace.final, target_trace.final)
     return Certificate(
@@ -641,7 +658,11 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
                 )
             transfer_checks += 1
 
-    monomials = _distinct_index_monomials(P, pair_gens, budget)
+    # eRf.fRe.eRf lies in eRf (and symmetrically), so every monomial lies in
+    # its side's component.
+    monomials = _distinct_index_monomials(
+        P, pair_gens, (comp_minus, comp_plus), budget
+    )
     jordan_trace = pair_closure(
         P, monomials, "jordan-pair", components=(comp_minus, comp_plus)
     )
@@ -906,13 +927,15 @@ def lemma6_check(P, grading=None, e=None):
 # -- theorem2 ---------------------------------------------------------------
 
 
-def _alternating_products(P, outer, inner, r_max, budget):
+def _alternating_products(P, outer, inner, r_max, budget, ceiling):
     """Span-representative alternating products a b a ... a with <= r_max
     outer slots.
 
     Each level keeps only products that grew the span so far; every later
     use of these products is linear in the product, so replacing a level by
-    span representatives leaves all generated subspaces unchanged.
+    span representatives leaves all generated subspaces unchanged. Every
+    product lies in a corner component of rank ``ceiling``, so the
+    enumeration stops once the span has that rank.
     """
     reps = []
     seen = SpanBuilder(P.field, P.dim)
@@ -925,6 +948,8 @@ def _alternating_products(P, outer, inner, r_max, budget):
         if not P.is_zero(el) and seen.add(el.coords):
             reps.append((lab, el))
             level.append((lab, el))
+            if seen.rank == ceiling:
+                return reps
     for _ in range(2, r_max + 1):
         nxt = []
         for lab, w in level:
@@ -943,6 +968,8 @@ def _alternating_products(P, outer, inner, r_max, budget):
                         entry = (f"{lab}*{blab}*{alab}", wba)
                         reps.append(entry)
                         nxt.append(entry)
+                        if seen.rank == ceiling:
+                            return reps
         level = nxt
         if not level:
             break
@@ -1006,8 +1033,14 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     n = max(len(split_sides["-"]), len(split_sides["+"]), 1)
     stage["pair_generator_count"] = n
 
-    P2 = _alternating_products(P, split_sides["+"], split_sides["-"], n + 2, budget_n)
-    Pm2 = _alternating_products(P, split_sides["-"], split_sides["+"], n + 2, budget_n)
+    # P2 lies in the + corner component and Pm2 in the - one.
+    corner_minus, corner_plus = pair_info["components"]
+    P2 = _alternating_products(
+        P, split_sides["+"], split_sides["-"], n + 2, budget_n, corner_plus.rank
+    )
+    Pm2 = _alternating_products(
+        P, split_sides["-"], split_sides["+"], n + 2, budget_n, corner_minus.rank
+    )
     stage["corner_product_counts"] = (len(Pm2), len(P2))
 
     union = []

@@ -77,6 +77,8 @@ class PrimeField:
     """Residues modulo an odd prime p, stored as ints in [0, p-1]."""
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise FormatError(f"prime field modulus must be below {PRIME_BOUND}, got {p}")
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not _is_prime(p):
             raise FormatError(f"prime field needs an odd prime, got {p!r}")
         self.p = p
@@ -126,14 +128,35 @@ class PrimeField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster). The bases
+# 2..37 alone are not: 318665857834031151167461 is a strong pseudoprime to
+# each of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -5,6 +5,7 @@ routine, and element construction helpers."""
 from fractions import Fraction
 
 import algcert as ac
+from algcert.algebra import AlgebraPresentation
 
 
 def naive_rref(rows):
@@ -95,3 +96,16 @@ def component_pair_gens(P, structure="assoc-pair"):
             items.append((f"p{side}{k}", P.element(row), "component"))
             sides.append(side)
     return ac.generator_set(structure, items, sides)
+
+
+def count_muls(monkeypatch):
+    """Count AlgebraPresentation.mul calls; returns a one-element list."""
+    calls = [0]
+    original = AlgebraPresentation.mul
+
+    def counting(P, a, b):
+        calls[0] += 1
+        return original(P, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "mul", counting)
+    return calls

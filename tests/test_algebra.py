@@ -10,7 +10,7 @@ from algcert import formats
 from algcert.algebra import AlgebraPresentation, ideal_span
 from algcert.errors import MissingInvolutionError, UnitalityError
 from algcert.linalg import QQ
-from helpers import elem, m2, m3, unit_elem
+from helpers import count_muls, elem, m2, m3, unit_elem
 
 
 def test_matrix_unit_products():
@@ -226,3 +226,47 @@ def test_render():
     assert P.render(P.zero()) == "0"
     x = elem(P, {"E11": Fraction(1, 2), "E21": -1})
     assert P.render(x) == "1/2*E11 - E21"
+
+
+def _saturate_to_fixed_point(P, x, unit_coeff):
+    """Reference: the two-sided products b_i (unit_coeff + x) b_j, saturated
+    until a round adds nothing, with no early exit at full rank."""
+    b = ac.SpanBuilder(P.field, P.dim)
+    frontier = []
+    for i in range(P.dim):
+        for j in range(P.dim):
+            w = P.mul(P.mul(P.basis_element(i), x), P.basis_element(j))
+            if unit_coeff:
+                w = P.add(w, P.mul_basis(i, j))
+            if b.add(w.coords):
+                frontier.append(w)
+    while frontier:
+        new = []
+        for r in frontier:
+            for i in range(P.dim):
+                for w in (P.mul(P.basis_element(i), r), P.mul(r, P.basis_element(i))):
+                    if b.add(w.coords):
+                        new.append(w)
+        frontier = new
+    return b.subspace()
+
+
+@pytest.mark.parametrize("build", [lambda: ac.build_example2(2), lambda: ac.build_example2(3),
+                                   lambda: m3("flip")], ids=["example2-D2", "example2-D3", "m3-flip"])
+def test_ideal_span_equals_fixed_point_saturation(monkeypatch, build):
+    P = build()
+    e = P.idempotents["e"]
+    cases = {
+        "e": (e, 0),
+        "1-e": (P.neg(e), 1),
+        "1-e-e*": (P.neg(P.add(e, P.involve(e))), 1),
+    }
+    calls = count_muls(monkeypatch)
+    for name, (x, unit_coeff) in cases.items():
+        calls[0] = 0
+        got = ideal_span(P, x, unit_coeff)
+        got_calls = calls[0]
+        calls[0] = 0
+        assert got == _saturate_to_fixed_point(P, x, unit_coeff), name
+        if got.is_full:
+            assert got_calls < calls[0], name

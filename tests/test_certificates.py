@@ -1,5 +1,7 @@
 """Generation certificates: constructions, verdicts, and hypothesis gates."""
 
+import argparse
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 import algcert as ac
 from algcert import algebra, certificates as cc
 from algcert import formats
-from helpers import elem, m2, m3, m4, unit_elem
+from helpers import component_pair_gens, count_muls, elem, m2, m3, m4, unit_elem
 
 
 def test_derived_subspace_m2():
@@ -457,3 +459,152 @@ def test_hypotheses_for_names_witness_and_memoises(monkeypatch):
     assert algebra.hypotheses_for(P, None, ("semiprime(desk-scale)",)) == first
     with pytest.raises(ValueError):
         algebra.hypotheses_for(P, None, ("no-such-hypothesis",))
+
+
+# -- rank ceilings ----------------------------------------------------------
+
+
+def _uncapped_monomials(P, pair_gens):
+    """Reference: every distinct-index monomial, with no rank ceiling."""
+    by_side = {"+": [], "-": []}
+    for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
+        by_side[side].append((label, el))
+    items = []
+    sides = []
+    for sigma in ("-", "+"):
+        outer = by_side[sigma]
+        inner = by_side["-" if sigma == "+" else "+"]
+        got = ac.SpanBuilder(P.field, P.dim)
+        for s in range(len(outer)):
+            if s > 0 and not inner:
+                break
+            for iseq in itertools.permutations(range(len(outer)), s + 1):
+                for jseq in itertools.product(range(len(inner)), repeat=s):
+                    el = outer[iseq[0]][1]
+                    word = outer[iseq[0]][0]
+                    for t in range(s):
+                        el = P.mul(P.mul(el, inner[jseq[t]][1]), outer[iseq[t + 1]][1])
+                        word += f"*{inner[jseq[t]][0]}*{outer[iseq[t + 1]][0]}"
+                    if P.is_zero(el):
+                        continue
+                    if got.add(el.coords):
+                        items.append((f"mono{sigma}{len(items)}", el, f"monomial:{word}"))
+                        sides.append(sigma)
+    return ac.generator_set("jordan-pair", items, sides)
+
+
+def _same_generators(a, b):
+    return (
+        a.structure == b.structure
+        and [(lab, el.coords, prov) for lab, el, prov in a.elements]
+        == [(lab, el.coords, prov) for lab, el, prov in b.elements]
+        and list(a.sides) == list(b.sides)
+    )
+
+
+@pytest.mark.parametrize("n, involution", [(3, "flip"), (3, "transpose"),
+                                           (4, "flip"), (4, "transpose")])
+def test_capped_monomials_equal_full_enumeration_theorem1(monkeypatch, n, involution):
+    P = ac.build_matrix_algebra(n, involution=involution)
+    pair_gens, info = cc._lemma2_impl(P, P.idempotents["e"], None, 6, None)
+    muls = count_muls(monkeypatch)
+    capped = cc._distinct_index_monomials(P, pair_gens, info["components"])
+    capped_muls = muls[0]
+    full = _uncapped_monomials(P, pair_gens)
+    assert _same_generators(capped, full)
+    assert capped.elements
+    if n == 4:
+        assert capped_muls < muls[0] - capped_muls
+
+
+@pytest.mark.parametrize("build", [lambda: m3("flip"), lambda: ac.build_example1(3)],
+                         ids=["m3-flip", "example1-D3"])
+def test_capped_monomials_equal_full_enumeration_lemma3(build):
+    P = build()
+    cert = cc._lemma3_claim(P, argparse.Namespace(seed=0))
+    assert cert.verdict == "pass"
+    assert _same_generators(cert.generators, _uncapped_monomials(P, component_pair_gens(P)))
+
+
+def test_lemma3_ceiling_is_the_generated_pair():
+    # One vector from each side of M4's off-diagonal components generates a
+    # pair of rank (1, 1), smaller than the components' (3, 3).
+    P = m4("flip")
+    full = component_pair_gens(P)
+    picked = [(item, side) for item, side in zip(full.elements, full.sides)
+              if item[0] in ("p-0", "p+0")]
+    subset = ac.generator_set("assoc-pair", [i for i, _ in picked], [s for _, s in picked])
+    assert len(subset.elements) == 2 < len(full.elements) == 6
+    cert = ac.lemma3_jordan_check(P, subset, samples=5)
+    assert cert.verdict == "pass"
+    assert cert.detail["pair_dims"] == (1, 1)
+    assert _same_generators(cert.generators, _uncapped_monomials(P, subset))
+
+
+def _uncapped_alternating_products(P, outer, inner, r_max):
+    """Reference: span-representative alternating products, no rank ceiling."""
+    reps = []
+    seen = ac.SpanBuilder(P.field, P.dim)
+    level = []
+    for lab, el in outer:
+        if not P.is_zero(el) and seen.add(el.coords):
+            reps.append((lab, el))
+            level.append((lab, el))
+    for _ in range(2, r_max + 1):
+        nxt = []
+        for lab, w in level:
+            for blab, b in inner:
+                wb = P.mul(w, b)
+                if P.is_zero(wb):
+                    continue
+                for alab, a in outer:
+                    wba = P.mul(wb, a)
+                    if not P.is_zero(wba) and seen.add(wba.coords):
+                        reps.append((f"{lab}*{blab}*{alab}", wba))
+                        nxt.append((f"{lab}*{blab}*{alab}", wba))
+        level = nxt
+        if not level:
+            break
+    return reps
+
+
+def test_alternating_products_stop_at_the_ceiling_inside_a_level(monkeypatch):
+    # In M4 with e = E11 + E22, a = E13 + E24 and the basis of fRe give
+    # a, then E13, E14, E23 at the second level: rank 4 = rank eRf, reached
+    # before the level ends.
+    P = m4()
+    outer = [("a", elem(P, {"E13": 1, "E24": 1}))]
+    inner = [(lab, unit_elem(P, lab)) for lab in ("E31", "E32", "E41", "E42")]
+    muls = count_muls(monkeypatch)
+    capped = cc._alternating_products(P, outer, inner, 4, 10**6, 4)
+    capped_muls = muls[0]
+    full = _uncapped_alternating_products(P, outer, inner, 4)
+    assert [(lab, el.coords) for lab, el in capped] == [(lab, el.coords) for lab, el in full]
+    assert len(capped) == 4
+    assert capped_muls < muls[0] - capped_muls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_capped_alternating_products_equal_full_enumeration(n):
+    # The corner pair of theorem 2 on M_n flip: sandwich words of e and e*.
+    P = ac.build_matrix_algebra(n, involution="flip")
+    e = P.idempotents["e"]
+    pair_gens, info = cc._lemma2_impl(P, e, P.involve(e), 6, None)
+    sides = {"-": [], "+": []}
+    for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
+        sides[side].append((label, el))
+    for (outer, inner), comp in zip(((sides["-"], sides["+"]), (sides["+"], sides["-"])),
+                                    info["components"]):
+        capped = cc._alternating_products(P, outer, inner, 5, 10**6, comp.rank)
+        full = _uncapped_alternating_products(P, outer, inner, 5)
+        assert [(lab, el.coords) for lab, el in capped] == [
+            (lab, el.coords) for lab, el in full
+        ]
+
+
+def test_theorems_reach_m7_over_prime_field_with_default_budget():
+    P = ac.build_matrix_algebra(7, field=ac.PrimeField(10007), involution="flip")
+    c1 = ac.theorem1_certify(P)
+    assert c1.verdict == "pass" and c1.trace.final_rank == 48
+    c2 = ac.theorem2_certify(P)
+    assert c2.verdict == "pass"

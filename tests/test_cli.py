@@ -256,3 +256,29 @@ def test_zero_denominator_is_a_format_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: $.mul[0][3]:")
+
+
+def test_prime_above_the_primality_bound_exit1(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["field"] = "Fp:3317044064679887385961981"
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.field:")
+    assert "3317044064679887385961981" in err
+
+
+def test_certify_example2_thm1_and_lemma3_within_budget(capsys, tmp_path):
+    # Both stop word enumeration at the component rank; enumerating every
+    # monomial exceeds the default budget of 200000 words.
+    path = _build(
+        capsys, tmp_path, "ex2.json", "--kind", "m2_example2", "--truncation", "3"
+    )
+    for claim in ("thm1", "lemma3"):
+        code, out, err = _run(capsys, "certify", path, "--claim", claim)
+        assert code == 0, (claim, err)
+        assert json.loads(out)["result"]["certificates"][0]["verdict"] == "pass"

@@ -1,10 +1,12 @@
 """Exact subspace arithmetic: canonical echelon bases, sums, membership."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from algcert import linalg
 from algcert.errors import DimensionError, FormatError
 from algcert.linalg import (
     QQ,
@@ -204,9 +206,35 @@ def test_prime_field_arithmetic():
 
 
 def test_prime_field_rejects_bad_p():
-    for bad in (2, 4, 9, 1, -3):
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2,
+    # 3215031751 one to bases 2, 3, 5 and 7, and 318665857834031151167461
+    # one to every prime base up to 37.
+    for bad in (2, 4, 9, 1, -3, 561, 2047, 3215031751, 318665857834031151167461):
         with pytest.raises(FormatError):
             PrimeField(bad)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_20000():
+    for n in range(20000):
+        assert linalg._is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_large_prime_field_is_fast():
+    start = time.perf_counter()
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    assert field_from_name("Fp:1000000000039").p == 1000000000039
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_modulus_bound():
+    assert linalg._is_prime(3317044064679887385961813)
+    for n in (linalg.PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(FormatError, match=str(linalg.PRIME_BOUND)):
+            PrimeField(n)
 
 
 def test_field_from_name():
