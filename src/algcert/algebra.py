@@ -4,17 +4,22 @@ An :class:`AlgebraPresentation` fixes a basis b_0..b_{dim-1}, a sparse
 multiplication table b_i * b_j = sum_k c_ijk b_k, an optional involution
 given as a linear map on basis elements, named idempotents, named algebra
 generators, and an optional unit. Elements are dense exact coordinate
-vectors over that basis.
+vectors over that basis; products and the involution work on integers over
+a common denominator (``Element.support`` and the presentation's integer
+tables) and convert back to canonical coordinates once per product.
 
 The presentation is treated as immutable once built; every operation is a
 pure function of its inputs. The axiom checks and the named generation
-hypotheses (``HYPOTHESES``) are therefore memoised on the presentation.
+hypotheses (``HYPOTHESES``) are therefore memoised on the presentation, and
+the integer tables are derived on first use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from itertools import compress
+from math import lcm
 
 from .closure import assoc_closure, generator_set
 from .errors import (
@@ -26,14 +31,40 @@ from .errors import (
 from .linalg import SpanBuilder, echelonize
 
 
+def _common_denominator(scalars):
+    """The lcm of the denominators; 1 over F_p, whose scalars are ints."""
+    return lcm(*(c.denominator for c in scalars))
+
+
+def _over(d, entries):
+    """(index, scalar) pairs as (index, int) pairs scaled by the common
+    denominator d of their scalars."""
+    return tuple((k, c.numerator * (d // c.denominator)) for k, c in entries)
+
+
 @dataclass(frozen=True)
 class Element:
     """Exact coordinate vector over a presentation's basis."""
 
     coords: tuple
+    # The support, when the constructor already knows it; see ``support``.
+    _support: tuple | None = dataclass_field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.coords)
+
+    @property
+    def support(self):
+        """(d, ((i, n_i), ...)): the nonzero coordinates c_i = n_i / d as
+        ints over the lcm d of their denominators, built on first use.
+        Products and the involution work on this form; ``coords`` stays
+        canonical."""
+        if self._support is None:
+            coords = self.coords
+            nonzero = [(i, coords[i]) for i in compress(range(len(coords)), coords)]
+            d = _common_denominator(c for _, c in nonzero)
+            object.__setattr__(self, "_support", (d, _over(d, nonzero)))
+        return self._support
 
 
 class AlgebraPresentation:
@@ -192,26 +223,45 @@ class AlgebraPresentation:
 
     # -- products ---------------------------------------------------------
 
+    @functools.cached_property
+    def _int_mul(self):
+        """(D, rows): the structure constants as ints over their common
+        denominator D, rows[i][j] = ((k, c_ijk * D), ...)."""
+        D = _common_denominator(
+            c for entries in self._mul.values() for _, c in entries
+        )
+        rows = [{} for _ in range(self.dim)]
+        for (i, j), entries in self._mul.items():
+            rows[i][j] = _over(D, entries)
+        return D, rows
+
+    @functools.cached_property
+    def _int_star(self):
+        """(D, rows): the involution as ints over their common denominator
+        D, rows[i] = ((j, s_ij * D), ...)."""
+        D = _common_denominator(c for row in self._star for _, c in row)
+        return D, [_over(D, row) for row in self._star]
+
     def mul(self, a, b):
-        """Bilinear extension of the structure constants."""
+        """Bilinear extension of the structure constants: integer products
+        over the supports of a and b, one division per coordinate."""
         if len(a.coords) != self.dim or len(b.coords) != self.dim:
             raise DimensionError("element dimension mismatch")
-        F = self.field
-        acc = [F.zero] * self.dim
-        table = self._mul
-        for i, ca in enumerate(a.coords):
-            if not ca:
+        D, rows = self._int_mul
+        da, sa = a.support
+        db, sb = b.support
+        acc = [0] * self.dim
+        for i, x in sa:
+            row = rows[i]
+            if not row:
                 continue
-            for j, cb in enumerate(b.coords):
-                if not cb:
-                    continue
-                entries = table.get((i, j))
-                if not entries:
-                    continue
-                cab = F.mul(ca, cb)
-                for k, c in entries:
-                    acc[k] = F.add(acc[k], F.mul(cab, c))
-        return Element(tuple(acc))
+            for j, y in sb:
+                entries = row.get(j)
+                if entries:
+                    xy = x * y
+                    for k, c in entries:
+                        acc[k] += xy * c
+        return Element(*self.field.from_ints(acc, da * db * D))
 
     def mul_basis(self, i, j):
         """Product of two basis elements, as an Element."""
@@ -228,14 +278,13 @@ class AlgebraPresentation:
     def involve(self, a):
         if self._star is None:
             raise MissingInvolutionError(f"{self.name} has no involution")
-        F = self.field
-        acc = [F.zero] * self.dim
-        for i, ci in enumerate(a.coords):
-            if not ci:
-                continue
-            for j, sij in self._star[i]:
-                acc[j] = F.add(acc[j], F.mul(ci, sij))
-        return Element(tuple(acc))
+        D, rows = self._int_star
+        da, sa = a.support
+        acc = [0] * self.dim
+        for i, x in sa:
+            for j, s in rows[i]:
+                acc[j] += x * s
+        return Element(*self.field.from_ints(acc, da * D))
 
     def commutator(self, a, b):
         return self.sub(self.mul(a, b), self.mul(b, a))
@@ -502,39 +551,29 @@ def axiom_violations(P):
     F = P.field
     dim = P.dim
 
-    # Associativity via sparse convolution of the structure constants:
-    # (b_i b_j) b_k and b_i (b_j b_k) expand to coefficient dicts keyed by
-    # (i, j, k, l); comparing the dicts avoids dim^3 dense products.
-    table = P._mul
+    # Associativity via sparse convolution of the integer structure
+    # constants: (b_i b_j) b_k and b_i (b_j b_k) expand to coefficient dicts
+    # keyed by (i, j, k, l), both over D^2; comparing the dicts avoids dim^3
+    # dense products.
+    _, rows = P._int_mul
     left = {}
-    for (i, j), entries in table.items():
-        for m, c1 in entries:
-            for k in range(dim):
-                for l, c2 in table.get((m, k), ()):
-                    key = (i, j, k, l)
-                    acc = F.add(left.get(key, F.zero), F.mul(c1, c2))
-                    if acc:
-                        left[key] = acc
-                    else:
-                        left.pop(key, None)
     right = {}
-    for (j, k), entries in table.items():
-        for m, c1 in entries:
-            for i in range(dim):
-                for l, c2 in table.get((i, m), ()):
-                    key = (i, j, k, l)
-                    acc = F.add(right.get(key, F.zero), F.mul(c1, c2))
-                    if acc:
-                        right[key] = acc
-                    else:
-                        right.pop(key, None)
-    bad_triples = sorted(
-        {
-            key[:3]
-            for key in set(left) | set(right)
-            if left.get(key, F.zero) != right.get(key, F.zero)
-        }
-    )
+    for i, row in enumerate(rows):
+        for j, entries in row.items():
+            for m, c1 in entries:
+                # (b_i b_j) b_k for every k
+                for k, entries2 in rows[m].items():
+                    for l, c2 in entries2:
+                        key = (i, j, k, l)
+                        left[key] = left.get(key, 0) + c1 * c2
+                # b_h (b_i b_j) for every h
+                for h in range(dim):
+                    for l, c2 in rows[h].get(m, ()):
+                        key = (h, i, j, l)
+                        right[key] = right.get(key, 0) + c1 * c2
+    keys = list(set(left) | set(right))
+    diffs, _ = F.from_ints([left.get(key, 0) - right.get(key, 0) for key in keys], 1)
+    bad_triples = sorted({key[:3] for key, d in zip(keys, diffs) if d})
     for i, j, k in bad_triples:
         violations.append(
             Violation(

@@ -132,10 +132,15 @@ def _saturate_linear(P, seeds, product_round, assert_closed):
         rnd += 1
         n = len(vectors)
         grew = False
-        for el in product_round(vectors, old, n):
-            if builder.add(el.coords):
-                vectors.append(el)
-                grew = True
+        # A full span cannot grow: its round stops at full rank, and the
+        # next one records the stagnation without computing products.
+        if not builder.is_full:
+            for el in product_round(vectors, old, n):
+                if builder.add(el.coords):
+                    vectors.append(el)
+                    grew = True
+                    if builder.is_full:
+                        break
         old = n
         rounds.append((rnd, builder.rank))
         if not grew:

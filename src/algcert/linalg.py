@@ -16,6 +16,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd
 
 from .errors import DimensionError, FieldMismatchError, FormatError
 
@@ -51,6 +53,21 @@ class RationalField:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    def from_ints(self, nums, d):
+        """The vector with coordinates n / d for the ints n in the list nums:
+        (coords, (d', ((k, n'), ...))), its canonical coordinates and its
+        nonzero ones as ints n' over the lcm d' of their denominators."""
+        nonzero = list(compress(range(len(nums)), nums))
+        g = gcd(d, *(nums[k] for k in nonzero))
+        d //= g
+        out = [self.zero] * len(nums)
+        support = []
+        for k in nonzero:
+            n = nums[k] // g
+            out[k] = Fraction(n, d)
+            support.append((k, n))
+        return tuple(out), (d, tuple(support))
 
     def parse(self, s):
         if not isinstance(s, str) or not _RAT_RE.match(s):
@@ -106,6 +123,20 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def from_ints(self, nums, d):
+        """The vector with coordinates n / d for the ints n in the list nums:
+        (coords, (1, ((k, residue), ...))), its residues and its nonzero
+        ones."""
+        p = self.p
+        inv = pow(d, -1, p)
+        out = list(nums)
+        support = []
+        for k in compress(range(len(out)), out):
+            r = out[k] = out[k] * inv % p
+            if r:
+                support.append((k, r))
+        return tuple(out), (1, tuple(support))
 
     def parse(self, s):
         if not isinstance(s, str) or not _INT_RE.match(s):
@@ -184,6 +215,11 @@ def format_vector(field, vec):
     return [field.format(x) for x in vec]
 
 
+def _check_length(vec, ambient_dim):
+    if len(vec) != ambient_dim:
+        raise DimensionError(f"vector length {len(vec)} != ambient dim {ambient_dim}")
+
+
 def _first_nonzero(v):
     for i, x in enumerate(v):
         if x:
@@ -214,10 +250,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Remainder of vec after elimination against the basis."""
-        if len(vec) != self.ambient_dim:
-            raise DimensionError(
-                f"vector length {len(vec)} != ambient dim {self.ambient_dim}"
-            )
+        _check_length(vec, self.ambient_dim)
         F = self.field
         w = list(vec)
         for p, row in zip(self.pivots, self.basis):
@@ -265,10 +298,7 @@ class SpanBuilder:
         return len(self.rows) == self.ambient_dim
 
     def reduce(self, vec):
-        if len(vec) != self.ambient_dim:
-            raise DimensionError(
-                f"vector length {len(vec)} != ambient dim {self.ambient_dim}"
-            )
+        _check_length(vec, self.ambient_dim)
         F = self.field
         w = list(vec)
         for p, row in zip(self.pivots, self.rows):
@@ -282,6 +312,9 @@ class SpanBuilder:
 
     def add(self, vec):
         """Insert vec into the span. Returns True iff the rank grew."""
+        if self.is_full:
+            _check_length(vec, self.ambient_dim)
+            return False
         F = self.field
         w = self.reduce(vec)
         j = _first_nonzero(w)
@@ -379,10 +412,7 @@ class CombinationSolver:
 
     def add(self, vec):
         """Register one more input vector. Returns True iff the rank grew."""
-        if len(vec) != self.ambient_dim:
-            raise DimensionError(
-                f"vector length {len(vec)} != ambient dim {self.ambient_dim}"
-            )
+        _check_length(vec, self.ambient_dim)
         F = self.field
         idx = self.count
         self.count += 1

@@ -11,7 +11,16 @@ import pytest
 import algcert as ac
 from algcert import algebra, certificates as cc
 from algcert import formats
-from helpers import component_pair_gens, count_muls, elem, m2, m3, m4, unit_elem
+from helpers import (
+    component_pair_gens,
+    count_muls,
+    dense_change_of_basis,
+    elem,
+    m2,
+    m3,
+    m4,
+    unit_elem,
+)
 
 
 def test_derived_subspace_m2():
@@ -608,3 +617,34 @@ def test_theorems_reach_m7_over_prime_field_with_default_budget():
     assert c1.verdict == "pass" and c1.trace.final_rank == 48
     c2 = ac.theorem2_certify(P)
     assert c2.verdict == "pass"
+
+
+# -- change of basis ---------------------------------------------------------
+
+_RANK_KEYS = ("derived_rank", "pair_dims", "commutator_span_rank", "failed_hypotheses")
+
+
+def _signature(cert):
+    """Verdict and ranks of a certificate; basis-independent by design."""
+    sig = {
+        "verdict": cert.verdict,
+        "target_rank": cert.target.rank if cert.target is not None else None,
+        "final_rank": cert.trace.final_rank if cert.trace is not None else None,
+    }
+    sig.update((k, cert.detail[k]) for k in _RANK_KEYS if k in cert.detail)
+    return sig
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_change_of_basis_keeps_verdicts_and_ranks(field):
+    P = ac.build_matrix_algebra(3, ac.field_from_name(field), "flip")
+    D = dense_change_of_basis(P, 7)
+    assert D.field == P.field
+    assert any(len(D.mul_basis(i, j).support[1]) > 3 for i in range(9) for j in range(9))
+    reports = [ac.validate_presentation(X) for X in (P, D)]
+    assert [r.violations for r in reports] == [[], []]
+    assert reports[0].hypotheses == reports[1].hypotheses
+    for certify in (cc.theorem1_certify, cc.theorem2_certify):
+        sigs = [_signature(certify(X, seed=3)) for X in (P, D)]
+        assert sigs[0]["verdict"] == "pass"
+        assert sigs[0] == sigs[1]

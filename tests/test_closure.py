@@ -3,6 +3,7 @@
 import pytest
 
 import algcert as ac
+from algcert import closure
 from algcert.closure import assert_lie_closed, oracle_until_stagnation
 from algcert.errors import (
     BudgetExceededError,
@@ -13,9 +14,11 @@ from algcert.formats import presentation_from_dict
 from helpers import (
     assoc_gens,
     component_pair_gens,
+    count_muls,
     lie_gens,
     m2,
     m3,
+    m4,
     pair_gens,
     unit_elem,
 )
@@ -235,3 +238,66 @@ def test_assert_lie_closed_rejects_open_span():
     with pytest.raises(AssertionError):
         assert_lie_closed(P, P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")]))
     assert_lie_closed(P, ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final)
+
+
+def _saturate_every_round(P, seeds, product_round, assert_closed):
+    """closure._saturate_linear as it was before the full-rank exit: every
+    round computes all its products."""
+    builder = ac.SpanBuilder(P.field, P.dim)
+    vectors = []
+    for el in seeds:
+        if builder.add(el.coords):
+            vectors.append(el)
+    rounds = [(0, builder.rank)]
+    old = 0
+    rnd = 0
+    while True:
+        rnd += 1
+        n = len(vectors)
+        grew = False
+        for el in product_round(vectors, old, n):
+            if builder.add(el.coords):
+                vectors.append(el)
+                grew = True
+        old = n
+        rounds.append((rnd, builder.rank))
+        if not grew:
+            break
+    final = builder.subspace()
+    assert_closed(P, final)
+    return closure.ClosureTrace(tuple(rounds), final, rnd)
+
+
+@pytest.mark.parametrize(
+    "P, labels, full",
+    [
+        (m3(), ["E12", "E21", "E23", "E32"], True),
+        (m4("flip"), ["E12", "E23", "E34", "E41"], True),
+        (m4(), ["E12", "E23", "E34"], False),
+    ],
+    ids=["m3", "m4-flip", "m4-strictly-upper"],
+)
+def test_assoc_closure_stops_at_full_rank(monkeypatch, P, labels, full):
+    seeds = [el for _, el, _ in assoc_gens(P, labels).elements]
+    muls = count_muls(monkeypatch)
+    adds_at_full = [0]
+    add = ac.SpanBuilder.add
+
+    def counting_add(builder, vec):
+        adds_at_full[0] += builder.is_full
+        return add(builder, vec)
+
+    monkeypatch.setattr(ac.SpanBuilder, "add", counting_add)
+    every_round = _saturate_every_round(
+        P, seeds, closure._assoc_round(P), closure._assert_assoc_closed
+    )
+    old_calls, muls[0] = muls[0], 0
+    old_adds_at_full, adds_at_full[0] = adds_at_full[0], 0
+    trace = ac.assoc_closure(P, assoc_gens(P, labels))
+    assert trace == every_round
+    assert trace.final.is_full == full
+    assert adds_at_full[0] == 0
+    if full:
+        assert muls[0] < old_calls and old_adds_at_full > 0
+    else:
+        assert muls[0] == old_calls

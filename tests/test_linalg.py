@@ -46,6 +46,13 @@ def test_echelonize_empty_span():
 def test_echelonize_rejects_mixed_lengths():
     with pytest.raises(DimensionError):
         echelonize(QQ, [(F(1), F(0)), (F(1),)], 2)
+    # At full rank add returns False without reducing, after the length check.
+    with pytest.raises(DimensionError):
+        echelonize(QQ, [(F(1), F(0)), (F(0), F(1)), (F(1),)], 2)
+    b = echelonize(QQ, [(F(1), F(0)), (F(0), F(1))], 2).builder()
+    b.reduce = lambda vec: pytest.fail("a full span reduced its input")
+    assert b.add((F(3), F(-5))) is False
+    assert b.subspace().basis == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_subspace_sum_trivial():
