@@ -21,14 +21,14 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import compress
 from math import lcm
 
-from .closure import assoc_closure, generator_set
+from .closure import _saturate_linear, assoc_closure, generator_set
 from .errors import (
     DimensionError,
     FormatError,
     MissingInvolutionError,
     UnitalityError,
 )
-from .linalg import SpanBuilder, echelonize
+from .linalg import echelonize
 
 
 def _common_denominator(scalars):
@@ -388,29 +388,20 @@ def restrict_from_hull(P, el):
     return P.element(el.coords[:-1])
 
 
+def _ideal_round(P, vectors, old, n):
+    (vectors,), (old,), (n,) = vectors, old, n
+    for r in vectors[old:n]:
+        for i in range(P.dim):
+            e_i = P.basis_element(i)
+            yield 0, P.mul(e_i, r)
+            yield 0, P.mul(r, e_i)
+
+
 def _ideal_closure(P, seeds):
     """Span of seeds, saturated under left and right multiplication by the
-    basis. The fixed point is confirmed rather than assumed, except at full
-    rank: a span of rank dim is R, which is an ideal."""
-    b = SpanBuilder(P.field, P.dim)
-    frontier = []
-    for w in seeds:
-        if b.add(w.coords):
-            if b.is_full:
-                return b.subspace()
-            frontier.append(w)
-    while frontier:
-        new = []
-        for r in frontier:
-            for i in range(P.dim):
-                e_i = P.basis_element(i)
-                for w in (P.mul(e_i, r), P.mul(r, e_i)):
-                    if b.add(w.coords):
-                        if b.is_full:
-                            return b.subspace()
-                        new.append(w)
-        frontier = new
-    return b.subspace()
+    basis. The fixed point is confirmed by the saturation rounds, so there
+    is no re-check; a full span is R, an ideal, and stops the saturation."""
+    return _saturate_linear(P, [seeds], _ideal_round).final
 
 
 def ideal_span(P, x, unit_coeff=0):
@@ -424,10 +415,13 @@ def ideal_span(P, x, unit_coeff=0):
 
     def products():
         for i in range(P.dim):
-            left = P.mul(P.basis_element(i), x)
+            # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity.
+            b_i = P.basis_element(i)
+            left = P.mul(b_i, x)
+            if coeff:
+                left = P.add(left, P.scale(coeff, b_i))
             for j in range(P.dim):
-                w = P.mul(left, P.basis_element(j))
-                yield P.add(w, P.scale(coeff, P.mul_basis(i, j))) if coeff else w
+                yield P.mul(left, P.basis_element(j))
 
     return _ideal_closure(P, products())
 

@@ -116,17 +116,21 @@ def random_scalar(field, rng, lo=-3, hi=3):
 
 
 def random_element(P, rng, subspace=None, nonzero=False):
+    F = P.field
     rows = subspace.basis if subspace is not None else [
         P.basis_element(i).coords for i in range(P.dim)
     ]
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
     for _ in range(64):
-        acc = P.zero()
+        acc = [F.zero] * P.dim
         for row in rows:
-            c = random_scalar(P.field, rng)
+            c = random_scalar(F, rng)
             if c:
-                acc = P.add(acc, P.scale(c, P.element(row)))
-        if not nonzero or not P.is_zero(acc):
-            return acc
+                for k, x in row:
+                    acc[k] = F.add(acc[k], F.mul(c, x))
+        el = P.element(acc)
+        if not nonzero or not P.is_zero(el):
+            return el
     raise ValueError("could not sample a nonzero element (zero subspace?)")
 
 

@@ -28,7 +28,7 @@ from .closure import (
     word_oracle,
 )
 from .decomposition import kh_split, peirce_decompose, z_grading
-from .errors import AlgcertError, CliInputError, FormatError
+from .errors import AlgcertError, CliInputError
 from .formats import canonical_json, dump_presentation, load_presentation
 from .instances import KINDS, INVOLUTIONS, InstanceSpec, build_instance
 from .linalg import field_from_name
@@ -288,29 +288,26 @@ def run_cli(argv=None):
                 "certify": _cmd_certify,
             }[args.command]
             code, result = handler(P, args)
-    except (CliInputError, FormatError) as exc:
+        report = {
+            "command": argv,
+            "input_sha256": input_sha,
+            "tool_version": __version__,
+            "wall_time_s": round(time.monotonic() - started, 6),
+            "result": result,
+        }
+        text = canonical_json(report)
+        output = getattr(args, "output", None)
+        if args.command == "build":
+            output = None  # -o already holds the built algebra file
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (AlgcertError, OSError) as exc:
+        # Reads are already CliInputErrors: an OSError here is a write to -o.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except AlgcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    report = {
-        "command": argv,
-        "input_sha256": input_sha,
-        "tool_version": __version__,
-        "wall_time_s": round(time.monotonic() - started, 6),
-        "result": result,
-    }
-    text = canonical_json(report)
-    output = getattr(args, "output", None)
-    if args.command == "build":
-        output = None  # -o already holds the built algebra file
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

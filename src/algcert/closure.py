@@ -1,18 +1,27 @@
 """Fixed-point saturation for sub-structures generated by a finite set,
 plus a brute-force word oracle used to cross-check the saturation engine.
 
-The engine keeps an append-only list of spanning vectors and a canonical
-echelon accumulator. Each round multiplies the vectors found in the previous
-round against everything seen so far, so work per round is proportional to
-the new material, while the final echelonized subspace is canonical and
-schedule-independent. Closedness of the final subspace is re-verified after
-every run by applying the products to its basis.
+One engine, ``_saturate_linear``, serves every closure: Lie and associative
+subalgebras, associative and Jordan pairs (one span per side) and the
+two-sided ideals of ``algebra.ideal_span`` and ``principal_ideal``. Per side
+it keeps an append-only list of spanning vectors and a canonical echelon
+accumulator. Each round multiplies the vectors found in the previous round
+against everything seen so far, so work per round is proportional to the
+new material, while the final echelonized subspaces are canonical and
+schedule-independent. A round stops once every side is full.
+
+``_assert_closed`` then re-verifies closedness by applying each product of
+the final bases once, apart from the rounds. It is skipped when every final
+is full, since that is R, which holds every product; and for ideals, whose
+rounds already multiply each spanning vector by each basis element on both
+sides, the very products a re-check would compute.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     BudgetExceededError,
@@ -119,74 +128,126 @@ def _check_trace_invariants(rounds):
         raise AssertionError("closure rank decreased")
 
 
-def _saturate_linear(P, seeds, product_round, assert_closed):
-    builder = SpanBuilder(P.field, P.dim)
-    vectors = []
-    for el in seeds:
-        if builder.add(el.coords):
-            vectors.append(el)
-    rounds = [(0, builder.rank)]
-    old = 0
+def _saturate_linear(P, seeds, product_round, products=None):
+    """Saturate one span per side, from one iterable of seeds per side.
+
+    product_round(P, vectors, old, n) yields (side, product) for the
+    products involving a vector found in the previous round, those at
+    index old[s] to n[s] on side s. A round's rank is the total over the
+    sides. The finals are re-checked with products unless it is None.
+    """
+    builders = [SpanBuilder(P.field, P.dim) for _ in seeds]
+    vectors = [[] for _ in seeds]
+    for side, els in enumerate(seeds):
+        # Seeds may be a lazy stream of products; a full side takes no more.
+        for el in els:
+            if builders[side].add(el.coords):
+                vectors[side].append(el)
+                if builders[side].is_full:
+                    break
+    rounds = [(0, sum(b.rank for b in builders))]
+    old = [0] * len(seeds)
     rnd = 0
     while True:
         rnd += 1
-        n = len(vectors)
+        n = [len(v) for v in vectors]
         grew = False
-        # A full span cannot grow: its round stops at full rank, and the
-        # next one records the stagnation without computing products.
-        if not builder.is_full:
-            for el in product_round(vectors, old, n):
-                if builder.add(el.coords):
-                    vectors.append(el)
+        # Full spans cannot grow: the round stops once every side is full,
+        # and the next one records the stagnation without computing products.
+        if not all(b.is_full for b in builders):
+            for side, el in product_round(P, vectors, old, n):
+                if builders[side].add(el.coords):
+                    vectors[side].append(el)
                     grew = True
-                    if builder.is_full:
+                    if all(b.is_full for b in builders):
                         break
         old = n
-        rounds.append((rnd, builder.rank))
+        rounds.append((rnd, sum(b.rank for b in builders)))
         if not grew:
             break
-    final = builder.subspace()
-    assert_closed(P, final)
+    finals = tuple(b.subspace() for b in builders)
+    if products is not None:
+        _assert_closed(P, finals, products)
     _check_trace_invariants(rounds)
-    return ClosureTrace(tuple(rounds), final, rnd)
+    return ClosureTrace(tuple(rounds), finals if len(finals) > 1 else finals[0], rnd)
 
 
-def _lie_round(P):
-    def rounds(vectors, old, n):
-        for j in range(old, n):
-            for i in range(j):
-                yield P.commutator(vectors[i], vectors[j])
-    return rounds
+def _assert_closed(P, finals, products):
+    """Raise AssertionError unless each (side, w) that products(P, rows)
+    yields from the basis rows of the finals has w in that side's final.
+    Finals that are all full are skipped: each is R, which holds every w."""
+    if all(final.is_full for final in finals):
+        return
+    rows = [[P.element(r) for r in final.basis] for final in finals]
+    for side, w in products(P, rows):
+        if not finals[side].contains(w.coords):
+            raise AssertionError("final subspace escaped under re-applied products")
 
 
-def _assoc_round(P):
-    def rounds(vectors, old, n):
-        for j in range(old, n):
-            yield P.mul(vectors[j], vectors[j])
-            for i in range(j):
-                yield P.mul(vectors[i], vectors[j])
-                yield P.mul(vectors[j], vectors[i])
-    return rounds
+# Product rounds and closedness checks, one of each per structure; a check
+# lists each product of the final basis once. Pairs keep the minus side as
+# side 0 and the plus side as side 1, and list plus triples first.
 
 
-def _assert_closed(P, final, op_pairs):
-    rows = [P.element(r) for r in final.basis]
+def _lie_round(P, vectors, old, n):
+    (vectors,), (old,), (n,) = vectors, old, n
+    for j in range(old, n):
+        for i in range(j):
+            yield 0, P.commutator(vectors[i], vectors[j])
+
+
+def _lie_check(P, rows):
+    (rows,) = rows
+    for i, u in enumerate(rows):
+        # [u, v] = -[v, u] and [u, u] = 0: only v before u.
+        for v in rows[:i]:
+            yield 0, P.commutator(u, v)
+
+
+def _assoc_round(P, vectors, old, n):
+    (vectors,), (old,), (n,) = vectors, old, n
+    for j in range(old, n):
+        yield 0, P.mul(vectors[j], vectors[j])
+        for i in range(j):
+            yield 0, P.mul(vectors[i], vectors[j])
+            yield 0, P.mul(vectors[j], vectors[i])
+
+
+def _assoc_check(P, rows):
+    (rows,) = rows
     for u in rows:
         for v in rows:
-            for w in op_pairs(u, v):
-                if not final.contains(w.coords):
-                    raise AssertionError(
-                        "final subspace escaped under re-applied products"
-                    )
+            yield 0, P.mul(u, v)
+
+
+def _pair_round(P, vectors, old, n, jordan):
+    """Triples x*y*z, x and z on one side, in (x, y, z) index order, except
+    those of three old vectors; for {x,y,z} = {z,y,x} only z from x on."""
+    triple = P.jordan_triple if jordan else P.triple
+    for side, other in ((1, 0), (0, 1)):
+        outer, inner = vectors[side], vectors[other]
+        for i in range(n[side]):
+            for j in range(n[other]):
+                start = i if jordan else 0
+                if i < old[side] and j < old[other]:
+                    start = max(start, old[side])
+                for k in range(start, n[side]):
+                    yield side, triple(outer[i], inner[j], outer[k])
+
+
+def _pair_check(P, rows, jordan):
+    triple = P.jordan_triple if jordan else P.triple
+    for side, other in ((1, 0), (0, 1)):
+        outer = rows[side]
+        for i, x in enumerate(outer):
+            for y in rows[other]:
+                for z in outer[i:] if jordan else outer:
+                    yield side, triple(x, y, z)
 
 
 def assert_lie_closed(P, final):
     """Raise AssertionError unless the subspace is closed under [a,b]."""
-    _assert_closed(P, final, lambda u, v: (P.commutator(u, v),))
-
-
-def _assert_assoc_closed(P, final):
-    _assert_closed(P, final, lambda u, v: (P.mul(u, v), P.mul(v, u)))
+    _assert_closed(P, (final,), _lie_check)
 
 
 def lie_closure(P, S):
@@ -194,7 +255,7 @@ def lie_closure(P, S):
     if S.structure != "lie":
         raise StructureError("lie_closure needs a lie generator set")
     seeds = [el for _, el, _ in S.elements]
-    return _saturate_linear(P, seeds, _lie_round(P), assert_lie_closed)
+    return _saturate_linear(P, [seeds], _lie_round, _lie_check)
 
 
 def assoc_closure(P, S):
@@ -202,7 +263,7 @@ def assoc_closure(P, S):
     if S.structure != "associative":
         raise StructureError("assoc_closure needs an associative generator set")
     seeds = [el for _, el, _ in S.elements]
-    return _saturate_linear(P, seeds, _assoc_round(P), _assert_assoc_closed)
+    return _saturate_linear(P, [seeds], _assoc_round, _assoc_check)
 
 
 def pair_closure(P, S, kind=None, components=None):
@@ -215,8 +276,6 @@ def pair_closure(P, S, kind=None, components=None):
     kind = kind or S.structure
     if kind not in PAIR_STRUCTURES or S.structure not in PAIR_STRUCTURES:
         raise StructureError("pair_closure needs a pair generator set")
-    minus_seeds = S.side_elements("-")
-    plus_seeds = S.side_elements("+")
     if components is not None:
         comp_minus, comp_plus = components
         for (label, el, _), side in zip(S.elements, S.sides):
@@ -225,71 +284,10 @@ def pair_closure(P, S, kind=None, components=None):
                 raise GeneratorSideError(
                     f"generator {label!r} lies outside its {side} component"
                 )
-
     jordan = kind == "jordan-pair"
-    bm = SpanBuilder(P.field, P.dim)
-    bp = SpanBuilder(P.field, P.dim)
-    vm, vp = [], []
-    for el in minus_seeds:
-        if bm.add(el.coords):
-            vm.append(el)
-    for el in plus_seeds:
-        if bp.add(el.coords):
-            vp.append(el)
-    rounds = [(0, bm.rank + bp.rank)]
-    old_m = old_p = 0
-    rnd = 0
-
-    def _triples(outer, inner, old_outer, old_inner, n_outer, n_inner):
-        for i in range(n_outer):
-            for j in range(n_inner):
-                for k in range(n_outer):
-                    if i < old_outer and j < old_inner and k < old_outer:
-                        continue
-                    if jordan and k < i:
-                        continue
-                    x, y, z = outer[i], inner[j], outer[k]
-                    yield P.jordan_triple(x, y, z) if jordan else P.triple(x, y, z)
-
-    while True:
-        rnd += 1
-        nm, np_ = len(vm), len(vp)
-        grew = False
-        for el in _triples(vp, vm, old_p, old_m, np_, nm):
-            if bp.add(el.coords):
-                vp.append(el)
-                grew = True
-        for el in _triples(vm, vp, old_m, old_p, nm, np_):
-            if bm.add(el.coords):
-                vm.append(el)
-                grew = True
-        old_m, old_p = nm, np_
-        rounds.append((rnd, bm.rank + bp.rank))
-        if not grew:
-            break
-
-    final = (bm.subspace(), bp.subspace())
-    _check_pair_closed(P, final, jordan)
-    _check_trace_invariants(rounds)
-    return ClosureTrace(tuple(rounds), final, rnd)
-
-
-def _check_pair_closed(P, final, jordan):
-    minus, plus = final
-    rows_m = [P.element(r) for r in minus.basis]
-    rows_p = [P.element(r) for r in plus.basis]
-    for outer_rows, inner_rows, target in (
-        (rows_p, rows_m, plus),
-        (rows_m, rows_p, minus),
-    ):
-        for x in outer_rows:
-            for y in inner_rows:
-                for z in outer_rows:
-                    w = P.jordan_triple(x, y, z) if jordan else P.triple(x, y, z)
-                    if not target.contains(w.coords):
-                        raise AssertionError(
-                            "pair closure escaped under re-applied triples"
-                        )
+    seeds = [S.side_elements("-"), S.side_elements("+")]
+    return _saturate_linear(P, seeds, partial(_pair_round, jordan=jordan),
+                            partial(_pair_check, jordan=jordan))
 
 
 def _dedupe_exact(elements):

@@ -84,7 +84,8 @@ def presentation_from_dict(d):
         raise FormatError(str(exc), "$.field") from None
 
     dim = d["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer", "$.dim")
+    # type(...) is int: JSON's true loads as a bool, which isinstance takes.
+    _expect(type(dim) is int and dim >= 1, "dim must be a positive integer", "$.dim")
     basis = d["basis"]
     _expect(
         isinstance(basis, list) and all(isinstance(s, str) for s in basis),
@@ -113,7 +114,7 @@ def presentation_from_dict(d):
         _expect(isinstance(row, list) and len(row) == 4, "entry must be [i,j,k,scalar]", ptr)
         i, j, k, c = row
         for x in (i, j, k):
-            _expect(isinstance(x, int) and 0 <= x < dim, "index out of range", ptr)
+            _expect(type(x) is int and 0 <= x < dim, "index out of range", ptr)
         mul_rows.append((i, j, k, scalar(c, f"{ptr}[3]")))
 
     involution = None
@@ -126,7 +127,7 @@ def presentation_from_dict(d):
             _expect(isinstance(row, list) and len(row) == 3, "entry must be [i,j,scalar]", ptr)
             i, j, c = row
             for x in (i, j):
-                _expect(isinstance(x, int) and 0 <= x < dim, "index out of range", ptr)
+                _expect(type(x) is int and 0 <= x < dim, "index out of range", ptr)
             involution.append((i, j, scalar(c, f"{ptr}[2]")))
 
     def named_vectors(key):
@@ -170,14 +171,18 @@ def presentation_from_dict(d):
 def loads_presentation(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}", "$") from None
     return presentation_from_dict(data)
 
 
 def load_presentation(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_presentation(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"file is not UTF-8: {exc}", "$") from None
+    return loads_presentation(text)
 
 
 def dump_presentation(P, path):

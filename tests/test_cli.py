@@ -282,3 +282,52 @@ def test_certify_example2_thm1_and_lemma3_within_budget(capsys, tmp_path):
         code, out, err = _run(capsys, "certify", path, "--claim", claim)
         assert code == 0, (claim, err)
         assert json.loads(out)["result"]["certificates"][0]["verdict"] == "pass"
+
+
+def test_non_utf8_file_exit1(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "é"}'.encode("latin-1"))
+    code, out, err = _run(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $: file is not UTF-8")
+
+
+def test_json_nested_past_the_recursion_limit_exit1(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000)
+    code, out, err = _run(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $: invalid JSON")
+
+
+def test_output_into_missing_directory_exit1(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2f.json", "--kind", "flip_matrix_n", "--n", "2")
+    dest = str(tmp_path / "missing" / "out.json")
+    for argv in (
+        ("build", "--kind", "matrix_n", "--n", "2"),
+        ("validate", path),
+        ("decompose", path),
+        ("closure", path, "--structure", "lie", "--gens", "E12,E21"),
+        ("oracle", path, "--structure", "lie", "--gens", "E12,E21", "--max-len", "2"),
+        ("certify", path, "--claim", "lemma1"),
+    ):
+        code, out, err = _run(capsys, *argv, "-o", dest)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and "missing" in err, argv
+    assert not (tmp_path / "missing").exists()
+
+
+def test_booleans_are_not_integers(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["dim"], d["basis"] = True, d["basis"][:1]
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.dim:")

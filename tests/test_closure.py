@@ -1,5 +1,9 @@
 """Saturation closures, trace invariants, and oracle agreement."""
 
+import itertools
+import random
+from functools import partial
+
 import pytest
 
 import algcert as ac
@@ -240,9 +244,9 @@ def test_assert_lie_closed_rejects_open_span():
     assert_lie_closed(P, ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final)
 
 
-def _saturate_every_round(P, seeds, product_round, assert_closed):
-    """closure._saturate_linear as it was before the full-rank exit: every
-    round computes all its products."""
+def _saturate_every_round(P, seeds, product_round, products):
+    """closure._saturate_linear on one side as it was before the full-rank
+    exit: every round computes all its products."""
     builder = ac.SpanBuilder(P.field, P.dim)
     vectors = []
     for el in seeds:
@@ -255,7 +259,7 @@ def _saturate_every_round(P, seeds, product_round, assert_closed):
         rnd += 1
         n = len(vectors)
         grew = False
-        for el in product_round(vectors, old, n):
+        for _, el in product_round(P, [vectors], [old], [n]):
             if builder.add(el.coords):
                 vectors.append(el)
                 grew = True
@@ -264,7 +268,7 @@ def _saturate_every_round(P, seeds, product_round, assert_closed):
         if not grew:
             break
     final = builder.subspace()
-    assert_closed(P, final)
+    closure._assert_closed(P, (final,), products)
     return closure.ClosureTrace(tuple(rounds), final, rnd)
 
 
@@ -289,7 +293,7 @@ def test_assoc_closure_stops_at_full_rank(monkeypatch, P, labels, full):
 
     monkeypatch.setattr(ac.SpanBuilder, "add", counting_add)
     every_round = _saturate_every_round(
-        P, seeds, closure._assoc_round(P), closure._assert_assoc_closed
+        P, seeds, closure._assoc_round, closure._assoc_check
     )
     old_calls, muls[0] = muls[0], 0
     old_adds_at_full, adds_at_full[0] = adds_at_full[0], 0
@@ -301,3 +305,201 @@ def test_assoc_closure_stops_at_full_rank(monkeypatch, P, labels, full):
         assert muls[0] < old_calls and old_adds_at_full > 0
     else:
         assert muls[0] == old_calls
+
+
+def _two_builder_triples(P, jordan, outer, inner, old_outer, old_inner, n_outer, n_inner):
+    for i in range(n_outer):
+        for j in range(n_inner):
+            for k in range(n_outer):
+                if i < old_outer and j < old_inner and k < old_outer:
+                    continue
+                if jordan and k < i:
+                    continue
+                x, y, z = outer[i], inner[j], outer[k]
+                yield P.jordan_triple(x, y, z) if jordan else P.triple(x, y, z)
+
+
+def _two_builder_pair_closure(P, S, jordan):
+    """closure.pair_closure's own loop before pairs went through the
+    saturation engine: two builders, plus triples first, no full-rank exit
+    (the closedness check is left out; it does not change the trace)."""
+    bm = ac.SpanBuilder(P.field, P.dim)
+    bp = ac.SpanBuilder(P.field, P.dim)
+    vm, vp = [], []
+    for el in S.side_elements("-"):
+        if bm.add(el.coords):
+            vm.append(el)
+    for el in S.side_elements("+"):
+        if bp.add(el.coords):
+            vp.append(el)
+    rounds = [(0, bm.rank + bp.rank)]
+    old_m = old_p = 0
+    rnd = 0
+    triples = partial(_two_builder_triples, P, jordan)
+    while True:
+        rnd += 1
+        nm, np_ = len(vm), len(vp)
+        grew = False
+        for el in triples(vp, vm, old_p, old_m, np_, nm):
+            if bp.add(el.coords):
+                vp.append(el)
+                grew = True
+        for el in triples(vm, vp, old_m, old_p, nm, np_):
+            if bm.add(el.coords):
+                vm.append(el)
+                grew = True
+        old_m, old_p = nm, np_
+        rounds.append((rnd, bm.rank + bp.rank))
+        if not grew:
+            break
+    return closure.ClosureTrace(tuple(rounds), (bm.subspace(), bp.subspace()), rnd)
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+@pytest.mark.parametrize("old", [(0, 0), (1, 2), (2, 1), (3, 3)])
+def test_pair_round_lists_the_two_builder_triples(jordan, old):
+    # Dense elements of M3, so that distinct triples are distinct elements.
+    P = m3()
+    rng = random.Random(5)
+    vectors = [[P.element([rng.randint(-3, 3) for _ in range(P.dim)]) for _ in range(3)]
+               for _ in range(2)]
+    n = (3, 3)
+    got = list(closure._pair_round(P, vectors, old, n, jordan))
+    minus, plus = vectors
+    want = [(1, w) for w in _two_builder_triples(P, jordan, plus, minus, old[1], old[0], 3, 3)]
+    want += [(0, w) for w in _two_builder_triples(P, jordan, minus, plus, old[0], old[1], 3, 3)]
+    assert got == want
+
+
+def _unit_pair(P, kind):
+    """Plus side E11, E12, E21 and minus side the unit of M2: x*1*z and
+    {x,1,z} = xz + zx reach R on the plus side, and 1*x*1 carries each plus
+    element to the minus side, so both sides end full."""
+    items = [("one", P.unit, "t")] + [
+        (lab, unit_elem(P, lab), "t") for lab in ("E11", "E12", "E21")
+    ]
+    return ac.generator_set(kind, items, ("-", "+", "+", "+"))
+
+
+@pytest.mark.parametrize("kind", ["assoc-pair", "jordan-pair"])
+@pytest.mark.parametrize(
+    "case", ["m3-flip", "m4-flip", "m3-not-full", "m2-full"]
+)
+def test_pair_closure_matches_two_builder_loop(monkeypatch, kind, case):
+    if case == "m3-flip":
+        P = m3("flip")
+        gens = component_pair_gens(P, kind)
+    elif case == "m4-flip":
+        P = m4("flip")
+        gens = component_pair_gens(P, kind)
+    elif case == "m3-not-full":
+        P = m3("flip")
+        gens = pair_gens(P, kind, pluses=["E21"], minuses=["E12", "E13"])
+    else:
+        P = m2()
+        gens = _unit_pair(P, kind)
+    muls = count_muls(monkeypatch)
+    old = _two_builder_pair_closure(P, gens, kind == "jordan-pair")
+    old_calls, muls[0] = muls[0], 0
+    trace = ac.pair_closure(P, gens, kind)
+    assert trace == old
+    full = all(side.is_full for side in trace.final)
+    assert full == (case == "m2-full")
+    if full:
+        # Neither the rounds after both sides are full nor the re-check run.
+        assert muls[0] < old_calls
+
+
+def _span(P, labels):
+    return P.span_of([unit_elem(P, lab) for lab in labels])
+
+
+def test_assert_closed_rejects_open_assoc_span():
+    # E12*E23 = E13 escapes from the first basis row times the second,
+    # E31*E12 = E32 from the second times the first.
+    P = m3()
+    check = closure._assoc_check
+    for labels in (["E12", "E23"], ["E12", "E31"]):
+        with pytest.raises(AssertionError):
+            closure._assert_closed(P, (_span(P, labels),), check)
+    closure._assert_closed(
+        P, (ac.assoc_closure(P, assoc_gens(P, ["E12", "E23"])).final,), check
+    )
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+def test_assert_closed_rejects_open_pair(jordan):
+    # One basis row per side: the only triples are x*y*x. With the unit of
+    # M2 on one side and E12 on the other, 1*E12*1 = E12 leaves span(1).
+    P = m2()
+    check = partial(closure._pair_check, jordan=jordan)
+    one, e12 = P.span_of([P.unit]), _span(P, ["E12"])
+    for finals in ((e12, one), (one, e12)):
+        with pytest.raises(AssertionError):
+            closure._assert_closed(P, finals, check)
+    closure._assert_closed(P, (e12, _span(P, ["E21"])), check)
+
+
+def test_assert_closed_skips_full_finals(monkeypatch):
+    P = m3("flip")
+    R = P.span_of([P.basis_element(i) for i in range(P.dim)])
+    muls = count_muls(monkeypatch)
+    closure._assert_closed(P, (R,), closure._assoc_check)
+    assert_lie_closed(P, R)
+    closure._assert_closed(P, (R, R), partial(closure._pair_check, jordan=True))
+    assert muls[0] == 0
+    # One side short of full is re-checked.
+    closure._assert_closed(P, (_span(P, ["E12"]), R), partial(closure._pair_check, jordan=False))
+    assert muls[0] > 0
+
+
+def _closed_by_every_product(P, finals, op, pair):
+    """Test-local closedness: every product of every ordered choice of
+    basis rows, the outer ones of a triple from the same side."""
+    rows = [[P.element(r) for r in f.basis] for f in finals]
+    if not pair:
+        return all(finals[0].contains(op(u, v).coords) for u in rows[0] for v in rows[0])
+    return all(
+        finals[side].contains(op(x, y, z).coords)
+        for side, other in ((0, 1), (1, 0))
+        for x in rows[side]
+        for y in rows[other]
+        for z in rows[side]
+    )
+
+
+def _check_agrees(P, finals, check, op, pair):
+    try:
+        closure._assert_closed(P, finals, check)
+        closed = True
+    except AssertionError:
+        closed = False
+    assert closed == _closed_by_every_product(P, finals, op, pair)
+    return closed
+
+
+def test_assert_closed_agrees_with_every_product():
+    # Every span of two or three matrix units of M3, and every pair of
+    # spans of one or two of E11, E12, E21, E22, 1 in M2: the check, which
+    # lists each product once, decides as the test over all of them.
+    P = m3()
+    units = [P.basis_element(i) for i in range(P.dim)]
+    verdicts = set()
+    for size in (2, 3):
+        for chosen in itertools.combinations(units, size):
+            span = P.span_of(list(chosen))
+            verdicts.add(_check_agrees(P, (span,), closure._lie_check, P.commutator, False))
+            verdicts.add(_check_agrees(P, (span,), closure._assoc_check, P.mul, False))
+    P = m2()
+    elements = [P.basis_element(i) for i in range(P.dim)] + [P.unit]
+    spans = [
+        P.span_of(list(chosen))
+        for size in (1, 2)
+        for chosen in itertools.combinations(elements, size)
+    ]
+    for jordan, op in ((False, P.triple), (True, P.jordan_triple)):
+        check = partial(closure._pair_check, jordan=jordan)
+        for minus in spans:
+            for plus in spans:
+                verdicts.add(_check_agrees(P, (minus, plus), check, op, True))
+    assert verdicts == {True, False}
