@@ -6,7 +6,8 @@ result against an independently computed target subspace. A certificate is
 only ``pass`` when the closed subspace equals the target exactly; failed
 generation hypotheses (ReR = R and friends) yield ``hypothesis-not-met``
 rather than a verdict, so a pass is never asserted where the claim does not
-apply.
+apply. Targets are spans that bilinearity makes bracket-closed, which is
+not re-checked: the closure re-checks its own final, so a pass stays sound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .algebra import (
 )
 from .closure import (
     GeneratorSet,
-    assert_lie_closed,
     assoc_closure,
     generator_set,
     lie_closure,
@@ -175,42 +175,37 @@ def _require_valid(P):
 # -- targets ---------------------------------------------------------------
 
 
-def commutator_span(P):
-    """Span of all [b_i, b_j] over basis pairs."""
+def _bracket_span(P, rows):
+    """Span of all [r_i, r_j], i < j, over the elements rows."""
     b = SpanBuilder(P.field, P.dim)
-    for i in range(P.dim):
-        for j in range(i + 1, P.dim):
-            b.add(P.commutator(P.basis_element(i), P.basis_element(j)).coords)
+    for i, u in enumerate(rows):
+        for v in rows[i + 1:]:
+            b.add(P.commutator(u, v).coords)
     return b.subspace()
 
 
-def derived_subspace(P):
-    """The derived subalgebra of R under the commutator.
+def commutator_span(P):
+    """Span of all [b_i, b_j] over basis pairs."""
+    return _bracket_span(P, [P.basis_element(i) for i in range(P.dim)])
 
-    The commutator span is already bracket-closed; that is checked on its
-    basis so the result is certified closed rather than assumed.
-    """
-    span = commutator_span(P)
-    assert_lie_closed(P, span)
-    return span
+
+def derived_subspace(P):
+    """The derived subalgebra [R, R]: the commutator span, bracket-closed
+    by bilinearity. No verdict rests on that: the closure re-checks its own
+    final, and a pass means the final equals this span."""
+    return commutator_span(P)
 
 
 def skew_commutator_span(P):
     """Span of all [k_i, k_j] over a basis of the skew part K."""
     K = kh_split(P).K
-    rows = [P.element(r) for r in K.basis]
-    b = SpanBuilder(P.field, P.dim)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            b.add(P.commutator(rows[i], rows[j]).coords)
-    return b.subspace()
+    return _bracket_span(P, [P.element(r) for r in K.basis])
 
 
 def derived_K_subspace(P):
-    """The derived subalgebra [K, K] of the skew part, certified closed."""
-    span = skew_commutator_span(P)
-    assert_lie_closed(P, span)
-    return span
+    """The derived subalgebra [K, K] of the skew part: [k, k']* = -[k, k']
+    puts [K, K] in K, so the span is bracket-closed by bilinearity."""
+    return skew_commutator_span(P)
 
 
 # -- working copy / word machinery ------------------------------------------
@@ -739,12 +734,7 @@ def lemma4_check(P, grading=None, e=None):
     for sigma in (1, -1):
         K1, _ = kh.graded[sigma]
         K2, H2 = kh.graded[2 * sigma]
-        rows = [P.element(r) for r in K1.basis]
-        bb = SpanBuilder(P.field, P.dim)
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                bb.add(P.commutator(rows[i], rows[j]).coords)
-        bracket_span = bb.subspace()
+        bracket_span = _bracket_span(P, [P.element(r) for r in K1.basis])
         sq = SpanBuilder(P.field, P.dim)
         for k in _squares_family(P, K1):
             sq.add(P.mul(k, k).coords)
@@ -814,11 +804,6 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
             return base
         return apply
 
-    R2 = grading.parts[2]
-    Rm2 = grading.parts[-2]
-    R1 = grading.parts[1]
-    Rm1 = grading.parts[-1]
-
     info = {"attempts": 0, "spans_ok": False}
     minus_items = plus_items = ()
     for attempt in range(retries + 1):
@@ -840,19 +825,16 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
             P, "e*", wit_plus, lambda w: s_right(apply_estar(w))
         )
 
-        span1 = SpanBuilder(P.field, P.dim)
-        for _, m, _ in minus_items:
-            for row in R2.basis:
-                r = P.element(row)
-                span1.add(P.mul(m, r).coords)
-                span1.add(P.mul(r, m).coords)
-        span_m1 = SpanBuilder(P.field, P.dim)
-        for _, m, _ in plus_items:
-            for row in Rm2.basis:
-                r = P.element(row)
-                span_m1.add(P.mul(m, r).coords)
-                span_m1.add(P.mul(r, m).coords)
-        ok = span1.subspace() == R1 and span_m1.subspace() == Rm1
+        ok = True
+        # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1.
+        for items, sign in ((minus_items, 1), (plus_items, -1)):
+            span = SpanBuilder(P.field, P.dim)
+            for _, m, _ in items:
+                for row in grading.parts[2 * sign].basis:
+                    r = P.element(row)
+                    span.add(P.mul(m, r).coords)
+                    span.add(P.mul(r, m).coords)
+            ok = ok and span.subspace() == grading.parts[sign]
         if ok:
             info["spans_ok"] = True
             break
@@ -860,7 +842,7 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
     M_minus = generator_set("lie", minus_items)
     M_plus = generator_set("lie", plus_items)
     info["sizes"] = (len(minus_items), len(plus_items))
-    info["odd_dims"] = (Rm1.rank, R1.rank)
+    info["odd_dims"] = (grading.parts[-1].rank, grading.parts[1].rank)
     return M_minus, M_plus, info
 
 

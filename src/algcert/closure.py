@@ -245,11 +245,6 @@ def _pair_check(P, rows, jordan):
                     yield side, triple(x, y, z)
 
 
-def assert_lie_closed(P, final):
-    """Raise AssertionError unless the subspace is closed under [a,b]."""
-    _assert_closed(P, (final,), _lie_check)
-
-
 def lie_closure(P, S):
     """Smallest subspace containing S and closed under [a,b] = ab - ba."""
     if S.structure != "lie":

@@ -8,7 +8,7 @@ import pytest
 
 import algcert as ac
 from algcert import closure
-from algcert.closure import assert_lie_closed, oracle_until_stagnation
+from algcert.closure import oracle_until_stagnation
 from algcert.errors import (
     BudgetExceededError,
     GeneratorSideError,
@@ -240,8 +240,12 @@ def test_assert_lie_closed_rejects_open_span():
     # [E12, E21] = E11 - E22 lies outside span(E12, E21).
     P = m2()
     with pytest.raises(AssertionError):
-        assert_lie_closed(P, P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")]))
-    assert_lie_closed(P, ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final)
+        closure._assert_closed(
+            P, (P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")]),), closure._lie_check
+        )
+    closure._assert_closed(
+        P, (ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final,), closure._lie_check
+    )
 
 
 def _saturate_every_round(P, seeds, product_round, products):
@@ -445,7 +449,7 @@ def test_assert_closed_skips_full_finals(monkeypatch):
     R = P.span_of([P.basis_element(i) for i in range(P.dim)])
     muls = count_muls(monkeypatch)
     closure._assert_closed(P, (R,), closure._assoc_check)
-    assert_lie_closed(P, R)
+    closure._assert_closed(P, (R,), closure._lie_check)
     closure._assert_closed(P, (R, R), partial(closure._pair_check, jordan=True))
     assert muls[0] == 0
     # One side short of full is re-checked.

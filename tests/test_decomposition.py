@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import algcert as ac
+from algcert import decomposition, formats
+from algcert.algebra import axiom_violations
 from algcert.errors import IdempotentError, MissingInvolutionError
 from algcert.linalg import intersect
 from helpers import elem, m2, m3, m4, unit_elem
@@ -94,11 +96,77 @@ def test_z_grading_preconditions():
         ac.z_grading(P, P.idempotents["e"])
 
 
+def _product_violations(P, parts):
+    """(i, j) once per component basis pair whose product leaves R_{i+j}."""
+    out = []
+    for i in range(-2, 3):
+        for j in range(-2, 3):
+            for u in parts[i].basis:
+                for v in parts[j].basis:
+                    prod = P.mul(P.element(u), P.element(v))
+                    if P.is_zero(prod):
+                        continue
+                    if abs(i + j) > 2 or not parts[i + j].contains(prod.coords):
+                        out.append((i, j))
+    return out
+
+
 def test_grading_multiplicativity_exhaustive():
     for P in (m3("flip"), m4("flip"), m2("symplectic"), ac.build_example2(2)):
         g = ac.z_grading(P, P.idempotents["e"])
         assert g.multiplicative
         assert g.violations == ()
+        # The fact z_grading takes from the axioms, checked on every pair.
+        assert _product_violations(P, g.parts) == []
+
+
+def _graded_intersections(kh, g):
+    return {i: (intersect(kh.K, g.parts[i]), intersect(kh.H, g.parts[i])) for i in range(-2, 3)}
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        m3("flip"),
+        m4("flip"),
+        ac.build_matrix_algebra(3, ac.PrimeField(101), "flip"),
+        ac.build_matrix_algebra(4, ac.PrimeField(101), "flip"),
+        m2("symplectic"),
+        ac.build_example2(2),
+        ac.build_example2(3),
+    ],
+    ids=["m3-flip", "m4-flip", "m3-flip-fp101", "m4-flip-fp101", "symplectic-m2",
+         "example2-d2", "example2-d3"],
+)
+def test_graded_kh_projection_equals_intersection(P, monkeypatch):
+    g = ac.z_grading(P, P.idempotents["e"])
+    assert axiom_violations(P) == ()
+
+    def unreachable(*args):
+        raise AssertionError("intersect reached on a presentation that meets the axioms")
+
+    monkeypatch.setattr(decomposition, "intersect", unreachable)
+    kh = ac.kh_split(P, g)
+    monkeypatch.undo()
+    assert kh.graded == _graded_intersections(kh, g)
+
+
+def test_dirty_grading_is_checked_not_proved():
+    # One spurious product b0 * b1 += b4 breaks the axioms, yet e = E11
+    # still meets the grading's own preconditions.
+    d = formats.presentation_to_dict(m3("flip"))
+    d["mul"].append([0, 1, 4, "1"])
+    P = formats.presentation_from_dict(d)
+    assert axiom_violations(P)
+    g = ac.z_grading(P, P.idempotents["e"])
+    assert not g.multiplicative
+    assert list(g.violations) == _product_violations(P, g.parts) != []
+    kh = ac.kh_split(P, g)
+    assert kh.graded == _graded_intersections(kh, g)
+    # Here (1 - *)R_i and (1 + *)R_i are not K_i and H_i: the branch matters.
+    projected = {i: decomposition._skew_symmetric_spans(
+        P, [P.element(r) for r in g.parts[i].basis]) for i in range(-2, 3)}
+    assert projected != kh.graded
 
 
 def test_kh_split_m2_transpose():
