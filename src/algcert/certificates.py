@@ -180,7 +180,7 @@ def _bracket_span(P, rows):
     b = SpanBuilder(P.field, P.dim)
     for i, u in enumerate(rows):
         for v in rows[i + 1:]:
-            b.add(P.commutator(u, v).coords)
+            b.add(P.commutator(u, v))
     return b.subspace()
 
 
@@ -198,8 +198,7 @@ def derived_subspace(P):
 
 def skew_commutator_span(P):
     """Span of all [k_i, k_j] over a basis of the skew part K."""
-    K = kh_split(P).K
-    return _bracket_span(P, [P.element(r) for r in K.basis])
+    return _bracket_span(P, [P.element(r) for r in _skew_part(P).basis])
 
 
 def derived_K_subspace(P):
@@ -302,13 +301,13 @@ class _SandwichWitnesses:
             for ul, u, vl, v in pairs:
                 prod = _sandwich(self.Pw, u, self.mid, v)
                 self.products.append((ul, u, vl, v))
-                self.solver.add(prod.coords)
+                self.solver.add(prod)
 
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)]."""
         for L in range(0, self.cap + 1):
             self._grow_to(L)
-            sol = self.solver.solve(target.coords)
+            sol = self.solver.solve(target)
             if sol is not None:
                 terms = [
                     (c,) + self.products[i] for i, c in sorted(sol.items())
@@ -323,7 +322,7 @@ class _SandwichWitnesses:
         out = list(terms)
         for L in range(Lmin + 1, min(Lmin + extra, self.cap) + 1):
             self._grow_to(L)
-            sol = self.solver.solve(target.coords)
+            sol = self.solver.solve(target)
             if sol is not None:
                 out.extend((c,) + self.products[i] for i, c in sorted(sol.items()))
         return Lmin, out
@@ -386,8 +385,8 @@ def _lemma2_impl(P, e, f=None, cap=6, budget=None):
     comp_plus_b = SpanBuilder(P.field, P.dim)
     for i in range(P.dim):
         b = lift(P.basis_element(i))
-        comp_minus_b.add(lower(_sandwich(Pw, e_w, b, f_w)).coords)
-        comp_plus_b.add(lower(_sandwich(Pw, f_w, b, e_w)).coords)
+        comp_minus_b.add(lower(_sandwich(Pw, e_w, b, f_w)))
+        comp_plus_b.add(lower(_sandwich(Pw, f_w, b, e_w)))
     comp_minus = comp_minus_b.subspace()
     comp_plus = comp_plus_b.subspace()
 
@@ -413,11 +412,11 @@ def _lemma2_impl(P, e, f=None, cap=6, budget=None):
             break
         for lab, u in words.level(length):
             gm = lower(_sandwich(Pw, e_w, u, f_w))
-            if got_minus.add(gm.coords):
+            if got_minus.add(gm):
                 items.append((f"e*{lab}*f", gm, f"word:{lab}"))
                 sides.append("-")
             gp = lower(_sandwich(Pw, f_w, u, e_w))
-            if got_plus.add(gp.coords):
+            if got_plus.add(gp):
                 items.append((f"f*{lab}*e", gp, f"word:{lab}"))
                 sides.append("+")
             if (
@@ -533,7 +532,7 @@ def _distinct_index_monomials(P, pair_gens, components, budget=None):
                 word += f"*{inner[jseq[t]][0]}*{outer[iseq[t + 1]][0]}"
             if P.is_zero(el):
                 continue
-            if got.add(el.coords):
+            if got.add(el):
                 items.append((f"mono{sigma}{len(items)}", el, f"monomial:{word}"))
                 sides.append(sigma)
     return generator_set("jordan-pair", items, sides)
@@ -703,9 +702,24 @@ _THEOREM2_FULL_HYPS = _THEOREM2_HYPS + ("R=alg<gens>",)
 
 
 def _graded_split(P, e, grading=None):
-    grading = grading if grading is not None else z_grading(P, e)
-    kh = kh_split(P, grading)
-    return grading, kh
+    """(grading, kh_split(P, grading)) for the idempotent e, computed once
+    per presentation and idempotent and memoised on P: z_grading is a
+    function of (P, e). K and H do not depend on the grading, so the split
+    also serves as P's ungraded one (``_skew_part``)."""
+    key = ("kh_split", e.coords)
+    if key not in P._memo:
+        grading = grading if grading is not None else z_grading(P, e)
+        P._memo[key] = grading, kh_split(P, grading)
+        P._memo.setdefault(("kh_split", None), P._memo[key])
+    return P._memo[key]
+
+
+def _skew_part(P):
+    """The skew part K of P, from a memoised split when there is one."""
+    key = ("kh_split", None)
+    if key not in P._memo:
+        P._memo[key] = None, kh_split(P)
+    return P._memo[key][1].K
 
 
 def _squares_family(P, K1):
@@ -737,7 +751,7 @@ def lemma4_check(P, grading=None, e=None):
         bracket_span = _bracket_span(P, [P.element(r) for r in K1.basis])
         sq = SpanBuilder(P.field, P.dim)
         for k in _squares_family(P, K1):
-            sq.add(P.mul(k, k).coords)
+            sq.add(P.mul(k, k))
         square_span = sq.subspace()
         checks[f"K_{2 * sigma}=[K_{sigma},K_{sigma}]"] = bracket_span == K2
         checks[f"H_{2 * sigma}=span(k^2)"] = square_span == H2
@@ -769,7 +783,7 @@ def _brace_set(P, mid_name, witnesses, s_right_of):
         br = P.brace(el)
         if P.is_zero(br):
             continue
-        if seen.add(br.coords):
+        if seen.add(br):
             out.append((f"{{{mid_name}*{w_label or '1'}*s}}", br, f"witness:{w_label or '1'}"))
     return out
 
@@ -782,7 +796,7 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
     two spanning equalities hold (retried with longer witness words first).
     """
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
-    grading, kh = _graded_split(P, e, grading)
+    grading = grading if grading is not None else z_grading(P, e)
     estar = grading.estar
     ee = P.add(e, estar)
 
@@ -832,8 +846,8 @@ def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
             for _, m, _ in items:
                 for row in grading.parts[2 * sign].basis:
                     r = P.element(row)
-                    span.add(P.mul(m, r).coords)
-                    span.add(P.mul(r, m).coords)
+                    span.add(P.mul(m, r))
+                    span.add(P.mul(r, m))
             ok = ok and span.subspace() == grading.parts[sign]
         if ok:
             info["spans_ok"] = True
@@ -931,7 +945,7 @@ def _alternating_products(P, outer, inner, r_max, budget, ceiling):
         count += 1
         if count > budget:
             raise BudgetExceededError(count, budget)
-        if not P.is_zero(el) and seen.add(el.coords):
+        if not P.is_zero(el) and seen.add(el):
             reps.append((lab, el))
             level.append((lab, el))
             if seen.rank == ceiling:
@@ -950,7 +964,7 @@ def _alternating_products(P, outer, inner, r_max, budget, ceiling):
                     wba = P.mul(wb, a)
                     if P.is_zero(wba):
                         continue
-                    if seen.add(wba.coords):
+                    if seen.add(wba):
                         entry = (f"{lab}*{blab}*{alab}", wba)
                         reps.append(entry)
                         nxt.append(entry)
@@ -978,8 +992,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
         return _hypothesis_certificate(P, "theorem2", hyp, seed=seed)
     budget_n = word_budget(budget)
 
-    grading = z_grading(P, e)
-    kh = kh_split(P, grading)
+    grading, kh = _graded_split(P, e)
     estar = grading.estar
 
     stage = {"grading_dims": grading.dims(), "grading_multiplicative": grading.multiplicative}
@@ -1014,7 +1027,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     for side in ("-", "+"):
         seen = SpanBuilder(P.field, P.dim)
         split_sides[side] = [
-            (lab, el) for lab, el in split_sides[side] if seen.add(el.coords)
+            (lab, el) for lab, el in split_sides[side] if seen.add(el)
         ]
     n = max(len(split_sides["-"]), len(split_sides["+"]), 1)
     stage["pair_generator_count"] = n
@@ -1044,7 +1057,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     seen_braces = SpanBuilder(P.field, P.dim)
     for lab, p in Pm2 + P2:
         br = P.brace(p)
-        if not P.is_zero(br) and seen_braces.add(br.coords):
+        if not P.is_zero(br) and seen_braces.add(br):
             braces.append((lab, br))
     for i, (lab1, b1) in enumerate(braces):
         for lab2, b2 in braces[i + 1:]:
@@ -1058,7 +1071,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
         families[sigma] = fam
         sol = CombinationSolver(P.field, P.dim)
         for k in fam:
-            sol.add(P.mul(k, k).coords)
+            sol.add(P.mul(k, k))
         solvers[sigma] = sol
     sym_parts = []  # (label, h = p + p*, witness ks)
     for source, sigma in ((P2, 1), (Pm2, -1)):
@@ -1066,7 +1079,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
             h = P.add(p, P.involve(p))
             if P.is_zero(h):
                 continue
-            sol = solvers[sigma].solve(h.coords)
+            sol = solvers[sigma].solve(h)
             ks = [families[sigma][i] for i in sorted(sol)] if sol else []
             sym_parts.append((lab, h, ks))
     for lab_q, _, ks in sym_parts:
@@ -1087,7 +1100,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 
     # Span-deduplicate the union; Lie closure only depends on the span.
     seen_union = SpanBuilder(P.field, P.dim)
-    union = [(lab, el, prov) for lab, el, prov in union if seen_union.add(el.coords)]
+    union = [(lab, el, prov) for lab, el, prov in union if seen_union.add(el)]
     gens = generator_set("lie", union)
     trace = lie_closure(P, gens)
     target = derived_K_subspace(P)
@@ -1133,7 +1146,7 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
     for left, right in ((Km2, K2), (Hm2, H2)):
         for u in left.basis:
             for v in right.basis:
-                D.add(P.mul(P.element(u), P.element(v)).coords)
+                D.add(P.mul(P.element(u), P.element(v)))
     D_rows = [P.element(r) for r in D.subspace().basis]
 
     rng = random.Random(seed)
@@ -1156,7 +1169,7 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
                 for x in w[1:]:
                     el = P.mul(el, x)
                 for d in D_rows:
-                    span.add(P.mul(el, d).coords)
+                    span.add(P.mul(el, d))
         return span
 
     checked = 0
@@ -1173,7 +1186,7 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
         if P.is_zero(w):
             continue  # zero lies in every span
         span = rhs_span(a_pool, b_pool)
-        if not span.contains(w.coords):
+        if not span.contains(w):
             failures.append(t)
     verdict = PASS if not failures else FAIL
     return Certificate(
@@ -1236,8 +1249,8 @@ def lemma9_check(P, samples=20, seed=0):
         return _hypothesis_certificate(P, "lemma9", hyp, seed=seed)
     hyp.update(hypotheses_for(P, None, ("semiprime(desk-scale)",)))
     witness = hyp.pop("square-zero-ideal-witness", None)
-    kh = kh_split(P)
-    K_rows = [P.element(r) for r in kh.K.basis]
+    K = _skew_part(P)
+    K_rows = [P.element(r) for r in K.basis]
     if witness is not None:
         # Illustrate the failure: a nonzero skew element annihilated by K.
         demo = None
@@ -1263,9 +1276,9 @@ def lemma9_check(P, samples=20, seed=0):
         if not P.is_zero(k) and not k_K_k_nonzero(k):
             failures.append(f"basis:{i}")
     checked = len(K_rows)
-    if kh.K.rank > 0:
+    if K.rank > 0:
         for t in range(samples):
-            k = random_element(P, rng, kh.K, nonzero=True)
+            k = random_element(P, rng, K, nonzero=True)
             checked += 1
             if not k_K_k_nonzero(k):
                 failures.append(f"sample:{t}")
@@ -1275,7 +1288,7 @@ def lemma9_check(P, samples=20, seed=0):
         presentation=P,
         detail={
             "hypotheses": hyp,
-            "K_rank": kh.K.rank,
+            "K_rank": K.rank,
             "checked": checked,
             "failures": failures,
         },
@@ -1302,7 +1315,7 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
             w = P.commutator(u, v)
             if not P.is_zero(w):
                 abelian = False
-                if not target.contains(w.coords):
+                if not target.contains(w):
                     raise ValueError("stagnation target is not bracket-closed")
     rng = random.Random(seed)
     results = []

@@ -130,9 +130,9 @@ def _pair_sides(P, named):
     pd = peirce_decompose(P, e)
     sides = []
     for name, el in named:
-        if pd.eRf.contains(el.coords):
+        if pd.eRf.contains(el):
             sides.append("-")
-        elif pd.fRe.contains(el.coords):
+        elif pd.fRe.contains(el):
             sides.append("+")
         else:
             raise CliInputError(

@@ -141,7 +141,7 @@ def _saturate_linear(P, seeds, product_round, products=None):
     for side, els in enumerate(seeds):
         # Seeds may be a lazy stream of products; a full side takes no more.
         for el in els:
-            if builders[side].add(el.coords):
+            if builders[side].add(el):
                 vectors[side].append(el)
                 if builders[side].is_full:
                     break
@@ -156,7 +156,7 @@ def _saturate_linear(P, seeds, product_round, products=None):
         # and the next one records the stagnation without computing products.
         if not all(b.is_full for b in builders):
             for side, el in product_round(P, vectors, old, n):
-                if builders[side].add(el.coords):
+                if builders[side].add(el):
                     vectors[side].append(el)
                     grew = True
                     if all(b.is_full for b in builders):
@@ -180,7 +180,7 @@ def _assert_closed(P, finals, products):
         return
     rows = [[P.element(r) for r in final.basis] for final in finals]
     for side, w in products(P, rows):
-        if not finals[side].contains(w.coords):
+        if not finals[side].contains(w):
             raise AssertionError("final subspace escaped under re-applied products")
 
 
@@ -275,7 +275,7 @@ def pair_closure(P, S, kind=None, components=None):
         comp_minus, comp_plus = components
         for (label, el, _), side in zip(S.elements, S.sides):
             comp = comp_minus if side == "-" else comp_plus
-            if not comp.contains(el.coords):
+            if not comp.contains(el):
                 raise GeneratorSideError(
                     f"generator {label!r} lies outside its {side} component"
                 )
@@ -340,10 +340,10 @@ def _oracle_lie(P, S, max_len, counter):
         levels[n] = _dedupe_exact(out)
     b = SpanBuilder(P.field, P.dim)
     for el in seeds:
-        b.add(el.coords)
+        b.add(el)
     for n in range(2, max_len + 1):
         for el in levels[n]:
-            b.add(el.coords)
+            b.add(el)
     return b.subspace()
 
 
@@ -353,7 +353,7 @@ def _oracle_assoc(P, S, max_len, counter):
     level = _dedupe_exact([e for e in seeds if not P.is_zero(e)])
     b = SpanBuilder(P.field, P.dim)
     for el in seeds:
-        b.add(el.coords)
+        b.add(el)
     for _ in range(2, max_len + 1):
         nxt = []
         for w in level:
@@ -364,7 +364,7 @@ def _oracle_assoc(P, S, max_len, counter):
                     nxt.append(prod)
         level = _dedupe_exact(nxt)
         for el in level:
-            b.add(el.coords)
+            b.add(el)
     return b.subspace()
 
 
@@ -407,7 +407,7 @@ def _oracle_pair(P, S, max_len, counter):
         b = SpanBuilder(P.field, P.dim)
         for n in sorted(levels[side]):
             for el in levels[side][n]:
-                b.add(el.coords)
+                b.add(el)
         result.append(b.subspace())
     return tuple(result)
 

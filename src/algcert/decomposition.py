@@ -74,11 +74,11 @@ def peirce_decompose(P, e):
         eb = P.mul(e, b)
         be = P.mul(b, e)
         ebe = P.mul(eb, e)
-        builders[0].add(ebe.coords)                        # eRe
-        builders[1].add(P.sub(eb, ebe).coords)             # eR(1-e)
-        builders[2].add(P.sub(be, ebe).coords)             # (1-e)Re
+        builders[0].add(ebe)                               # eRe
+        builders[1].add(P.sub(eb, ebe))                    # eR(1-e)
+        builders[2].add(P.sub(be, ebe))                    # (1-e)Re
         rest = P.add(P.sub(P.sub(b, eb), be), ebe)
-        builders[3].add(rest.coords)                       # (1-e)R(1-e)
+        builders[3].add(rest)                              # (1-e)R(1-e)
     pd = PeirceDecomposition(*(b.subspace() for b in builders))
     if sum(pd.dims()) != P.dim:
         raise IdempotentError("Peirce components do not add up to R")
@@ -131,7 +131,7 @@ def z_grading(P, e):
         for i in range(P.dim):
             base = P.basis_element(i)
             for left, right in pairs:
-                b.add(_sandwich(P, left, base, right).coords)
+                b.add(_sandwich(P, left, base, right))
         parts[grade] = b.subspace()
 
     if sum(v.rank for v in parts.values()) != P.dim:
@@ -148,7 +148,7 @@ def z_grading(P, e):
                         if P.is_zero(prod):
                             continue
                         k = gi + gj
-                        if abs(k) > 2 or not parts[k].contains(prod.coords):
+                        if abs(k) > 2 or not parts[k].contains(prod):
                             violations.append((gi, gj))
     return ZGrading(parts, not violations, tuple(violations), e, estar)
 
@@ -159,8 +159,8 @@ def _skew_symmetric_spans(P, rows):
     hb = SpanBuilder(P.field, P.dim)
     for b in rows:
         bs = P.involve(b)
-        kb.add(P.sub(b, bs).coords)
-        hb.add(P.add(b, bs).coords)
+        kb.add(P.sub(b, bs))
+        hb.add(P.add(b, bs))
     return kb.subspace(), hb.subspace()
 
 

@@ -6,6 +6,16 @@ row-echelon bases, which makes every span canonical: two lists of vectors
 with the same span echelonize to bit-identical bases, so subspace equality
 is plain ``==``.
 
+Elimination runs on rows that are lists of ints. Over Q a row is primitive:
+its pivot entry is positive, its other pivot columns are zero and the gcd
+of its entries is 1, so it is the canonical row times the lcm of its
+denominators. A vector is cleared against a row fraction-free, as
+w <- a*w - c*row (after Bareiss 1968), and divided by its gcd when it is
+stored. Over F_p a row is a list of residues with pivot entry 1, and the
+same loop runs mod p. Fractions appear only in the snapshots: the basis of
+a :class:`Subspace` and the remainder ``reduce`` returns. An Element passed
+as a vector hands over its integer support.
+
 Everything here is immutable after construction except :class:`SpanBuilder`,
 the mutable accumulator used while a span is still growing.
 """
@@ -14,10 +24,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError, FieldMismatchError, FormatError
 
@@ -221,14 +231,87 @@ def _check_length(vec, ambient_dim):
 
 
 def _first_nonzero(v):
-    for i, x in enumerate(v):
-        if x:
-            return i
-    return None
+    return next(compress(range(len(v)), v), None)
+
+
+def _modulus(field):
+    """p over F_p, 0 over Q."""
+    return getattr(field, "p", 0)
+
+
+def _int_vector(field, vec, ambient_dim):
+    """(d, w) with vec = w / d for a new list w of ints: residues and d = 1
+    over F_p. An Element (anything with a ``support``) hands over its
+    nonzero coordinates as they are."""
+    _check_length(vec, ambient_dim)
+    support = getattr(vec, "support", None)
+    if support is not None:
+        d, pairs = support
+        w = [0] * ambient_dim
+        for i, n in pairs:
+            w[i] = n
+        return d, w
+    p = _modulus(field)
+    if p:
+        return 1, [x % p for x in vec]
+    d = lcm(*(x.denominator for x in vec))
+    return d, [x.numerator * (d // x.denominator) for x in vec]
+
+
+def _eliminate(w, pivots, rows, p):
+    """Clear the pivot columns of the int list w against integer rows in
+    reduced echelon form, fraction-free: w <- a*w - c*row for the row's
+    pivot entry a and c = w[pivot], divided by gcd(a, c). Over F_p (p > 0)
+    every pivot entry is 1 and the step runs mod p.
+
+    Returns (w, s): the new w is s times the exact remainder of the old
+    one, and the input is not modified.
+    """
+    s = 1
+    for j, row in zip(pivots, rows):
+        c = w[j]
+        if c:
+            if p:
+                w = [(x - c * y) % p for x, y in zip(w, row)]
+            else:
+                a = row[j]
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                w = [a * x - c * y for x, y in zip(w, row)]
+                s *= a
+    return w, s
+
+
+def _primitive(w, j, p):
+    """The row stored for w with pivot column j: divided by the gcd of its
+    entries, pivot entry positive, over Q; pivot entry 1 over F_p."""
+    if p:
+        inv = pow(w[j], -1, p)
+        return w if inv == 1 else [x * inv % p for x in w]
+    g = gcd(*w)
+    if w[j] < 0:
+        g = -g
+    return w if g == 1 else [x // g for x in w]
+
+
+class _Echelon:
+    """Reduction against integer rows in reduced echelon form, shared by
+    :class:`Subspace` and :class:`SpanBuilder`, which provide ``field``,
+    ``ambient_dim``, ``pivots`` and ``_int_rows()``."""
+
+    def reduce(self, vec):
+        """Remainder of vec after elimination against the rows."""
+        d, w = _int_vector(self.field, vec, self.ambient_dim)
+        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(self.field))
+        return self.field.from_ints(w, d * s)[0]
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
 
 
 @dataclass(frozen=True)
-class Subspace:
+class Subspace(_Echelon):
     """A linear subspace in canonical reduced row-echelon form.
 
     Invariants: pivot entries are 1, pivot columns are otherwise zero,
@@ -239,6 +322,9 @@ class Subspace:
     ambient_dim: int
     basis: tuple
     pivots: tuple
+    # The basis as integer rows, when the constructor already has them;
+    # see ``_int_rows``.
+    _rows: tuple | None = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def rank(self):
@@ -248,19 +334,13 @@ class Subspace:
     def is_full(self):
         return self.rank == self.ambient_dim
 
-    def reduce(self, vec):
-        """Remainder of vec after elimination against the basis."""
-        _check_length(vec, self.ambient_dim)
-        F = self.field
-        w = list(vec)
-        for p, row in zip(self.pivots, self.basis):
-            c = w[p]
-            if c:
-                w = [F.sub(a, F.mul(c, b)) for a, b in zip(w, row)]
-        return tuple(w)
-
-    def contains(self, vec):
-        return _first_nonzero(self.reduce(vec)) is None
+    def _int_rows(self):
+        """The basis rows as SpanBuilder keeps them, built on first use:
+        each canonical row times the lcm of its denominators is primitive."""
+        if self._rows is None:
+            rows = tuple(_int_vector(self.field, r, self.ambient_dim)[1] for r in self.basis)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     def contains_subspace(self, other):
         _check_compatible(self, other)
@@ -268,15 +348,16 @@ class Subspace:
 
     def builder(self):
         b = SpanBuilder(self.field, self.ambient_dim)
-        for row in self.basis:
-            b.add(row)
+        b.rows = list(self._int_rows())
+        b.pivots = list(self.pivots)
         return b
 
 
-class SpanBuilder:
+class SpanBuilder(_Echelon):
     """Mutable reduced-row-echelon accumulator.
 
-    ``add`` keeps the stored rows in full RREF at all times, so the frozen
+    ``add`` keeps the stored rows in full reduced echelon form at all times,
+    as integer rows (see the module docstring), so the frozen
     :class:`Subspace` snapshot is canonical no matter what order vectors
     arrived in.
     """
@@ -297,47 +378,34 @@ class SpanBuilder:
     def is_full(self):
         return len(self.rows) == self.ambient_dim
 
-    def reduce(self, vec):
-        _check_length(vec, self.ambient_dim)
-        F = self.field
-        w = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = w[p]
-            if c:
-                w = [F.sub(a, F.mul(c, b)) for a, b in zip(w, row)]
-        return w
-
-    def contains(self, vec):
-        return _first_nonzero(self.reduce(vec)) is None
+    def _int_rows(self):
+        return self.rows
 
     def add(self, vec):
         """Insert vec into the span. Returns True iff the rank grew."""
         if self.is_full:
             _check_length(vec, self.ambient_dim)
             return False
-        F = self.field
-        w = self.reduce(vec)
+        p = _modulus(self.field)
+        _, w = _int_vector(self.field, vec, self.ambient_dim)
+        w, _ = _eliminate(w, self.pivots, self.rows, p)
         j = _first_nonzero(w)
         if j is None:
             return False
-        inv = F.inv(w[j])
-        w = [F.mul(inv, a) for a in w]
-        for k, row in enumerate(self.rows):
-            c = row[j]
-            if c:
-                self.rows[k] = [F.sub(a, F.mul(c, b)) for a, b in zip(row, w)]
+        w = _primitive(w, j, p)
+        rows = self.rows
+        for k, row in enumerate(rows):
+            if row[j]:
+                rows[k] = _primitive(_eliminate(row, (j,), (w,), p)[0], self.pivots[k], p)
         at = bisect_left(self.pivots, j)
         self.pivots.insert(at, j)
-        self.rows.insert(at, w)
+        rows.insert(at, w)
         return True
 
     def subspace(self):
-        return Subspace(
-            self.field,
-            self.ambient_dim,
-            tuple(tuple(r) for r in self.rows),
-            tuple(self.pivots),
-        )
+        F = self.field
+        basis = tuple(F.from_ints(row, row[j])[0] for j, row in zip(self.pivots, self.rows))
+        return Subspace(F, self.ambient_dim, basis, tuple(self.pivots), tuple(self.rows))
 
 
 def _check_compatible(a, b):
@@ -361,7 +429,7 @@ def subspace_sum(a, b):
     """Canonical basis of a + b."""
     _check_compatible(a, b)
     out = a.builder()
-    for row in b.basis:
+    for row in b._int_rows():
         out.add(row)
     return out.subspace()
 
@@ -370,17 +438,21 @@ def intersect(a, b):
     """Canonical basis of the intersection, by the Zassenhaus block trick."""
     _check_compatible(a, b)
     n = a.ambient_dim
-    F = a.field
-    big = SpanBuilder(F, 2 * n)
-    for u in a.basis:
-        big.add(tuple(u) + tuple(u))
-    for w in b.basis:
-        big.add(tuple(w) + (F.zero,) * n)
-    out = SpanBuilder(F, n)
+    big = SpanBuilder(a.field, 2 * n)
+    for u in a._int_rows():
+        big.add(u + u)
+    for w in b._int_rows():
+        big.add(w + [0] * n)
+    out = SpanBuilder(a.field, n)
     for row in big.rows:
         if _first_nonzero(row[:n]) is None:
             out.add(row[n:])
     return out.subspace()
+
+
+def _ratio(F, n, d):
+    """The scalar n / d of the ints n and d."""
+    return F.mul(F.coerce(n), F.inv(F.coerce(d)))
 
 
 class CombinationSolver:
@@ -388,65 +460,73 @@ class CombinationSolver:
     from the input vectors, so a solve returns explicit combination
     coefficients. Elimination order is insertion order, which makes the
     returned witnesses deterministic.
+
+    The rows are the integer rows of a SpanBuilder, and an input that does
+    not grow it is only counted: no solution uses it. Its combination and
+    those of the rows it changes are computed from the pivot entries,
+    since a vector v in the span equals sum v[pivot_k] * row_k over the
+    canonical rows.
     """
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
         self.count = 0
-        self.rows = []    # reduced rows, pivot entry 1
-        self.combos = []  # sparse dicts: input index -> coefficient
-        self.pivots = []
-
-    def _reduce(self, vec, combo):
-        F = self.field
-        v = list(vec)
-        c = dict(combo)
-        for p, row, cb in zip(self.pivots, self.rows, self.combos):
-            f = v[p]
-            if f:
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-                for i, b in cb.items():
-                    c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))
-        return v, c
+        self._span = SpanBuilder(field, ambient_dim)
+        self.combos = []  # per span row, sparse dicts: input index -> coefficient
 
     def add(self, vec):
         """Register one more input vector. Returns True iff the rank grew."""
-        _check_length(vec, self.ambient_dim)
         F = self.field
         idx = self.count
         self.count += 1
-        v, c = self._reduce(vec, {idx: F.one})
-        j = _first_nonzero(v)
-        if j is None:
+        span = self._span
+        pivots, rows = list(span.pivots), list(span.rows)
+        if not span.add(vec):
             return False
-        inv = F.inv(v[j])
-        v = [F.mul(inv, a) for a in v]
-        c = {i: F.mul(inv, a) for i, a in c.items()}
-        for k, (row, cb) in enumerate(zip(self.rows, self.combos)):
-            f = row[j]
+        at = next(k for k, j in enumerate(span.pivots) if k == len(pivots) or j != pivots[k])
+        j = span.pivots[at]
+        coords = getattr(vec, "coords", vec)
+        # vec minus sum vec[p] * row over the old canonical rows, at column j
+        # and as a combination of the inputs; scaled so its pivot entry is 1.
+        r = coords[j]
+        c = {idx: F.one}
+        for p, row, cb in zip(pivots, rows, self.combos):
+            f = coords[p]
             if f:
-                self.rows[k] = [F.sub(a, F.mul(f, b)) for a, b in zip(row, v)]
-                new_cb = dict(cb)
+                if row[j]:
+                    r = F.sub(r, F.mul(f, _ratio(F, row[j], row[p])))
+                for i, b in cb.items():
+                    c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))
+        inv = F.inv(r)
+        c = {i: F.mul(inv, a) for i, a in c.items()}
+        for k, (p, row) in enumerate(zip(pivots, rows)):
+            if row[j]:
+                f = _ratio(F, row[j], row[p])
+                new_cb = dict(self.combos[k])
                 for i, b in c.items():
                     new_cb[i] = F.sub(new_cb.get(i, F.zero), F.mul(f, b))
                 self.combos[k] = new_cb
-        at = bisect_left(self.pivots, j)
-        self.pivots.insert(at, j)
-        self.rows.insert(at, v)
         self.combos.insert(at, c)
         return True
 
     @property
     def rank(self):
-        return len(self.rows)
+        return self._span.rank
 
     def solve(self, target):
         """Sparse dict {input index: coeff} expressing target, or None."""
-        F = self.field
-        v, c = self._reduce(target, {})
-        if _first_nonzero(v) is not None:
+        span = self._span
+        if not span.contains(target):
             return None
+        F = self.field
+        coords = getattr(target, "coords", target)
+        c = {}
+        for p, cb in zip(span.pivots, self.combos):
+            f = coords[p]
+            if f:
+                for i, b in cb.items():
+                    c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))
         return {i: F.neg(a) for i, a in c.items() if a}
 
 

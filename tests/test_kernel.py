@@ -1,5 +1,6 @@
-"""The integer product kernel: ``mul``, ``involve`` and the associativity
-check against the scalar loops they replaced, on random elements."""
+"""The integer kernel: ``mul``, ``involve``, the element sums and the
+associativity and involution-law checks against the scalar loops they
+replaced, on random elements."""
 
 from fractions import Fraction
 from math import lcm
@@ -168,3 +169,114 @@ def test_associativity_check_on_dense_m3():
         expected = _fraction_associativity(Q)
         assert expected
         assert {v.indices for v in axiom_violations(Q)} == expected
+
+
+# -- element sums -------------------------------------------------------------
+
+
+def _fraction_sum(P, a, b, sign):
+    """The per-coordinate loop ``add`` (sign 1) and ``sub`` (sign -1) ran
+    before they worked on supports."""
+    F = P.field
+    op = F.add if sign == 1 else F.sub
+    return tuple(op(x, y) for x, y in zip(a.coords, b.coords))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+@KERNEL
+@given(data=st.data())
+def test_element_sums_equal_the_scalar_loop(name, data):
+    P = PRESENTATIONS[name]
+    F = P.field
+    a = data.draw(_elements(P))
+    b = data.draw(_elements(P))
+    c = data.draw(_scalars(F))
+    results = {
+        "add": (P.add(a, b), _fraction_sum(P, a, b, 1)),
+        "sub": (P.sub(a, b), _fraction_sum(P, a, b, -1)),
+        "sub-self": (P.sub(a, a), (F.zero,) * P.dim),
+        "neg": (P.neg(a), tuple(F.neg(x) for x in a.coords)),
+        "scale": (P.scale(c, a), tuple(F.mul(F.coerce(c), x) for x in a.coords)),
+        "commutator": (
+            P.commutator(a, b),
+            tuple(F.sub(x, y) for x, y in zip(_fraction_mul(P, a, b), _fraction_mul(P, b, a))),
+        ),
+    }
+    for op, (got, expected) in results.items():
+        assert got.coords == expected, op
+        # The result carries its support; it equals the one built from coords.
+        assert got.support == Element(got.coords).support, op
+
+
+# -- involution law -----------------------------------------------------------
+
+
+def _pairwise_involution_law(P):
+    """(i, j) with (b_i b_j)* != b_j* b_i*, by the per-pair loop the axiom
+    gate ran before it compared integer dicts (``mul`` and ``involve`` are
+    checked against the scalar loops above)."""
+    bad = []
+    for i in range(P.dim):
+        for j in range(P.dim):
+            lhs = P.involve(P.mul_basis(i, j))
+            rhs = P.mul(P.involve(P.basis_element(j)), P.involve(P.basis_element(i)))
+            if lhs.coords != rhs.coords:
+                bad.append((i, j))
+    return bad
+
+
+def _rebuilt(P, mul_shift=None, star_shift=None):
+    """P with c_ijk shifted by delta for mul_shift = (i, j, k, delta) or the
+    involution entry s_ij shifted for star_shift = (i, j, delta)."""
+    F = P.field
+    mul = {(a, b, c): x for (a, b), entries in P._mul.items() for c, x in entries}
+    star = {(a, b): x for a, row in enumerate(P._star) for b, x in row}
+    for table, shift in ((mul, mul_shift), (star, star_shift)):
+        if shift is not None:
+            *key, delta = shift
+            key = tuple(key)
+            table[key] = F.add(table.get(key, F.zero), F.coerce(delta))
+    return AlgebraPresentation(
+        P.name + "_perturbed",
+        F,
+        P.basis_labels,
+        [(*key, c) for key, c in sorted(mul.items())],
+        involution=[(*key, c) for key, c in sorted(star.items())],
+    )
+
+
+DENSE_FLIP = {
+    "m2-Q": DENSE_M2["Q"],
+    "m2-Fp101": DENSE_M2["Fp101"],
+    "m3-Q": PRESENTATIONS["m3-flip-dense-Q"],
+    "m3-Fp101": PRESENTATIONS["m3-flip-dense-Fp101"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_FLIP))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_involution_law_check_equals_the_pairwise_loop(name, data):
+    P = DENSE_FLIP[name]
+    n = P.dim
+    index = st.integers(0, n - 1)
+    delta = data.draw(st.sampled_from([1, -3, 7]) if isinstance(P.field, PrimeField)
+                      else st.sampled_from([Fraction(1, 3), Fraction(-7, 2), 1]))
+    if data.draw(st.booleans()):
+        Q = _rebuilt(P, star_shift=(data.draw(index), data.draw(index), delta))
+    else:
+        Q = _rebuilt(P, mul_shift=(data.draw(index), data.draw(index), data.draw(index), delta))
+    found = [v.indices for v in axiom_violations(Q) if v.axiom == "involution-antiautomorphism"]
+    assert found == _pairwise_involution_law(Q)
+
+
+def test_involution_law_check_on_dense_flip():
+    for P in DENSE_FLIP.values():
+        assert _pairwise_involution_law(P) == []
+        assert not axiom_violations(P)
+        Q = _rebuilt(P, star_shift=(1, 2, 1))
+        expected = _pairwise_involution_law(Q)
+        assert expected
+        assert [
+            v.indices for v in axiom_violations(Q) if v.axiom == "involution-antiautomorphism"
+        ] == expected
