@@ -3,11 +3,13 @@
 An :class:`AlgebraPresentation` fixes a basis b_0..b_{dim-1}, a sparse
 multiplication table b_i * b_j = sum_k c_ijk b_k, an optional involution
 given as a linear map on basis elements, named idempotents, named algebra
-generators, and an optional unit. Elements are dense exact coordinate
-vectors over that basis; sums, scalings, products and the involution work
-on integers over a common denominator (``Element.support`` and the
-presentation's integer tables) and convert back to canonical coordinates
-once per result.
+generators, and an optional unit. An :class:`Element` is an exact vector
+over that basis, held as its integer support: its nonzero coordinates as
+ints over a common denominator, made canonical by dividing out their gcd.
+Sums, scalings, products and the involution work on supports and the
+presentation's integer tables and hand the canonical support of the result
+to the new element; its dense coordinates, Fractions over Q and residues
+over F_p, are built only when something reads them.
 
 The presentation is treated as immutable once built; every operation is a
 pure function of its inputs. The axiom checks and the named generation
@@ -18,7 +20,7 @@ the integer tables are derived on first use.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import compress
 from math import lcm
 
@@ -43,29 +45,66 @@ def _over(d, entries):
     return tuple((k, c.numerator * (d // c.denominator)) for k, c in entries)
 
 
-@dataclass(frozen=True)
 class Element:
-    """Exact coordinate vector over a presentation's basis."""
+    """Exact vector over a presentation's basis.
 
-    coords: tuple
-    # The support, when the constructor already knows it; see ``support``.
-    _support: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    An element is its support, ``(d, ((i, n_i), ...))``: its nonzero
+    coordinates c_i = n_i / d as ints over the lcm d of their denominators
+    (d = 1 over F_p), in index order. The support is canonical, so elements
+    compare and hash by it. Products, sums and the involution hand theirs
+    over (``AlgebraPresentation._from_ints``), and ``coords``, the dense
+    tuple of field scalars, is built on first read. ``Element(coords)``
+    builds the support on first use instead.
+    """
+
+    __slots__ = ("_coords", "_support", "_dim", "_field")
+
+    def __init__(self, coords):
+        self._coords = tuple(coords)
+        self._support = None
+        self._dim = len(self._coords)
+        self._field = None
+
+    @classmethod
+    def _of(cls, field, dim, support):
+        """The element of the field's dim-space with the given support."""
+        el = cls.__new__(cls)
+        el._coords = None
+        el._support = support
+        el._dim = dim
+        el._field = field
+        return el
 
     def __len__(self):
-        return len(self.coords)
+        return self._dim
+
+    @property
+    def coords(self):
+        """The dense tuple of field scalars, built on first read."""
+        if self._coords is None:
+            self._coords = self._field.to_coords(self._support, self._dim)
+        return self._coords
 
     @property
     def support(self):
-        """(d, ((i, n_i), ...)): the nonzero coordinates c_i = n_i / d as
-        ints over the lcm d of their denominators, built on first use.
-        Sums, products and the involution work on this form; ``coords``
-        stays canonical."""
+        """The canonical support, built from ``coords`` on first use."""
         if self._support is None:
-            coords = self.coords
+            coords = self._coords
             nonzero = [(i, coords[i]) for i in compress(range(len(coords)), coords)]
             d = _common_denominator(c for _, c in nonzero)
-            object.__setattr__(self, "_support", (d, _over(d, nonzero)))
+            self._support = (d, _over(d, nonzero))
         return self._support
+
+    def __eq__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self._dim == other._dim and self.support == other.support
+
+    def __hash__(self):
+        return hash((self._dim, self.support))
+
+    def __repr__(self):
+        return f"Element(coords={self.coords!r})"
 
 
 class AlgebraPresentation:
@@ -185,25 +224,26 @@ class AlgebraPresentation:
                 out.append(F.coerce(x))
         return Element(tuple(out))
 
+    def _from_ints(self, nums, d):
+        """The element with coordinates n / d for the ints n in the list
+        nums, built from its canonical support."""
+        return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
+
     def zero(self):
-        return Element((self.field.zero,) * self.dim)
+        return Element._of(self.field, self.dim, (1, ()))
 
     def basis_element(self, i):
         if self._basis_cache is None:
-            F = self.field
-            cache = []
-            for k in range(self.dim):
-                coords = [F.zero] * self.dim
-                coords[k] = F.one
-                cache.append(Element(tuple(coords)))
-            self._basis_cache = cache
+            self._basis_cache = [
+                Element._of(self.field, self.dim, (1, ((k, 1),))) for k in range(self.dim)
+            ]
         return self._basis_cache[i]
 
     def is_zero(self, a):
-        return not any(a.coords)
+        return not a.support[1]
 
     def equal(self, a, b):
-        return a.coords == b.coords
+        return a == b
 
     def _combine(self, a, b, sign):
         """a + sign * b for sign = 1 or -1, on the integer supports over the
@@ -217,7 +257,7 @@ class AlgebraPresentation:
             acc[i] = n * fa
         for i, n in sb:
             acc[i] += n * fb
-        return Element(*self.field.from_ints(acc, d))
+        return self._from_ints(acc, d)
 
     def add(self, a, b):
         return self._combine(a, b, 1)
@@ -234,7 +274,7 @@ class AlgebraPresentation:
         acc = [0] * self.dim
         for i, n in sa:
             acc[i] = n * c.numerator
-        return Element(*self.field.from_ints(acc, d * c.denominator))
+        return self._from_ints(acc, d * c.denominator)
 
     # -- products ---------------------------------------------------------
 
@@ -260,7 +300,7 @@ class AlgebraPresentation:
     def mul(self, a, b):
         """Bilinear extension of the structure constants: integer products
         over the supports of a and b, one division per coordinate."""
-        if len(a.coords) != self.dim or len(b.coords) != self.dim:
+        if len(a) != self.dim or len(b) != self.dim:
             raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
         da, sa = a.support
@@ -276,7 +316,7 @@ class AlgebraPresentation:
                     xy = x * y
                     for k, c in entries:
                         acc[k] += xy * c
-        return Element(*self.field.from_ints(acc, da * db * D))
+        return self._from_ints(acc, da * db * D)
 
     def mul_basis(self, i, j):
         """Product of two basis elements, as an Element."""
@@ -299,7 +339,7 @@ class AlgebraPresentation:
         for i, x in sa:
             for j, s in rows[i]:
                 acc[j] += x * s
-        return Element(*self.field.from_ints(acc, da * D))
+        return self._from_ints(acc, da * D)
 
     def commutator(self, a, b):
         return self.sub(self.mul(a, b), self.mul(b, a))
@@ -392,15 +432,21 @@ def unital_hull(P):
 
 
 def embed_in_hull(H, el):
-    """Lift an element of the original algebra into its hull H."""
-    return H.element(tuple(el.coords) + (H.field.zero,))
+    """Lift an element of the original algebra into its hull H: the same
+    support, with a zero unit coordinate."""
+    if len(el) != H.dim - 1:
+        raise DimensionError(f"element has {len(el)} coords, expected {H.dim - 1}")
+    return Element._of(H.field, H.dim, el.support)
 
 
 def restrict_from_hull(P, el):
     """Drop the unit coordinate of a hull element that lies in the ideal."""
-    if el.coords[-1]:
+    if len(el) != P.dim + 1:
+        raise DimensionError(f"element has {len(el)} coords, expected {P.dim + 1}")
+    _, pairs = el.support
+    if pairs and pairs[-1][0] == P.dim:
         raise DimensionError("element does not lie in the embedded algebra")
-    return P.element(el.coords[:-1])
+    return Element._of(P.field, P.dim, el.support)
 
 
 def _ideal_round(P, vectors, old, n):
@@ -542,7 +588,7 @@ def hypotheses_for(P, e, wants):
     for name in wants:
         if name not in HYPOTHESES:
             raise ValueError(f"unknown hypothesis {name!r}")
-        key = (name, None if e is None else e.coords)
+        key = (name, None if e is None else e.support)
         if key not in P._memo:
             P._memo[key] = HYPOTHESES[name](P, e)
         out[name] = P._memo[key]
@@ -581,8 +627,8 @@ def axiom_violations(P):
                         key = (h, i, j, l)
                         right[key] = right.get(key, 0) + c1 * c2
     keys = list(set(left) | set(right))
-    diffs, _ = F.from_ints([left.get(key, 0) - right.get(key, 0) for key in keys], 1)
-    bad_triples = sorted({key[:3] for key, d in zip(keys, diffs) if d})
+    _, nonzero = F.from_ints([left.get(key, 0) - right.get(key, 0) for key in keys], 1)
+    bad_triples = sorted({keys[n][:3] for n, _ in nonzero})
     for i, j, k in bad_triples:
         violations.append(
             Violation(
@@ -594,8 +640,7 @@ def axiom_violations(P):
 
     if P.has_involution:
         for i in range(dim):
-            twice = P.involve(P.involve(P.basis_element(i)))
-            if twice.coords != P.basis_element(i).coords:
+            if P.involve(P.involve(P.basis_element(i))) != P.basis_element(i):
                 violations.append(
                     Violation("involution-order2", (i,), f"b{i}** != b{i}")
                 )
@@ -627,8 +672,8 @@ def axiom_violations(P):
                     if diff:
                         pairs.append((i, j))
                         diffs.append(diff)
-        diffs, _ = F.from_ints(diffs, 1)
-        for i, j in sorted({key for key, d in zip(pairs, diffs) if d}):
+        _, nonzero = F.from_ints(diffs, 1)
+        for i, j in sorted({pairs[n] for n, _ in nonzero}):
             violations.append(
                 Violation(
                     "involution-antiautomorphism",
@@ -640,10 +685,7 @@ def axiom_violations(P):
     if P.unital:
         for i in range(dim):
             b_i = P.basis_element(i)
-            if (
-                P.mul(P.unit, b_i).coords != b_i.coords
-                or P.mul(b_i, P.unit).coords != b_i.coords
-            ):
+            if P.mul(P.unit, b_i) != b_i or P.mul(b_i, P.unit) != b_i:
                 violations.append(
                     Violation("unit", (i,), f"declared unit does not fix b{i}")
                 )

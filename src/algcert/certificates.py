@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     axiom_violations,
@@ -116,19 +117,32 @@ def random_scalar(field, rng, lo=-3, hi=3):
 
 
 def random_element(P, rng, subspace=None, nonzero=False):
+    """sum c_r * row_r over the basis rows of subspace (of P when it is
+    None), one ``random_scalar`` c_r per row and draw; with nonzero, drawn
+    again until the sum is nonzero.
+
+    A basis row is an integer row of the subspace over its pivot entry, so
+    the sum runs on ints over the lcm m of the pivot entries (m = 1 over
+    F_p, whose pivot entries are 1)."""
     F = P.field
-    rows = subspace.basis if subspace is not None else [
-        P.basis_element(i).coords for i in range(P.dim)
-    ]
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+    if subspace is None:
+        m, rows = 1, [(1, ((i, 1),)) for i in range(P.dim)]
+    else:
+        int_rows = subspace._int_rows()
+        m = lcm(*(row[j] for j, row in zip(subspace.pivots, int_rows)))
+        rows = [
+            (m // row[j], [(k, row[k]) for k in itertools.compress(range(len(row)), row)])
+            for j, row in zip(subspace.pivots, int_rows)
+        ]
     for _ in range(64):
-        acc = [F.zero] * P.dim
-        for row in rows:
-            c = random_scalar(F, rng)
+        acc = [0] * P.dim
+        for f, row in rows:
+            c = random_scalar(F, rng).numerator
             if c:
+                c *= f
                 for k, x in row:
-                    acc[k] = F.add(acc[k], F.mul(c, x))
-        el = P.element(acc)
+                    acc[k] += c * x
+        el = P._from_ints(acc, m)
         if not nonzero or not P.is_zero(el):
             return el
     raise ValueError("could not sample a nonzero element (zero subspace?)")
@@ -283,25 +297,28 @@ class _SandwichWitnesses:
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
         self.products = []  # (u_label, u_el, v_label, v_el)
+        self.lefts = []  # u * mid for every word u up to the current length
         self.length = -1
 
     def _grow_to(self, L):
+        Pw, mid = self.Pw, self.mid
         while self.length < L:
             self.length += 1
             new = self.words.level(self.length) if self.length >= 1 else [("", None)]
-            old = self.words.words_upto(self.length - 1, include_empty=True) if self.length >= 1 else []
+            upto = self.words.words_upto(self.length, include_empty=True)
+            old = upto[:len(upto) - len(new)]
+            # u * mid for each word u of upto, in order; old's are known.
+            lefts = self.lefts
+            lefts.extend(mid if u is None else Pw.mul(u, mid) for _, u in new)
             # all pairs (u, v) with max(|u|, |v|) == current length
-            pairs = []
-            for ul, u in new:
-                for vl, v in self.words.words_upto(self.length, include_empty=True):
-                    pairs.append((ul, u, vl, v))
-            for ul, u in old:
-                for vl, v in new:
-                    pairs.append((ul, u, vl, v))
-            for ul, u, vl, v in pairs:
-                prod = _sandwich(self.Pw, u, self.mid, v)
+            pairs = itertools.chain(
+                ((ul, u, left, vl, v)
+                 for (ul, u), left in zip(new, lefts[len(old):]) for vl, v in upto),
+                ((ul, u, left, vl, v) for (ul, u), left in zip(old, lefts) for vl, v in new),
+            )
+            for ul, u, left, vl, v in pairs:
                 self.products.append((ul, u, vl, v))
-                self.solver.add(prod)
+                self.solver.add(left if v is None else Pw.mul(left, v))
 
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)]."""
@@ -706,7 +723,7 @@ def _graded_split(P, e, grading=None):
     per presentation and idempotent and memoised on P: z_grading is a
     function of (P, e). K and H do not depend on the grading, so the split
     also serves as P's ungraded one (``_skew_part``)."""
-    key = ("kh_split", e.coords)
+    key = ("kh_split", e.support)
     if key not in P._memo:
         grading = grading if grading is not None else z_grading(P, e)
         P._memo[key] = grading, kh_split(P, grading)

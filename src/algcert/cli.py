@@ -53,6 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _int_at_least(low):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser():
     top = _Parser(prog="algcert", description=__doc__)
     top.add_argument("--version", action="version", version=f"algcert {__version__}")
@@ -86,16 +99,16 @@ def _build_parser():
     p_ora.add_argument("file")
     p_ora.add_argument("--structure", required=True, choices=STRUCTURES)
     p_ora.add_argument("--gens", required=True)
-    p_ora.add_argument("--max-len", type=int, required=True)
+    p_ora.add_argument("--max-len", type=_int_at_least(1), required=True)
     p_ora.add_argument("-o", "--output", default=None)
 
     p_cert = sub.add_parser("certify", help="run a generation certificate")
     p_cert.add_argument("file")
     p_cert.add_argument("--claim", required=True, choices=certs.CLAIMS)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--cap", type=int, default=6)
-    p_cert.add_argument("--trials", type=int, default=50)
-    p_cert.add_argument("--max-gen", type=int, default=5)
+    p_cert.add_argument("--cap", type=_int_at_least(0), default=6)
+    p_cert.add_argument("--trials", type=_int_at_least(1), default=50)
+    p_cert.add_argument("--max-gen", type=_int_at_least(1), default=5)
     p_cert.add_argument("-o", "--output", default=None)
 
     return top

@@ -288,7 +288,7 @@ def pair_closure(P, S, kind=None, components=None):
 def _dedupe_exact(elements):
     seen = {}
     for el in elements:
-        seen.setdefault(el.coords, el)
+        seen.setdefault(el.support, el)
     return list(seen.values())
 
 

@@ -13,8 +13,13 @@ denominators. A vector is cleared against a row fraction-free, as
 w <- a*w - c*row (after Bareiss 1968), and divided by its gcd when it is
 stored. Over F_p a row is a list of residues with pivot entry 1, and the
 same loop runs mod p. Fractions appear only in the snapshots: the basis of
-a :class:`Subspace` and the remainder ``reduce`` returns. An Element passed
-as a vector hands over its integer support.
+a :class:`Subspace`, the remainder ``reduce`` returns and the coefficients
+of a :class:`CombinationSolver`. An Element passed as a vector hands over
+its integer support, and nothing here reads its dense coordinates.
+
+The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
+the canonical support of the vector nums / d (an Element's form, see
+``algebra``), and ``to_coords`` the dense tuple of a support.
 
 Everything here is immutable after construction except :class:`SpanBuilder`,
 the mutable accumulator used while a span is still growing.
@@ -65,19 +70,27 @@ class RationalField:
         return 1 / Fraction(a)
 
     def from_ints(self, nums, d):
-        """The vector with coordinates n / d for the ints n in the list nums:
-        (coords, (d', ((k, n'), ...))), its canonical coordinates and its
-        nonzero ones as ints n' over the lcm d' of their denominators."""
+        """The support (d', ((k, n'), ...)) of the vector with coordinates
+        n / d for the ints n in the list nums: its nonzero coordinates as
+        ints n' over the lcm d' > 0 of their denominators, which is nums
+        and d divided by their gcd."""
         nonzero = list(compress(range(len(nums)), nums))
-        g = gcd(d, *(nums[k] for k in nonzero))
-        d //= g
-        out = [self.zero] * len(nums)
-        support = []
-        for k in nonzero:
-            n = nums[k] // g
+        values = [nums[k] for k in nonzero]
+        g = gcd(d, *values)
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            values = [n // g for n in values]
+        return d, tuple(zip(nonzero, values))
+
+    def to_coords(self, support, dim):
+        """The dense coordinate tuple of length dim of a support."""
+        d, pairs = support
+        out = [self.zero] * dim
+        for k, n in pairs:
             out[k] = Fraction(n, d)
-            support.append((k, n))
-        return tuple(out), (d, tuple(support))
+        return tuple(out)
 
     def parse(self, s):
         if not isinstance(s, str) or not _RAT_RE.match(s):
@@ -135,18 +148,24 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def from_ints(self, nums, d):
-        """The vector with coordinates n / d for the ints n in the list nums:
-        (coords, (1, ((k, residue), ...))), its residues and its nonzero
-        ones."""
+        """The support (1, ((k, residue), ...)) of the vector with
+        coordinates n / d for the ints n in the list nums: its nonzero
+        residues."""
         p = self.p
         inv = pow(d, -1, p)
-        out = list(nums)
         support = []
-        for k in compress(range(len(out)), out):
-            r = out[k] = out[k] * inv % p
+        for k in compress(range(len(nums)), nums):
+            r = nums[k] * inv % p
             if r:
                 support.append((k, r))
-        return tuple(out), (1, tuple(support))
+        return 1, tuple(support)
+
+    def to_coords(self, support, dim):
+        """The dense residue tuple of length dim of a support."""
+        out = [0] * dim
+        for k, r in support[1]:
+            out[k] = r
+        return tuple(out)
 
     def parse(self, s):
         if not isinstance(s, str) or not _INT_RE.match(s):
@@ -302,9 +321,10 @@ class _Echelon:
 
     def reduce(self, vec):
         """Remainder of vec after elimination against the rows."""
-        d, w = _int_vector(self.field, vec, self.ambient_dim)
-        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(self.field))
-        return self.field.from_ints(w, d * s)[0]
+        F = self.field
+        d, w = _int_vector(F, vec, self.ambient_dim)
+        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(F))
+        return F.to_coords(F.from_ints(w, d * s), self.ambient_dim)
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -404,7 +424,10 @@ class SpanBuilder(_Echelon):
 
     def subspace(self):
         F = self.field
-        basis = tuple(F.from_ints(row, row[j])[0] for j, row in zip(self.pivots, self.rows))
+        n = self.ambient_dim
+        basis = tuple(
+            F.to_coords(F.from_ints(row, row[j]), n) for j, row in zip(self.pivots, self.rows)
+        )
         return Subspace(F, self.ambient_dim, basis, tuple(self.pivots), tuple(self.rows))
 
 
@@ -455,6 +478,14 @@ def _ratio(F, n, d):
     return F.mul(F.coerce(n), F.inv(F.coerce(d)))
 
 
+def _coordinates(F, vec, ambient_dim):
+    """k -> the k-th coordinate of vec as a scalar, read from its integer
+    form (an Element's support), so no dense coordinate tuple is built."""
+    d, w = _int_vector(F, vec, ambient_dim)
+    inv = F.inv(F.coerce(d))
+    return lambda k: F.mul(F.coerce(w[k]), inv) if w[k] else F.zero
+
+
 class CombinationSolver:
     """Incremental exact solver that remembers how each pivot row was formed
     from the input vectors, so a solve returns explicit combination
@@ -486,13 +517,13 @@ class CombinationSolver:
             return False
         at = next(k for k, j in enumerate(span.pivots) if k == len(pivots) or j != pivots[k])
         j = span.pivots[at]
-        coords = getattr(vec, "coords", vec)
+        coord = _coordinates(F, vec, self.ambient_dim)
         # vec minus sum vec[p] * row over the old canonical rows, at column j
         # and as a combination of the inputs; scaled so its pivot entry is 1.
-        r = coords[j]
+        r = coord(j)
         c = {idx: F.one}
         for p, row, cb in zip(pivots, rows, self.combos):
-            f = coords[p]
+            f = coord(p)
             if f:
                 if row[j]:
                     r = F.sub(r, F.mul(f, _ratio(F, row[j], row[p])))
@@ -520,10 +551,10 @@ class CombinationSolver:
         if not span.contains(target):
             return None
         F = self.field
-        coords = getattr(target, "coords", target)
+        coord = _coordinates(F, target, self.ambient_dim)
         c = {}
         for p, cb in zip(span.pivots, self.combos):
-            f = coords[p]
+            f = coord(p)
             if f:
                 for i, b in cb.items():
                     c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))

@@ -331,3 +331,45 @@ def test_booleans_are_not_integers(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: $.dim:")
+
+
+def test_integer_flags_below_their_minimum_exit1(capsys, tmp_path):
+    # --max-gen 0 and --max-len 0 used to end in a ValueError traceback, and
+    # --trials 0 in a vacuous pass after no trials.
+    path = _build(capsys, tmp_path, "m3f.json", "--kind", "flip_matrix_n", "--n", "3")
+    certify = ("certify", path, "--claim")
+    oracle = ("oracle", path, "--structure", "lie", "--gens", "E12,E21")
+    for argv in (
+        (*certify, "stagnation", "--max-gen", "0"),
+        (*certify, "stagnation", "--trials", "0"),
+        (*certify, "stagnation", "--trials", "-3"),
+        (*certify, "lemma7", "--trials", "0"),
+        (*certify, "lemma9", "--trials", "-1"),
+        (*certify, "lemma2", "--cap", "-1"),
+        (*oracle, "--max-len", "0"),
+        (*oracle, "--max-len", "-2"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and "must be at least" in err, argv
+        assert "Traceback" not in err, argv
+    code, _, err = _run(capsys, *certify, "stagnation", "--trials", "x")
+    assert code == 1
+    assert "invalid int value: 'x'" in err
+
+
+def test_integer_flags_at_their_minimum_run(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m3f.json", "--kind", "flip_matrix_n", "--n", "3")
+    for argv in (
+        ("certify", path, "--claim", "stagnation", "--trials", "1", "--max-gen", "1"),
+        ("certify", path, "--claim", "lemma7", "--trials", "1"),
+        ("oracle", path, "--structure", "lie", "--gens", "E12,E21", "--max-len", "1"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert json.loads(out)["result"], argv
+    # --cap 0 allows only the empty words; lemma 2 needs longer ones and says so.
+    code, out, err = _run(capsys, "certify", path, "--claim", "lemma2", "--cap", "0")
+    assert code == 1
+    assert "no decomposition found with word length <= 0" in err
