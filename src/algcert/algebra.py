@@ -9,7 +9,10 @@ ints over a common denominator, made canonical by dividing out their gcd.
 Sums, scalings, products and the involution work on supports and the
 presentation's integer tables and hand the canonical support of the result
 to the new element; its dense coordinates, Fractions over Q and residues
-over F_p, are built only when something reads them.
+over F_p, are built only when something reads them. A product the table
+makes zero costs no division: the reach of a (``_reach``), the indices j
+with b_i * b_j != 0 for some i in its support, tells which products a * b
+can be nonzero, and callers skip the others.
 
 The presentation is treated as immutable once built; every operation is a
 pure function of its inputs. The axiom checks and the named generation
@@ -247,9 +250,14 @@ class AlgebraPresentation:
 
     def _combine(self, a, b, sign):
         """a + sign * b for sign = 1 or -1, on the integer supports over the
-        lcm of their denominators, converted once."""
+        lcm of their denominators, converted once. A zero b gives a, and a
+        zero a with sign 1 gives b."""
         da, sa = a.support
         db, sb = b.support
+        if not sb:
+            return a
+        if not sa and sign == 1:
+            return b
         d = lcm(da, db)
         fa, fb = d // da, sign * (d // db)
         acc = [0] * self.dim
@@ -290,6 +298,12 @@ class AlgebraPresentation:
             rows[i][j] = _over(D, entries)
         return D, rows
 
+    def _reach(self, a):
+        """The indices j with b_i * b_j != 0 for some i in the support of a:
+        a * b is zero whenever the support of b misses them."""
+        _, rows = self._int_mul
+        return set().union(*(rows[i] for i, _ in a.support[1]))
+
     @functools.cached_property
     def _int_star(self):
         """(D, rows): the involution as ints over their common denominator
@@ -299,7 +313,8 @@ class AlgebraPresentation:
 
     def mul(self, a, b):
         """Bilinear extension of the structure constants: integer products
-        over the supports of a and b, one division per coordinate."""
+        over the supports of a and b, one division per coordinate. A product
+        whose terms all vanish is the zero element, with no division."""
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
@@ -316,6 +331,8 @@ class AlgebraPresentation:
                     xy = x * y
                     for k, c in entries:
                         acc[k] += xy * c
+        if not any(acc):
+            return self.zero()
         return self._from_ints(acc, da * db * D)
 
     def mul_basis(self, i, j):
@@ -470,18 +487,21 @@ def ideal_span(P, x, unit_coeff=0):
 
     With unit_coeff=0 this is the two-sided product space R x R; unit_coeff=1
     gives R(1+x)R, which is how complements like 1-e are handled without
-    leaving the algebra.
+    leaving the algebra. The seeds are the products (b_i x + c b_i) b_j for
+    the b_j in the reach of the left factor, in index order; the others are
+    zero, and a zero left factor yields none.
     """
     coeff = P.field.coerce(unit_coeff)
 
     def products():
         for i in range(P.dim):
-            # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity.
+            # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity; it is zero
+            # unless b_j lies in the reach of the left factor.
             b_i = P.basis_element(i)
             left = P.mul(b_i, x)
             if coeff:
                 left = P.add(left, P.scale(coeff, b_i))
-            for j in range(P.dim):
+            for j in sorted(P._reach(left)):
                 yield P.mul(left, P.basis_element(j))
 
     return _ideal_closure(P, products())

@@ -297,11 +297,16 @@ class _SandwichWitnesses:
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
         self.products = []  # (u_label, u_el, v_label, v_el)
-        self.lefts = []  # u * mid for every word u up to the current length
+        self.lefts = []  # (u * mid, its reach) for each word u up to the length
         self.length = -1
 
     def _grow_to(self, L):
+        """Add the products u*mid*v with max(|u|, |v|) = length for each
+        length up to L. A product is (u*mid)*v, and it goes to the solver as
+        zero, uncomputed, when v misses the reach of u*mid; ``products`` and
+        the solver's input indices are the same either way."""
         Pw, mid = self.Pw, self.mid
+        zero = Pw.zero()
         while self.length < L:
             self.length += 1
             new = self.words.level(self.length) if self.length >= 1 else [("", None)]
@@ -309,16 +314,23 @@ class _SandwichWitnesses:
             old = upto[:len(upto) - len(new)]
             # u * mid for each word u of upto, in order; old's are known.
             lefts = self.lefts
-            lefts.extend(mid if u is None else Pw.mul(u, mid) for _, u in new)
+            for _, u in new:
+                left = mid if u is None else Pw.mul(u, mid)
+                lefts.append((left, Pw._reach(left)))
             # all pairs (u, v) with max(|u|, |v|) == current length
             pairs = itertools.chain(
                 ((ul, u, left, vl, v)
                  for (ul, u), left in zip(new, lefts[len(old):]) for vl, v in upto),
                 ((ul, u, left, vl, v) for (ul, u), left in zip(old, lefts) for vl, v in new),
             )
-            for ul, u, left, vl, v in pairs:
+            for ul, u, (left, reach), vl, v in pairs:
                 self.products.append((ul, u, vl, v))
-                self.solver.add(left if v is None else Pw.mul(left, v))
+                if v is None:
+                    self.solver.add(left)
+                elif reach.isdisjoint(i for i, _ in v.support[1]):
+                    self.solver.add(zero)
+                else:
+                    self.solver.add(Pw.mul(left, v))
 
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)]."""

@@ -104,7 +104,13 @@ def presentation_from_dict(d):
     def vector(v, pointer):
         _expect(isinstance(v, list), "vector must be a list", pointer)
         _expect(len(v) == dim, f"vector length {len(v)} != dim {dim}", pointer)
-        return [scalar(x, f"{pointer}[{i}]") for i, x in enumerate(v)]
+        out = []
+        for x in v:
+            try:
+                out.append(field.parse(x))
+            except FormatError as exc:
+                raise FormatError(str(exc), f"{pointer}[{len(out)}]") from None
+        return out
 
     mul = d["mul"]
     _expect(isinstance(mul, list), "mul must be a list", "$.mul")
@@ -171,7 +177,9 @@ def presentation_from_dict(d):
 def loads_presentation(text):
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal past the
+        # interpreter's limit on the digits of an int-string conversion.
         raise FormatError(f"invalid JSON: {exc}", "$") from None
     return presentation_from_dict(data)
 

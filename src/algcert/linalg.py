@@ -15,7 +15,9 @@ stored. Over F_p a row is a list of residues with pivot entry 1, and the
 same loop runs mod p. Fractions appear only in the snapshots: the basis of
 a :class:`Subspace`, the remainder ``reduce`` returns and the coefficients
 of a :class:`CombinationSolver`. An Element passed as a vector hands over
-its integer support, and nothing here reads its dense coordinates.
+its integer support, and nothing here reads its dense coordinates; a zero
+Element is only length-checked (and counted by the solver), never
+eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
 the canonical support of the vector nums / d (an Element's form, see
@@ -38,6 +40,16 @@ from .errors import DimensionError, FieldMismatchError, FormatError
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
+
+
+def _digits(s):
+    """int(s) for a string of digits; past the interpreter's limit on the
+    digits of an int-string conversion, a FormatError rather than int's
+    ValueError."""
+    try:
+        return int(s)
+    except ValueError:
+        raise FormatError(f"number too long to convert: {len(s)} characters") from None
 
 
 class RationalField:
@@ -95,8 +107,9 @@ class RationalField:
     def parse(self, s):
         if not isinstance(s, str) or not _RAT_RE.match(s):
             raise FormatError(f"not a rational scalar: {s!r}")
+        num, _, den = s.partition("/")
         try:
-            return Fraction(s)
+            return Fraction(_digits(num), _digits(den) if den else 1)
         except ZeroDivisionError:
             raise FormatError(f"zero denominator in rational scalar: {s!r}") from None
 
@@ -170,7 +183,7 @@ class PrimeField:
     def parse(self, s):
         if not isinstance(s, str) or not _INT_RE.match(s):
             raise FormatError(f"not a prime-field scalar: {s!r}")
-        return int(s) % self.p
+        return _digits(s) % self.p
 
     def format(self, a):
         return str(a % self.p)
@@ -228,7 +241,7 @@ def field_from_name(name):
         tail = name[3:]
         if not _INT_RE.match(tail):
             raise FormatError(f"bad prime field tag: {name!r}")
-        return PrimeField(int(tail))
+        return PrimeField(_digits(tail))
     raise FormatError(f"unknown field tag: {name!r}")
 
 
@@ -247,6 +260,12 @@ def format_vector(field, vec):
 def _check_length(vec, ambient_dim):
     if len(vec) != ambient_dim:
         raise DimensionError(f"vector length {len(vec)} != ambient dim {ambient_dim}")
+
+
+def _is_zero_element(vec):
+    """True for an Element (anything with a ``support``) that is zero."""
+    support = getattr(vec, "support", None)
+    return support is not None and not support[1]
 
 
 def _first_nonzero(v):
@@ -402,8 +421,9 @@ class SpanBuilder(_Echelon):
         return self.rows
 
     def add(self, vec):
-        """Insert vec into the span. Returns True iff the rank grew."""
-        if self.is_full:
+        """Insert vec into the span. Returns True iff the rank grew. A full
+        span and a zero Element return False once the length is checked."""
+        if self.is_full or _is_zero_element(vec):
             _check_length(vec, self.ambient_dim)
             return False
         p = _modulus(self.field)
@@ -507,10 +527,14 @@ class CombinationSolver:
         self.combos = []  # per span row, sparse dicts: input index -> coefficient
 
     def add(self, vec):
-        """Register one more input vector. Returns True iff the rank grew."""
+        """Register one more input vector. Returns True iff the rank grew.
+        A zero Element is only counted, once its length is checked."""
         F = self.field
         idx = self.count
         self.count += 1
+        if _is_zero_element(vec):
+            _check_length(vec, self.ambient_dim)
+            return False
         span = self._span
         pivots, rows = list(span.pivots), list(span.rows)
         if not span.add(vec):

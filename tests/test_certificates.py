@@ -650,6 +650,42 @@ def test_change_of_basis_keeps_verdicts_and_ranks(field):
         assert sigs[0] == sigs[1]
 
 
+def _claim_signature(cert):
+    """Verdict, hypotheses and every rank or dimension a certificate reports."""
+    report = cert.to_json_dict()
+    detail = report["detail"]
+    sig = {k: v for k, v in report.items() if k.startswith("target_rank")}
+    sig.update(
+        (k, v) for k, v in detail.items() if "rank" in k or "dims" in k or k == "hypotheses"
+    )
+    sig["verdict"] = cert.verdict
+    sig["final_rank"] = cert.trace.final_rank if cert.trace is not None else None
+    return sig
+
+
+# The simple and semiprime checks behind lemma8 and lemma9 run on basis
+# elements, so they depend on the basis; every other claim's hypotheses
+# are basis-free.
+_BASIS_FREE_CLAIMS = {
+    "m3_flip": sorted(cc.CLAIMS),
+    "example2_D2": sorted(set(cc.CLAIMS) - {"lemma8", "lemma9"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BASIS_FREE_CLAIMS))
+def test_change_of_basis_keeps_every_claim(name):
+    P = m3("flip") if name == "m3_flip" else ac.build_example2(2)
+    D = dense_change_of_basis(P, 5)
+    assert all(D._reach(D.basis_element(i)) == set(range(D.dim)) for i in range(D.dim))
+    opts = argparse.Namespace(seed=3, cap=6, trials=8, max_gen=5)
+    verdicts = set()
+    for claim in _BASIS_FREE_CLAIMS[name]:
+        sigs = [_claim_signature(cc.certify(X, claim, opts)) for X in (P, D)]
+        assert sigs[0] == sigs[1], claim
+        verdicts.add(sigs[0]["verdict"])
+    assert "pass" in verdicts
+
+
 # -- Q against a large prime ------------------------------------------------------
 
 _LARGE_PRIME = "Fp:1000000007"

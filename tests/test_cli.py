@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 from algcert.cli import run_cli
 
@@ -153,6 +154,26 @@ def test_pointered_parse_error(capsys, tmp_path):
     code, _, err = _run(capsys, "validate", str(bad))
     assert code == 1
     assert "$.mul[2]" in err
+
+
+def test_vector_scalar_errors_point_at_the_coordinate(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2f.json", "--kind", "flip_matrix_n", "--n", "2")
+    data = json.loads(open(path).read())
+    for key, name, at, bad in (
+        ("idempotents", "e", 0, "x"),
+        ("generators", "E21", 2, "1.5"),
+        ("generators", "E22", 3, "2/0"),
+        ("unit", None, 3, ""),
+    ):
+        d = json.loads(json.dumps(data))
+        vec = d[key] if name is None else d[key][name]
+        vec[at] = bad
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(d))
+        code, out, err = _run(capsys, "validate", str(bad_path))
+        pointer = f"$.{key}[{at}]" if name is None else f"$.{key}.{name}[{at}]"
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {pointer}: "), err
 
 
 def test_unknown_flag_exit1(capsys, tmp_path):
@@ -373,3 +394,59 @@ def test_integer_flags_at_their_minimum_run(capsys, tmp_path):
     code, out, err = _run(capsys, "certify", path, "--claim", "lemma2", "--cap", "0")
     assert code == 1
     assert "no decomposition found with word length <= 0" in err
+
+
+def _huge():
+    """A digit string one digit past the interpreter's limit on int-string
+    conversions."""
+    return "7" * (sys.get_int_max_str_digits() + 1)
+
+
+def _edited(capsys, tmp_path, field, edit):
+    path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2",
+                  "--field", field)
+    with open(path) as fh:
+        d = json.load(fh)
+    edit(d)
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    return path
+
+
+def test_huge_rational_scalar_is_a_format_error(capsys, tmp_path):
+    for scalar in (_huge(), "-" + _huge(), "1/" + _huge()):
+        path = _edited(capsys, tmp_path, "Q", lambda d: d["mul"][0].__setitem__(3, scalar))
+        code, out, err = _run(capsys, "validate", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: $.mul[0][3]: number too long")
+
+
+def test_huge_prime_field_scalar_is_a_format_error(capsys, tmp_path):
+    path = _edited(capsys, tmp_path, "Fp:101",
+                   lambda d: d["idempotents"]["e"].__setitem__(1, _huge()))
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.idempotents.e[1]: number too long")
+
+
+def test_huge_field_modulus_is_a_format_error(capsys, tmp_path):
+    path = _edited(capsys, tmp_path, "Q", lambda d: d.__setitem__("field", "Fp:" + _huge()))
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.field: number too long")
+
+
+def test_huge_json_integer_is_invalid_json(capsys, tmp_path):
+    path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
+    with open(path) as fh:
+        text = fh.read()
+    assert '"dim":4' in text
+    with open(path, "w") as fh:
+        fh.write(text.replace('"dim":4', '"dim":' + _huge()))
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $: invalid JSON:")

@@ -266,6 +266,23 @@ def test_scalar_serialization():
     assert Fp.parse("9") == 4
 
 
+@pytest.mark.parametrize(
+    "s",
+    ["0", "-0", "7", "-7", "0007", "-0007", "6/4", "-6/4", "0/5", "-0/00012",
+     "0012/0008", "-360/7560", "1/1", "12345678901234567890123/98765432109876"],
+)
+def test_rational_parse_equals_fraction(s):
+    got = QQ.parse(s)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (Fraction(s).numerator, Fraction(s).denominator)
+
+
+@pytest.mark.parametrize("s", ["1/0", "-5/000", "0/0"])
+def test_rational_parse_zero_denominator(s):
+    with pytest.raises(FormatError, match="zero denominator"):
+        QQ.parse(s)
+
+
 def test_parse_vector():
     v = parse_vector(QQ, ["1", "-1/2"], 2)
     assert v == (F(1), Fraction(-1, 2))

@@ -238,13 +238,27 @@ def test_witness_terms_equal_the_uncached_search(name, data):
         assert search.solver.combos == reference.solver.combos
 
 
+def _table_reach(P, a):
+    """The indices j with b_i * b_j != 0 for some i in the support of a."""
+    return {j for i, _ in a.support[1] for j in range(P.dim) if P.mul_basis(i, j).support[1]}
+
+
 def test_witness_search_computes_each_left_factor_once(monkeypatch):
     P = m3("flip")
     _, _, (search, *_) = _witness_searches(P, _SandwichWitnesses, 2)
+    Pw, mid = search.Pw, search.mid
     words = search.words.words_upto(2, include_empty=True)  # not counted below
+    reach = {
+        ul: _table_reach(Pw, mid if u is None else Pw.mul(u, mid)) for ul, u in words
+    }
     calls = count_muls(monkeypatch)
     search._grow_to(2)
-    # One u * mid per nonempty word u and one (u * mid) * v per pair with a
-    # nonempty v.
-    with_v = sum(v is not None for *_, v in search.products)
-    assert calls[0] == (len(words) - 1) + with_v
+    # One u * mid per nonempty word u and one (u * mid) * v per pair whose v
+    # meets the reach of u * mid; the other products are zero.
+    meets = sum(
+        v is not None and not reach[ul].isdisjoint(i for i, _ in v.support[1])
+        for ul, _, _, v in search.products
+    )
+    assert len(search.products) == len(words) ** 2
+    assert 0 < meets < sum(v is not None for *_, v in search.products)
+    assert calls[0] == (len(words) - 1) + meets
