@@ -617,46 +617,84 @@ def hypotheses_for(P, e, wants):
     return out
 
 
-@_per_presentation
-def axiom_violations(P):
-    """The violated algebra axioms, as a tuple of Violations: associativity,
-    the involution laws, the unit law, then e^2 = e for every declared
-    idempotent in name order."""
-    violations = []
+def _balanced_digits(x, s, n):
+    """The n balanced base-2^s digits d_l in [-2^(s-1), 2^(s-1)) of
+    x = sum d_l 2^(s l)."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    digits = []
+    for _ in range(n):
+        d = ((x + half) & mask) - half
+        digits.append(d)
+        x = (x - d) >> s
+    return digits
+
+
+def _associativity_triples(P):
+    """The triples (i, j, k), in order, with (b_i b_j) b_k != b_i (b_j b_k).
+
+    Both sides are compared on packed rows of the integer structure
+    constants over D: slot l of the int P_mk = sum_l c_mkl 2^(s l) is the
+    coefficient of b_l in b_m b_k. For each i, (b_i b_j) b_k is
+    sum_m c_ijm P_mk and b_i (b_j b_k) is sum_m c_jkm P_im, one big-int
+    multiply-add per term in place of one per term and slot; the second
+    sum reaches the pairs (j, k) through the column index m -> (j, k, c_jkm).
+
+    A slot of either side sums at most w products of two constants, w the
+    most entries of any b_i b_j and T the largest |c|, so each slot of the
+    difference of the sides lies within 2 w T^2 < 2^s, and s is the
+    smallest width with that bound. Then the packed sides are equal iff
+    every slot is, and a nonzero difference has a nonzero balanced digit.
+    Over Q that decides the triple. Over F_p the constants are residues in
+    [0, p), so the slots lie within w T^2 < 2^(s-1) and the balanced digits
+    are the slots themselves; they may be nonzero multiples of p, so the
+    triple is a violation iff ``from_ints`` leaves one of them nonzero.
+    """
     F = P.field
     dim = P.dim
-
-    # Associativity via sparse convolution of the integer structure
-    # constants: (b_i b_j) b_k and b_i (b_j b_k) expand to coefficient dicts
-    # keyed by (i, j, k, l), both over D^2; comparing the dicts avoids dim^3
-    # dense products.
     _, rows = P._int_mul
-    left = {}
-    right = {}
-    for i, row in enumerate(rows):
-        for j, entries in row.items():
-            for m, c1 in entries:
-                # (b_i b_j) b_k for every k
-                for k, entries2 in rows[m].items():
-                    for l, c2 in entries2:
-                        key = (i, j, k, l)
-                        left[key] = left.get(key, 0) + c1 * c2
-                # b_h (b_i b_j) for every h
-                for h in range(dim):
-                    for l, c2 in rows[h].get(m, ()):
-                        key = (h, i, j, l)
-                        right[key] = right.get(key, 0) + c1 * c2
-    keys = list(set(left) | set(right))
-    _, nonzero = F.from_ints([left.get(key, 0) - right.get(key, 0) for key in keys], 1)
-    bad_triples = sorted({keys[n][:3] for n, _ in nonzero})
-    for i, j, k in bad_triples:
-        violations.append(
-            Violation(
-                "associativity",
-                (i, j, k),
-                f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})",
-            )
-        )
+    entries = [e for row in rows for e in row.values()]
+    top = max((abs(c) for e in entries for _, c in e), default=0)
+    width = max(map(len, entries), default=0)
+    s = (2 * width * top * top).bit_length()
+    packed = [
+        {k: sum(c << (s * l) for l, c in e) for k, e in row.items()} for row in rows
+    ]
+    column = [[] for _ in range(dim)]  # m -> (j, k, c_jkm)
+    for j, row in enumerate(rows):
+        for k, e in row.items():
+            for m, c in e:
+                column[m].append((j, k, c))
+    triples = []
+    for i in range(dim):
+        left = {}
+        for j, e in rows[i].items():
+            for m, c in e:
+                for k, x in packed[m].items():
+                    left[j, k] = left.get((j, k), 0) + c * x
+        right = {}
+        for m, x in packed[i].items():
+            for j, k, c in column[m]:
+                right[j, k] = right.get((j, k), 0) + c * x
+        for j, k in sorted(left.keys() | right.keys()):
+            diff = left.get((j, k), 0) - right.get((j, k), 0)
+            if diff and F.from_ints(_balanced_digits(diff, s, dim), 1)[1]:
+                triples.append((i, j, k))
+    return triples
+
+
+@_per_presentation
+def axiom_violations(P):
+    """The violated algebra axioms, as a tuple of Violations: associativity
+    (on packed rows, see ``_associativity_triples``), the involution laws,
+    the unit law, then e^2 = e for every declared idempotent in name
+    order."""
+    violations = [
+        Violation("associativity", (i, j, k), f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
+        for i, j, k in _associativity_triples(P)
+    ]
+    F = P.field
+    dim = P.dim
+    _, rows = P._int_mul
 
     if P.has_involution:
         for i in range(dim):

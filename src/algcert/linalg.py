@@ -338,15 +338,23 @@ class _Echelon:
     :class:`Subspace` and :class:`SpanBuilder`, which provide ``field``,
     ``ambient_dim``, ``pivots`` and ``_int_rows()``."""
 
+    def _int_remainder(self, vec):
+        """(d, w): the remainder of vec after elimination against the rows
+        is w / d for the int list w (residues over F_p)."""
+        d, w = _int_vector(self.field, vec, self.ambient_dim)
+        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(self.field))
+        return d * s, w
+
     def reduce(self, vec):
         """Remainder of vec after elimination against the rows."""
         F = self.field
-        d, w = _int_vector(F, vec, self.ambient_dim)
-        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(F))
-        return F.to_coords(F.from_ints(w, d * s), self.ambient_dim)
+        d, w = self._int_remainder(vec)
+        return F.to_coords(F.from_ints(w, d), self.ambient_dim)
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        """Whether the remainder of vec is zero, read off its integer form
+        without building its coordinates."""
+        return not any(self._int_remainder(vec)[1])
 
 
 @dataclass(frozen=True)

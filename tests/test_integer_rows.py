@@ -247,6 +247,31 @@ def test_sum_and_intersection_equal_fraction_elimination(field, data):
     assert builder.subspace() == subspace_sum(a, b)
 
 
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@ROWS
+@given(data=st.data())
+def test_contains_reads_the_integer_remainder(field, data):
+    # Membership is taken from the integer remainder, not from reduce's
+    # Fraction tuple; the two must agree, in and out of the span.
+    F = FIELDS[field]
+    n = data.draw(st.integers(1, 7), label="n")
+    vectors = _stream(data, F, n, data.draw(st.integers(0, 6)), 0.3)
+    builder = SpanBuilder(F, n)
+    for v in vectors:
+        builder.add(v)
+    sub = builder.subspace()
+    probes = [data.draw(_vectors(F, n, data.draw(st.booleans()))) for _ in range(3)]
+    if vectors:
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+        probes.append(_combination(F, vectors, coeffs))
+    for t in probes:
+        for span in (sub, builder):
+            for probe in (t, Element(t)):
+                assert span.contains(probe) == (not any(span.reduce(probe)))
+    if vectors:
+        assert sub.contains(probes[-1]) and builder.contains(Element(probes[-1]))
+
+
 def test_mixed_denominators_and_signs():
     # A negative leading entry and denominators 2, 3, 5 and 7; the third
     # vector is the sum of the first two.
