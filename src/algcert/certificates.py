@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 from .algebra import (
     axiom_violations,
@@ -282,12 +283,16 @@ def _sandwich(Pw, u, mid, v):
 
 
 class _SandwichWitnesses:
-    """Finds minimal-length decompositions target = sum alpha * u*mid*v.
+    """Finds decompositions target = sum alpha * u*mid*v.
 
     Words u, v range over products of the declared generators, the empty
-    word included (it stands for the hull's unit). Lengths grow one at a
-    time and the first solvable length is recorded per target, so the
-    witnesses are minimal and deterministic.
+    word included (it stands for the hull's unit). The search grows one
+    word length at a time, and only until the target lies in the span, so
+    ``length`` is the least length that decomposes every target so far.
+    That length belongs to the search, not to a target: a later target
+    reads 0 once the span already holds it. The solver combines only inputs
+    that grew its rank, which are linearly independent, so a target's terms
+    are unique and growing more levels leaves them unchanged.
     """
 
     def __init__(self, Pw, mid, words, cap):
@@ -344,17 +349,27 @@ class _SandwichWitnesses:
                 return L, terms
         raise CapExceededError(what, self.cap)
 
-    def decompose_upto(self, target, extra, what):
-        """Union of decomposition terms at the minimal length and up to
-        ``extra`` longer word-span levels (more witnesses on retries)."""
-        Lmin, terms = self.decompose(target, what)
-        out = list(terms)
-        for L in range(Lmin + 1, min(Lmin + extra, self.cap) + 1):
-            self._grow_to(L)
-            sol = self.solver.solve(target)
-            if sol is not None:
-                out.extend((c,) + self.products[i] for i, c in sorted(sol.items()))
-        return Lmin, out
+
+def _witness_search(P, e, f, cap, budget):
+    """The witness search over e and f (1 - e when f is None, taken in the
+    hull when P has no unit): the working copy, the declared generators
+    lifted into it, one ``_WordLevels`` over them and one
+    ``_SandwichWitnesses`` for each of e and f. Lemma 2 and lemma 5 read
+    the generators' decompositions from it; theorem 2 builds one for both.
+    """
+    budget = word_budget(budget)
+    Pw, lift, lower = _working(P)
+    gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
+    if not gens:
+        raise MissingGeneratorsError(f"{P.name} declares no generators")
+    words = _WordLevels(Pw, gens, budget)
+    e_w = lift(e)
+    f_w = Pw.sub(Pw.unit, e_w) if f is None else lift(f)
+    return SimpleNamespace(
+        Pw=Pw, lift=lift, lower=lower, gens=gens, words=words,
+        wit_e=_SandwichWitnesses(Pw, e_w, words, cap),
+        wit_f=_SandwichWitnesses(Pw, f_w, words, cap),
+    )
 
 
 # -- lemma1 ---------------------------------------------------------------
@@ -393,21 +408,17 @@ def lemma1_certificate(P, e=None):
 # -- lemma2 ---------------------------------------------------------------
 
 
-def _lemma2_impl(P, e, f=None, cap=6, budget=None):
-    """Shared construction for the bounded sandwich-word generating set.
+def _lemma2_impl(P, search):
+    """The bounded sandwich-word generating set over a ``_witness_search``.
 
-    Returns (GeneratorSet, info) where info carries d, the word bound, the
-    pair components (eRf-span, fRe-span) and witness lengths per generator.
+    Decomposes every declared generator over the search's e and f; d, the
+    larger of the lengths the two searches grew to, is the least length
+    that decomposes them all.
+    Returns (GeneratorSet, info) where info carries d, the word bound 3d + 1
+    and the pair components (eRf-span, fRe-span).
     """
-    budget = word_budget(budget)
-    Pw, lift, lower = _working(P)
-    e_w = lift(e)
-    f_is_complement = f is None
-    f_w = Pw.sub(Pw.unit, e_w) if f_is_complement else lift(f)
-
-    gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
-    if not gens:
-        raise MissingGeneratorsError(f"{P.name} declares no generators")
+    Pw, lift, lower, words = search.Pw, search.lift, search.lower, search.words
+    e_w, f_w = search.wit_e.mid, search.wit_f.mid
 
     # Pair components over the original algebra's basis.
     comp_minus_b = SpanBuilder(P.field, P.dim)
@@ -419,16 +430,10 @@ def _lemma2_impl(P, e, f=None, cap=6, budget=None):
     comp_minus = comp_minus_b.subspace()
     comp_plus = comp_plus_b.subspace()
 
-    words = _WordLevels(Pw, gens, budget)
-    wit_e = _SandwichWitnesses(Pw, e_w, words, cap)
-    wit_f = _SandwichWitnesses(Pw, f_w, words, cap)
-    lengths = {}
-    d = 0
-    for name, el in gens:
-        Le, _ = wit_e.decompose(el, f"{name} over e")
-        Lf, _ = wit_f.decompose(el, f"{name} over f")
-        lengths[name] = (Le, Lf)
-        d = max(d, Le, Lf)
+    for name, el in search.gens:
+        search.wit_e.decompose(el, f"{name} over e")
+        search.wit_f.decompose(el, f"{name} over f")
+    d = max(search.wit_e.length, search.wit_f.length)
     bound = 3 * d + 1
 
     items = []
@@ -458,14 +463,7 @@ def _lemma2_impl(P, e, f=None, cap=6, budget=None):
                 break
 
     gens_out = generator_set("assoc-pair", items, sides)
-    info = {
-        "d": d,
-        "word_bound": bound,
-        "witness_lengths": lengths,
-        "components": (comp_minus, comp_plus),
-        "f_is_complement": f_is_complement,
-    }
-    return gens_out, info
+    return gens_out, {"d": d, "word_bound": bound, "components": (comp_minus, comp_plus)}
 
 
 def lemma2_generating_set(P, e=None, f=None, cap=6, budget=None):
@@ -476,7 +474,7 @@ def lemma2_generating_set(P, e=None, f=None, cap=6, budget=None):
     f defaults to 1 - e (taken in the hull when the algebra is not unital).
     """
     e = _resolve_idempotent(P, e)
-    gens_out, _ = _lemma2_impl(P, e, f, cap, budget)
+    gens_out, _ = _lemma2_impl(P, _witness_search(P, e, f, cap, budget))
     return gens_out
 
 
@@ -491,7 +489,7 @@ def lemma2_certificate(P, e=None, f=None, cap=6, budget=None):
         hyp["RfR=R"] = ideal_span(P, f).is_full
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma2", hyp)
-    gens, info = _lemma2_impl(P, e, f, cap, budget)
+    gens, info = _lemma2_impl(P, _witness_search(P, e, f, cap, budget))
     trace = pair_closure(P, gens, "assoc-pair", components=info["components"])
     target = info["components"]
     return Certificate(
@@ -559,8 +557,6 @@ def _distinct_index_monomials(P, pair_gens, components, budget=None):
             for t in range(len(jseq)):
                 el = P.mul(P.mul(el, inner[jseq[t]][1]), outer[iseq[t + 1]][1])
                 word += f"*{inner[jseq[t]][0]}*{outer[iseq[t + 1]][0]}"
-            if P.is_zero(el):
-                continue
             if got.add(el):
                 items.append((f"mono{sigma}{len(items)}", el, f"monomial:{word}"))
                 sides.append(sigma)
@@ -682,7 +678,7 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "theorem1", hyp, seed=seed)
 
-    pair_gens, info = _lemma2_impl(P, e, None, cap, budget)
+    pair_gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap, budget))
     comp_minus, comp_plus = info["components"]
 
     rng = random.Random(seed)
@@ -823,90 +819,62 @@ def lemma4_check(P, grading=None, e=None):
 # -- lemma5 ---------------------------------------------------------------
 
 
-def _brace_set(P, mid_name, witnesses, s_right_of):
-    """Braces {mid * w * s} over decomposition right-words w."""
+def _brace_set(P, mid_name, mid, witnesses, lower, ee):
+    """Braces {s} with s = x - x(e + e*) and x = mid * w, over the
+    decomposition right-words w (None is the empty word)."""
     out = []
     seen = SpanBuilder(P.field, P.dim)
-    for w_label, w_el in witnesses:
-        el = s_right_of(w_el)
-        br = P.brace(el)
-        if P.is_zero(br):
-            continue
+    for w_label, w in witnesses:
+        x = mid if w is None else P.mul(mid, lower(w))
+        br = P.brace(P.sub(x, P.mul(x, ee)))
         if seen.add(br):
             out.append((f"{{{mid_name}*{w_label or '1'}*s}}", br, f"witness:{w_label or '1'}"))
     return out
 
 
-def lemma5_sets(P, grading=None, e=None, cap=6, retries=2, budget=None):
+def _lemma5_impl(P, grading, search):
+    """``lemma5_sets`` over a ``_witness_search`` on the grading's e and e*."""
+    wit_minus = []
+    wit_plus = []
+    for name, el in search.gens:
+        _, terms_e = search.wit_e.decompose(el, f"{name} over e")
+        _, terms_s = search.wit_f.decompose(el, f"{name} over e*")
+        wit_minus.extend((vl, v) for _, _, _, vl, v in terms_e)
+        wit_plus.extend((vl, v) for _, _, _, vl, v in terms_s)
+
+    ee = P.add(grading.e, grading.estar)
+    minus_items = _brace_set(P, "e", grading.e, wit_minus, search.lower, ee)
+    plus_items = _brace_set(P, "e*", grading.estar, wit_plus, search.lower, ee)
+
+    spans_ok = True
+    # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1.
+    for items, sign in ((minus_items, 1), (plus_items, -1)):
+        span = SpanBuilder(P.field, P.dim)
+        for _, m, _ in items:
+            for row in grading.parts[2 * sign].basis:
+                r = P.element(row)
+                span.add(P.mul(m, r))
+                span.add(P.mul(r, m))
+        spans_ok = spans_ok and span.subspace() == grading.parts[sign]
+
+    info = {
+        "spans_ok": spans_ok,
+        "sizes": (len(minus_items), len(plus_items)),
+        "odd_dims": (grading.parts[-1].rank, grading.parts[1].rank),
+    }
+    return generator_set("lie", minus_items), generator_set("lie", plus_items), info
+
+
+def lemma5_sets(P, grading=None, e=None, cap=6, budget=None):
     """Finite skew sets M_{-1}, M_1 with R_1 = M_{-1}R_2 + R_2M_{-1} and the
     mirror equality, built from braces over decomposition witnesses.
 
     Returns (M_minus, M_plus, info); info["spans_ok"] records whether the
-    two spanning equalities hold (retried with longer witness words first).
+    two spanning equalities hold.
     """
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
     grading = grading if grading is not None else z_grading(P, e)
-    estar = grading.estar
-    ee = P.add(e, estar)
-
-    budget = word_budget(budget)
-    Pw, lift, lower = _working(P)
-    gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
-    if not gens:
-        raise MissingGeneratorsError(f"{P.name} declares no generators")
-    words = _WordLevels(Pw, gens, budget)
-    wit_e = _SandwichWitnesses(Pw, lift(e), words, cap)
-    wit_estar = _SandwichWitnesses(Pw, lift(estar), words, cap)
-
-    def s_right(x):
-        return P.sub(x, P.mul(x, ee))
-
-    def mid_right(mid):
-        def apply(w_el):
-            base = mid if w_el is None else P.mul(mid, lower(w_el))
-            return base
-        return apply
-
-    info = {"attempts": 0, "spans_ok": False}
-    minus_items = plus_items = ()
-    for attempt in range(retries + 1):
-        info["attempts"] = attempt + 1
-        wit_minus = []
-        wit_plus = []
-        for name, el in gens:
-            _, terms_e = wit_e.decompose_upto(el, attempt, f"{name} over e")
-            _, terms_s = wit_estar.decompose_upto(el, attempt, f"{name} over e*")
-            wit_minus.extend((vl, v) for _, ul, u, vl, v in terms_e)
-            wit_plus.extend((vl, v) for _, ul, u, vl, v in terms_s)
-
-        apply_e = mid_right(e)
-        apply_estar = mid_right(estar)
-        minus_items = _brace_set(
-            P, "e", wit_minus, lambda w: s_right(apply_e(w))
-        )
-        plus_items = _brace_set(
-            P, "e*", wit_plus, lambda w: s_right(apply_estar(w))
-        )
-
-        ok = True
-        # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1.
-        for items, sign in ((minus_items, 1), (plus_items, -1)):
-            span = SpanBuilder(P.field, P.dim)
-            for _, m, _ in items:
-                for row in grading.parts[2 * sign].basis:
-                    r = P.element(row)
-                    span.add(P.mul(m, r))
-                    span.add(P.mul(r, m))
-            ok = ok and span.subspace() == grading.parts[sign]
-        if ok:
-            info["spans_ok"] = True
-            break
-
-    M_minus = generator_set("lie", minus_items)
-    M_plus = generator_set("lie", plus_items)
-    info["sizes"] = (len(minus_items), len(plus_items))
-    info["odd_dims"] = (grading.parts[-1].rank, grading.parts[1].rank)
-    return M_minus, M_plus, info
+    return _lemma5_impl(P, grading, _witness_search(P, e, grading.estar, cap, budget))
 
 
 def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
@@ -928,7 +896,6 @@ def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
             "hypotheses": hyp,
             "sizes": info["sizes"],
             "odd_component_dims": info["odd_dims"],
-            "attempts": info["attempts"],
         },
     )
 
@@ -994,7 +961,7 @@ def _alternating_products(P, outer, inner, r_max, budget, ceiling):
         count += 1
         if count > budget:
             raise BudgetExceededError(count, budget)
-        if not P.is_zero(el) and seen.add(el):
+        if seen.add(el):
             reps.append((lab, el))
             level.append((lab, el))
             if seen.rank == ceiling:
@@ -1011,8 +978,6 @@ def _alternating_products(P, outer, inner, r_max, budget, ceiling):
                     if count > budget:
                         raise BudgetExceededError(count, budget)
                     wba = P.mul(wb, a)
-                    if P.is_zero(wba):
-                        continue
                     if seen.add(wba):
                         entry = (f"{lab}*{blab}*{alab}", wba)
                         reps.append(entry)
@@ -1054,7 +1019,8 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
                                          "failed_stage": "lemma4"}, seed=seed,
         )
 
-    M_minus, M_plus, l5info = lemma5_sets(P, grading, cap=cap, budget=budget)
+    search = _witness_search(P, e, estar, cap, budget)
+    M_minus, M_plus, l5info = _lemma5_impl(P, grading, search)
     stage["lemma5_spans_ok"] = l5info["spans_ok"]
     if not l5info["spans_ok"]:
         return Certificate(
@@ -1064,7 +1030,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 
     # Generators of the corner pair (R_{-2}, R_2), split into skew/symmetric
     # parts.
-    pair_gens, pair_info = _lemma2_impl(P, e, estar, cap, budget)
+    pair_gens, pair_info = _lemma2_impl(P, search)
     half = P.field.inv(P.field.coerce(2))
     split_sides = {"-": [], "+": []}
     for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
@@ -1106,7 +1072,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     seen_braces = SpanBuilder(P.field, P.dim)
     for lab, p in Pm2 + P2:
         br = P.brace(p)
-        if not P.is_zero(br) and seen_braces.add(br):
+        if seen_braces.add(br):
             braces.append((lab, br))
     for i, (lab1, b1) in enumerate(braces):
         for lab2, b2 in braces[i + 1:]:
@@ -1360,7 +1326,7 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
     rows = [P.element(r) for r in target.basis]
     abelian = True
     for i, u in enumerate(rows):
-        for v in rows[i:]:
+        for v in rows[i + 1:]:
             w = P.commutator(u, v)
             if not P.is_zero(w):
                 abelian = False

@@ -207,6 +207,45 @@ def test_lemma5_m4_flip():
     assert cert.detail["sizes"] == (2, 2)
 
 
+_WITNESS_INSTANCES = {
+    "m3-flip-Q": lambda: m3("flip"),
+    "m3-flip-Fp101": lambda: ac.build_matrix_algebra(3, ac.PrimeField(101), "flip"),
+    "m4-flip-Q": lambda: m4("flip"),
+    "m4-flip-Fp101": lambda: ac.build_matrix_algebra(4, ac.PrimeField(101), "flip"),
+    "example2-D2": lambda: ac.build_example2(2),
+    "example2-D3": lambda: ac.build_example2(3),
+    "m3-flip-dense": lambda: dense_change_of_basis(m3("flip"), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_INSTANCES))
+def test_d_is_the_largest_minimal_witness_length(name):
+    # d is the length one shared search grew to; each generator's minimal
+    # length over e and over f is read from a search that saw no other target.
+    P = _WITNESS_INSTANCES[name]()
+    e = P.idempotents["e"]
+    for f in (None, P.involve(e)):
+        _, info = cc._lemma2_impl(P, cc._witness_search(P, e, f, 6, None))
+        minimal = []
+        for gen in sorted(P.generators):
+            for side in ("wit_e", "wit_f"):
+                search = cc._witness_search(P, e, f, 6, None)
+                el = dict(search.gens)[gen]
+                minimal.append(getattr(search, side).decompose(el, gen)[0])
+        assert info["d"] == max(minimal)
+
+
+def test_theorem2_builds_one_witness_search(monkeypatch):
+    built = []
+    for cls in (cc._SandwichWitnesses, cc._WordLevels):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert ac.theorem2_certify(m3("flip")).verdict == "pass"
+    assert sorted(built) == ["_SandwichWitnesses", "_SandwichWitnesses", "_WordLevels"]
+
+
 def test_lemma5_vacuous_symplectic():
     cert = ac.lemma5_certificate(m2("symplectic"))
     assert cert.verdict == "pass"
@@ -515,7 +554,9 @@ def _same_generators(a, b):
                                            (4, "flip"), (4, "transpose")])
 def test_capped_monomials_equal_full_enumeration_theorem1(monkeypatch, n, involution):
     P = ac.build_matrix_algebra(n, involution=involution)
-    pair_gens, info = cc._lemma2_impl(P, P.idempotents["e"], None, 6, None)
+    pair_gens, info = cc._lemma2_impl(
+        P, cc._witness_search(P, P.idempotents["e"], None, 6, None)
+    )
     muls = count_muls(monkeypatch)
     capped = cc._distinct_index_monomials(P, pair_gens, info["components"])
     capped_muls = muls[0]
@@ -598,7 +639,7 @@ def test_capped_alternating_products_equal_full_enumeration(n):
     # The corner pair of theorem 2 on M_n flip: sandwich words of e and e*.
     P = ac.build_matrix_algebra(n, involution="flip")
     e = P.idempotents["e"]
-    pair_gens, info = cc._lemma2_impl(P, e, P.involve(e), 6, None)
+    pair_gens, info = cc._lemma2_impl(P, cc._witness_search(P, e, P.involve(e), 6, None))
     sides = {"-": [], "+": []}
     for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
         sides[side].append((label, el))

@@ -212,9 +212,9 @@ def _witness_searches(P, cls, cap):
     return lift, gens, [cls(Pw, mid, words, cap) for mid in mids]
 
 
-def _outcome(search, target, extra):
+def _outcome(search, target):
     try:
-        return search.decompose_upto(target, extra, "target")
+        return search.decompose(target, "target")
     except CapExceededError as exc:
         return str(exc)
 
@@ -225,17 +225,41 @@ def _outcome(search, target, extra):
 def test_witness_terms_equal_the_uncached_search(name, data):
     P = PRESENTATIONS[name]
     cap = data.draw(st.integers(1, 3))
-    extra = data.draw(st.integers(0, 2))
     lift, gens, searches = _witness_searches(P, _SandwichWitnesses, cap)
     _, _, references = _witness_searches(P, _UncachedWitnesses, cap)
     targets = [el for _, el in gens] + [lift(data.draw(_elements(P)))]
     for search, reference in zip(searches, references):
         for target in targets:
-            got = _outcome(search, target, extra)
-            expected = _outcome(reference, target, extra)
+            got = _outcome(search, target)
+            expected = _outcome(reference, target)
             assert got == expected
         assert search.products == reference.products
         assert search.solver.combos == reference.solver.combos
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_witness_terms_stay_the_same_on_longer_words(name, k):
+    # A target's terms combine the solver inputs that grew its rank. Those
+    # are linearly independent, so once the target lies in their span its
+    # terms are unique, and growing the search k more levels cannot change
+    # them.
+    P = PRESENTATIONS[name]
+    rng = random.Random(k)
+    lift, gens, searches = _witness_searches(P, _SandwichWitnesses, 2)
+    targets = [el for _, el in gens] + [lift(random_element(P, rng)) for _ in range(3)]
+    for search in searches:
+        solved = []
+        for target in targets:
+            outcome = _outcome(search, target)
+            if not isinstance(outcome, str):
+                solved.append((target, outcome[1]))
+        assert solved
+        inputs = len(search.products)
+        search._grow_to(search.length + k)
+        assert len(search.products) > inputs
+        for target, terms in solved:
+            assert search.decompose(target, "target")[1] == terms
 
 
 def _table_reach(P, a):

@@ -34,7 +34,7 @@ def _old_transfer_checks(P, seed=0, samples=100):
     """The old sample loop: (violated, checks) with both sides of
     {a,b,c} = [[a,b],c] computed in full for every sample."""
     e = P.idempotents["e"]
-    _, info = cc._lemma2_impl(P, e, None, 6, None)
+    _, info = cc._lemma2_impl(P, cc._witness_search(P, e, None, 6, None))
     comp_minus, comp_plus = info["components"]
     rng = random.Random(seed)
     checks = 0
