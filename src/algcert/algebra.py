@@ -477,8 +477,7 @@ def _ideal_round(P, vectors, old, n):
 
 def _ideal_closure(P, seeds):
     """Span of seeds, saturated under left and right multiplication by the
-    basis. The fixed point is confirmed by the saturation rounds, so there
-    is no re-check; a full span is R, an ideal, and stops the saturation."""
+    basis; a full span is R, an ideal, and stops the saturation."""
     return _saturate_linear(P, [seeds], _ideal_round).final
 
 

@@ -7,7 +7,10 @@ only ``pass`` when the closed subspace equals the target exactly; failed
 generation hypotheses (ReR = R and friends) yield ``hypothesis-not-met``
 rather than a verdict, so a pass is never asserted where the claim does not
 apply. Targets are spans that bilinearity makes bracket-closed, which is
-not re-checked: the closure re-checks its own final, so a pass stays sound.
+not re-checked. A pass is sound whether or not the closure is closed: every
+vector of a final is a generator or a product of its vectors, so the final
+lies in the structure <S> the generators S generate; a closed target that
+equals the final contains S, hence <S>, so <S> = target.
 """
 
 from __future__ import annotations
@@ -96,16 +99,10 @@ class Certificate:
         return d
 
 
-def _final_equals(final, target):
-    if isinstance(target, tuple) != isinstance(final, tuple):
-        return False
-    if isinstance(target, tuple):
-        return final[0] == target[0] and final[1] == target[1]
-    return final == target
-
-
 def _verdict(final, target):
-    return PASS if _final_equals(final, target) else FAIL
+    # A pair final is a (minus, plus) tuple, compared side by side; a
+    # Subspace never equals a tuple.
+    return PASS if final == target else FAIL
 
 
 # -- random sampling ------------------------------------------------------
@@ -206,8 +203,9 @@ def commutator_span(P):
 
 def derived_subspace(P):
     """The derived subalgebra [R, R]: the commutator span, bracket-closed
-    by bilinearity. No verdict rests on that: the closure re-checks its own
-    final, and a pass means the final equals this span."""
+    by bilinearity. A pass on it is sound: the final holds the generators
+    and lies in the Lie algebra L they generate, so this closed span, equal
+    to the final, contains L and is L."""
     return commutator_span(P)
 
 
@@ -709,14 +707,14 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
     jordan_trace = pair_closure(
         P, monomials, "jordan-pair", components=(comp_minus, comp_plus)
     )
-    jordan_ok = _final_equals(jordan_trace.final, (comp_minus, comp_plus))
+    jordan_ok = jordan_trace.final == (comp_minus, comp_plus)
 
     lie_gens = generator_set(
         "lie", [(lab, el, prov) for lab, el, prov in monomials.elements]
     )
     trace = lie_closure(P, lie_gens)
     target = derived_subspace(P)
-    verdict = PASS if jordan_ok and _final_equals(trace.final, target) else FAIL
+    verdict = PASS if jordan_ok and trace.final == target else FAIL
     return Certificate(
         claim="theorem1",
         verdict=verdict,
@@ -924,7 +922,7 @@ def lemma6_check(P, grading=None, e=None):
             items.append((f"K_{i}:{k}", P.element(row), f"K_{i}-basis"))
     gens = generator_set("lie", items)
     trace = lie_closure(P, gens)
-    verdict = PASS if membership_ok and _final_equals(trace.final, target) else FAIL
+    verdict = PASS if membership_ok and trace.final == target else FAIL
     return Certificate(
         claim="lemma6",
         verdict=verdict,

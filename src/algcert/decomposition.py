@@ -29,9 +29,6 @@ class PeirceDecomposition:
     def dims(self):
         return (self.eRe.rank, self.eRf.rank, self.fRe.rank, self.fRf.rank)
 
-    def components(self):
-        return (self.eRe, self.eRf, self.fRe, self.fRf)
-
 
 @dataclass(frozen=True)
 class ZGrading:

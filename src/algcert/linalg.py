@@ -253,10 +253,6 @@ def parse_vector(field, items, ambient_dim):
     return tuple(field.parse(s) for s in items)
 
 
-def format_vector(field, vec):
-    return [field.format(x) for x in vec]
-
-
 def _check_length(vec, ambient_dim):
     if len(vec) != ambient_dim:
         raise DimensionError(f"vector length {len(vec)} != ambient dim {ambient_dim}")

@@ -1,6 +1,5 @@
 """Saturation closures, trace invariants, and oracle agreement."""
 
-import itertools
 import random
 from functools import partial
 
@@ -8,6 +7,7 @@ import pytest
 
 import algcert as ac
 from algcert import closure
+from algcert.certificates import random_element
 from algcert.closure import oracle_until_stagnation
 from algcert.errors import (
     BudgetExceededError,
@@ -236,19 +236,169 @@ def test_oracle_agreement_small_instances():
         _oracle_agreement(P, gens, closer)
 
 
+def _span(P, labels):
+    return P.span_of([unit_elem(P, lab) for lab in labels])
+
+
+def _lie_products(P, rows):
+    (rows,) = rows
+    for i, u in enumerate(rows):
+        # [u, v] = -[v, u] and [u, u] = 0: only v before u.
+        for v in rows[:i]:
+            yield 0, P.commutator(u, v)
+
+
+def _assoc_products(P, rows):
+    (rows,) = rows
+    for u in rows:
+        for v in rows:
+            yield 0, P.mul(u, v)
+
+
+def _pair_products(P, rows, jordan):
+    triple = P.jordan_triple if jordan else P.triple
+    for side, other in ((1, 0), (0, 1)):
+        outer = rows[side]
+        for i, x in enumerate(outer):
+            for y in rows[other]:
+                for z in outer[i:] if jordan else outer:
+                    yield side, triple(x, y, z)
+
+
+_PRODUCTS = {
+    "lie": _lie_products,
+    "associative": _assoc_products,
+    "assoc-pair": partial(_pair_products, jordan=False),
+    "jordan-pair": partial(_pair_products, jordan=True),
+}
+
+
+def _closed(P, final, structure):
+    """Test-local closedness: each product of the final basis rows, listed
+    once, lies in its side's final. A pair final is (minus, plus)."""
+    finals = final if isinstance(final, tuple) else (final,)
+    rows = [[P.element(r) for r in f.basis] for f in finals]
+    return all(finals[side].contains(w) for side, w in _PRODUCTS[structure](P, rows))
+
+
 def test_assert_lie_closed_rejects_open_span():
-    # [E12, E21] = E11 - E22 lies outside span(E12, E21).
+    # [E12, E21] = E11 - E22 lies outside span(E12, E21); the Lie closure's
+    # final contains it and is closed.
     P = m2()
-    with pytest.raises(AssertionError):
-        closure._assert_closed(
-            P, (P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")]),), closure._lie_check
-        )
-    closure._assert_closed(
-        P, (ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final,), closure._lie_check
-    )
+    assert not _closed(P, _span(P, ["E12", "E21"]), "lie")
+    assert _closed(P, ac.lie_closure(P, lie_gens(P, ["E12", "E21"])).final, "lie")
 
 
-def _saturate_every_round(P, seeds, product_round, products):
+def test_assert_closed_rejects_open_assoc_span():
+    # E12*E23 = E13 escapes from the first basis row times the second,
+    # E31*E12 = E32 from the second times the first.
+    P = m3()
+    for labels in (["E12", "E23"], ["E12", "E31"]):
+        assert not _closed(P, _span(P, labels), "associative")
+    final = ac.assoc_closure(P, assoc_gens(P, ["E12", "E23"])).final
+    assert _closed(P, final, "associative")
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+def test_assert_closed_rejects_open_pair(jordan):
+    # One basis row per side: the only triples are x*y*x. With the unit of
+    # M2 on one side and E12 on the other, 1*E12*1 = E12 leaves span(1).
+    P = m2()
+    kind = "jordan-pair" if jordan else "assoc-pair"
+    one, e12 = P.span_of([P.unit]), _span(P, ["E12"])
+    for finals in ((e12, one), (one, e12)):
+        assert not _closed(P, finals, kind)
+    assert _closed(P, (e12, _span(P, ["E21"])), kind)
+
+
+_CLOSERS = {
+    "lie": ac.lie_closure,
+    "associative": ac.assoc_closure,
+    "assoc-pair": ac.pair_closure,
+    "jordan-pair": ac.pair_closure,
+}
+
+
+def _oracle_instances():
+    out = {}
+    for field in ("Q", "Fp:101"):
+        F = ac.field_from_name(field)
+        for n in (2, 3):
+            for inv in ("none", "transpose", "flip"):
+                out[f"m{n}-{inv}-{field}"] = ac.build_matrix_algebra(n, F, inv)
+    out["m4-flip-Q"] = ac.build_matrix_algebra(4, involution="flip")
+    out["m4-none-Q"] = ac.build_matrix_algebra(4)
+    out["m4-transpose-Fp:101"] = ac.build_matrix_algebra(4, ac.field_from_name("Fp:101"), "transpose")
+    out["example1-D2"] = ac.build_example1(2)
+    out["example2-D1"] = ac.build_example2(1)
+    return out
+
+
+ORACLE_INSTANCES = _oracle_instances()
+
+
+def _draw(P, rng, comp, sparse):
+    """A random element of comp; with sparse, of the span of two of its
+    basis rows."""
+    if sparse and comp.rank > 2:
+        comp = P.span_of([P.element(r) for r in rng.sample(comp.basis, 2)])
+    return random_element(P, rng, comp, nonzero=comp.rank > 0)
+
+
+def _oracle_cases(P, rng, draws=6):
+    """Seeded random generator sets: 1-3 elements of R for the Lie and
+    associative closures, 1-2 per side from eR(1-e) and (1-e)Re for the
+    pairs. Each is drawn dense and sparse: sparse generators keep the
+    finals short of R and of the components, so that one missing product
+    shows."""
+    layouts = []
+    if P.dim <= 9:
+        # Lie and associative words over M4 outgrow the oracle's budget.
+        R = P.span_of([P.basis_element(i) for i in range(P.dim)])
+        layouts += [(structure, [(None, R, 1, 3)]) for structure in ("lie", "associative")]
+    e = P.idempotents["e"]
+    if P.dim == 16:
+        # On M4, e = E11 + E22. When e or 1 - e has rank 1, as on M2 and
+        # M3, x*y*z is a multiple of x or of z: the generators' span is
+        # closed, and no missing triple could show.
+        e = P.add(unit_elem(P, "E11"), unit_elem(P, "E22"))
+    pd = ac.peirce_decompose(P, e)
+    for structure in closure.PAIR_STRUCTURES:
+        layouts.append((structure, [("-", pd.eRf, 1, 2), ("+", pd.fRe, 1, 2)]))
+    cases = []
+    for structure, layout in layouts:
+        for sparse in (False, True):
+            for _ in range(draws):
+                items, sides = [], []
+                for side, comp, lo, hi in layout:
+                    for _ in range(rng.randint(lo, hi)):
+                        items.append((f"g{len(items)}", _draw(P, rng, comp, sparse), "random"))
+                        sides.append(side)
+                pair = structure in closure.PAIR_STRUCTURES
+                cases.append(ac.generator_set(structure, items, sides if pair else None))
+    return cases
+
+
+def _oracle_mismatches(P, cases):
+    """The cases whose closure differs from the oracle or is not closed."""
+    bad = []
+    for gens in cases:
+        final = _CLOSERS[gens.structure](P, gens).final
+        span, _ = oracle_until_stagnation(P, gens)
+        if final != span or not _closed(P, final, gens.structure):
+            bad.append(gens)
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_closure_equals_oracle_on_random_generators(name):
+    P = ORACLE_INSTANCES[name]
+    rng = random.Random(f"oracle-{name}")
+    bad = _oracle_mismatches(P, _oracle_cases(P, rng))
+    assert not bad, [(g.structure, [P.render(el) for _, el, _ in g.elements]) for g in bad]
+
+
+def _saturate_every_round(P, seeds, product_round):
     """closure._saturate_linear on one side as it was before the full-rank
     exit: every round computes all its products."""
     builder = ac.SpanBuilder(P.field, P.dim)
@@ -271,9 +421,7 @@ def _saturate_every_round(P, seeds, product_round, products):
         rounds.append((rnd, builder.rank))
         if not grew:
             break
-    final = builder.subspace()
-    closure._assert_closed(P, (final,), products)
-    return closure.ClosureTrace(tuple(rounds), final, rnd)
+    return closure.ClosureTrace(tuple(rounds), builder.subspace(), rnd)
 
 
 @pytest.mark.parametrize(
@@ -296,9 +444,7 @@ def test_assoc_closure_stops_at_full_rank(monkeypatch, P, labels, full):
         return add(builder, vec)
 
     monkeypatch.setattr(ac.SpanBuilder, "add", counting_add)
-    every_round = _saturate_every_round(
-        P, seeds, closure._assoc_round, closure._assoc_check
-    )
+    every_round = _saturate_every_round(P, seeds, closure._assoc_round)
     old_calls, muls[0] = muls[0], 0
     old_adds_at_full, adds_at_full[0] = adds_at_full[0], 0
     trace = ac.assoc_closure(P, assoc_gens(P, labels))
@@ -309,6 +455,8 @@ def test_assoc_closure_stops_at_full_rank(monkeypatch, P, labels, full):
         assert muls[0] < old_calls and old_adds_at_full > 0
     else:
         assert muls[0] == old_calls
+    # Apart from the counts above: the final is closed.
+    assert _closed(P, trace.final, "associative")
 
 
 def _two_builder_triples(P, jordan, outer, inner, old_outer, old_inner, n_outer, n_inner):
@@ -410,100 +558,6 @@ def test_pair_closure_matches_two_builder_loop(monkeypatch, kind, case):
     full = all(side.is_full for side in trace.final)
     assert full == (case == "m2-full")
     if full:
-        # Neither the rounds after both sides are full nor the re-check run.
+        # The rounds after both sides are full do not run.
         assert muls[0] < old_calls
 
-
-def _span(P, labels):
-    return P.span_of([unit_elem(P, lab) for lab in labels])
-
-
-def test_assert_closed_rejects_open_assoc_span():
-    # E12*E23 = E13 escapes from the first basis row times the second,
-    # E31*E12 = E32 from the second times the first.
-    P = m3()
-    check = closure._assoc_check
-    for labels in (["E12", "E23"], ["E12", "E31"]):
-        with pytest.raises(AssertionError):
-            closure._assert_closed(P, (_span(P, labels),), check)
-    closure._assert_closed(
-        P, (ac.assoc_closure(P, assoc_gens(P, ["E12", "E23"])).final,), check
-    )
-
-
-@pytest.mark.parametrize("jordan", [False, True])
-def test_assert_closed_rejects_open_pair(jordan):
-    # One basis row per side: the only triples are x*y*x. With the unit of
-    # M2 on one side and E12 on the other, 1*E12*1 = E12 leaves span(1).
-    P = m2()
-    check = partial(closure._pair_check, jordan=jordan)
-    one, e12 = P.span_of([P.unit]), _span(P, ["E12"])
-    for finals in ((e12, one), (one, e12)):
-        with pytest.raises(AssertionError):
-            closure._assert_closed(P, finals, check)
-    closure._assert_closed(P, (e12, _span(P, ["E21"])), check)
-
-
-def test_assert_closed_skips_full_finals(monkeypatch):
-    P = m3("flip")
-    R = P.span_of([P.basis_element(i) for i in range(P.dim)])
-    muls = count_muls(monkeypatch)
-    closure._assert_closed(P, (R,), closure._assoc_check)
-    closure._assert_closed(P, (R,), closure._lie_check)
-    closure._assert_closed(P, (R, R), partial(closure._pair_check, jordan=True))
-    assert muls[0] == 0
-    # One side short of full is re-checked.
-    closure._assert_closed(P, (_span(P, ["E12"]), R), partial(closure._pair_check, jordan=False))
-    assert muls[0] > 0
-
-
-def _closed_by_every_product(P, finals, op, pair):
-    """Test-local closedness: every product of every ordered choice of
-    basis rows, the outer ones of a triple from the same side."""
-    rows = [[P.element(r) for r in f.basis] for f in finals]
-    if not pair:
-        return all(finals[0].contains(op(u, v).coords) for u in rows[0] for v in rows[0])
-    return all(
-        finals[side].contains(op(x, y, z).coords)
-        for side, other in ((0, 1), (1, 0))
-        for x in rows[side]
-        for y in rows[other]
-        for z in rows[side]
-    )
-
-
-def _check_agrees(P, finals, check, op, pair):
-    try:
-        closure._assert_closed(P, finals, check)
-        closed = True
-    except AssertionError:
-        closed = False
-    assert closed == _closed_by_every_product(P, finals, op, pair)
-    return closed
-
-
-def test_assert_closed_agrees_with_every_product():
-    # Every span of two or three matrix units of M3, and every pair of
-    # spans of one or two of E11, E12, E21, E22, 1 in M2: the check, which
-    # lists each product once, decides as the test over all of them.
-    P = m3()
-    units = [P.basis_element(i) for i in range(P.dim)]
-    verdicts = set()
-    for size in (2, 3):
-        for chosen in itertools.combinations(units, size):
-            span = P.span_of(list(chosen))
-            verdicts.add(_check_agrees(P, (span,), closure._lie_check, P.commutator, False))
-            verdicts.add(_check_agrees(P, (span,), closure._assoc_check, P.mul, False))
-    P = m2()
-    elements = [P.basis_element(i) for i in range(P.dim)] + [P.unit]
-    spans = [
-        P.span_of(list(chosen))
-        for size in (1, 2)
-        for chosen in itertools.combinations(elements, size)
-    ]
-    for jordan, op in ((False, P.triple), (True, P.jordan_triple)):
-        check = partial(closure._pair_check, jordan=jordan)
-        for minus in spans:
-            for plus in spans:
-                verdicts.add(_check_agrees(P, (minus, plus), check, op, True))
-    assert verdicts == {True, False}

@@ -85,11 +85,11 @@ def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # takes the old eight products, 1,600 in all.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 456
+    assert muls[0] == 352
     muls[0] = 0
     monkeypatch.setattr(cc, "_product_or_zero", lambda P, a, b: P.basis_element(0))
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 456 + 1600
+    assert muls[0] == 352 + 1600
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])
