@@ -48,6 +48,19 @@ def _over(d, entries):
     return tuple((k, c.numerator * (d // c.denominator)) for k, c in entries)
 
 
+# The widest slot, in bits, at which ``mul`` sums on packed rows. A packed
+# multiply-add costs about dim times the limbs of the small ones it replaces:
+# on dense M3 and M4 flip over Q the packed product is 1.5-7x faster than the
+# loop up to 256-bit slots, about as fast or slower at 512 and about half as
+# fast at 1024.
+_PACKED_WIDTH_MAX = 256
+
+
+def _slot_width(bound):
+    """The least power of two s with bound < 2^s."""
+    return 1 << (bound.bit_length() - 1).bit_length()
+
+
 class Element:
     """Exact vector over a presentation's basis.
 
@@ -150,6 +163,7 @@ class AlgebraPresentation:
             self.unit = None
         self._basis_cache = None
         self._memo = {}
+        self._packed = {}
         self._half = field.inv(field.coerce(2))
 
     # -- construction helpers -------------------------------------------
@@ -311,26 +325,86 @@ class AlgebraPresentation:
         D = _common_denominator(c for row in self._star for _, c in row)
         return D, [_over(D, row) for row in self._star]
 
+    @functools.cached_property
+    def _table_bounds(self):
+        """(w, T): the most terms of any b_i * b_j and the largest |c| of
+        the integer structure constants over D."""
+        _, rows = self._int_mul
+        entries = [e for row in rows for e in row.values()]
+        top = max((abs(c) for e in entries for _, c in e), default=0)
+        return max(map(len, entries), default=0), top
+
+    def _packed_rows(self, s):
+        """rows[i][j] = sum_k c_ijk * D * 2^(s k): the integer row of
+        b_i * b_j packed into s-bit slots, built once per width s."""
+        packed = self._packed.get(s)
+        if packed is None:
+            _, rows = self._int_mul
+            packed = self._packed[s] = [
+                {j: sum(c << (s * k) for k, c in e) for j, e in row.items()}
+                for row in rows
+            ]
+        return packed
+
+    def _packed_product(self, sa, sb, s):
+        """The integer coordinates sum_ij x_i y_j c_ijk of a * b for the
+        supports sa and sb, as sum_i x_i sum_j y_j P_ij on the packed rows
+        of width s, unpacked into balanced digits."""
+        packed = self._packed_rows(s)
+        total = 0
+        for i, x in sa:
+            row = packed[i]
+            if not row:
+                continue
+            inner = 0
+            for j, y in sb:
+                p = row.get(j)
+                if p:
+                    inner += y * p
+            total += x * inner
+        return _balanced_digits(total, s, self.dim)
+
     def mul(self, a, b):
         """Bilinear extension of the structure constants: integer products
         over the supports of a and b, one division per coordinate. A product
-        whose terms all vanish is the zero element, with no division."""
+        whose terms all vanish is the zero element, with no division.
+
+        When some b_i * b_j has more than one term, the products are summed
+        on packed rows (``_packed_product``): one big-int multiply-add per
+        pair of the supports, then one balanced-digit unpack. Slot k of the
+        sum is sum x_i y_j c_ijk, within X Y T of zero for X = sum |x_i|,
+        Y = sum |y_j| and T the largest |c|; a width s with 2 X Y T < 2^s
+        keeps every slot strictly inside +-2^(s-1), so the balanced digits
+        are the slots exactly, over Q and over F_p alike. s is rounded up to
+        a power of two, so that few widths of packed rows are built. Tables
+        whose products have one term each keep the loop over the supports,
+        and so do slots wider than ``_PACKED_WIDTH_MAX`` bits, where the loop
+        is faster.
+        """
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
         da, sa = a.support
         db, sb = b.support
-        acc = [0] * self.dim
-        for i, x in sa:
-            row = rows[i]
-            if not row:
-                continue
-            for j, y in sb:
-                entries = row.get(j)
-                if entries:
-                    xy = x * y
-                    for k, c in entries:
-                        acc[k] += xy * c
+        acc = None
+        w, top = self._table_bounds
+        if w > 1:
+            bound = 2 * sum(abs(x) for _, x in sa) * sum(abs(y) for _, y in sb) * top
+            s = _slot_width(bound)
+            if s <= _PACKED_WIDTH_MAX:
+                acc = self._packed_product(sa, sb, s)
+        if acc is None:
+            acc = [0] * self.dim
+            for i, x in sa:
+                row = rows[i]
+                if not row:
+                    continue
+                for j, y in sb:
+                    entries = row.get(j)
+                    if entries:
+                        xy = x * y
+                        for k, c in entries:
+                            acc[k] += xy * c
         if not any(acc):
             return self.zero()
         return self._from_ints(acc, da * db * D)
@@ -641,23 +715,24 @@ def _associativity_triples(P):
     A slot of either side sums at most w products of two constants, w the
     most entries of any b_i b_j and T the largest |c|, so each slot of the
     difference of the sides lies within 2 w T^2 < 2^s, and s is the
-    smallest width with that bound. Then the packed sides are equal iff
-    every slot is, and a nonzero difference has a nonzero balanced digit.
-    Over Q that decides the triple. Over F_p the constants are residues in
-    [0, p), so the slots lie within w T^2 < 2^(s-1) and the balanced digits
-    are the slots themselves; they may be nonzero multiples of p, so the
-    triple is a violation iff ``from_ints`` leaves one of them nonzero.
+    smallest width with that bound. The rows come from the cache ``mul``
+    reads (``_packed_rows``), at this width: the argument below holds for
+    any s with 2 w T^2 < 2^s, but rounding s up to ``mul``'s power of two
+    would make every multiply-add wider (on dense M4 flip s = 74 would
+    become 128 and the check take half as long again). Then the packed
+    sides are equal iff every slot is, and a nonzero difference has a
+    nonzero balanced digit. Over Q that decides the triple. Over F_p the
+    constants are residues in [0, p), so the slots lie within
+    w T^2 < 2^(s-1) and the balanced digits are the slots themselves; they
+    may be nonzero multiples of p, so the triple is a violation iff
+    ``from_ints`` leaves one of them nonzero.
     """
     F = P.field
     dim = P.dim
     _, rows = P._int_mul
-    entries = [e for row in rows for e in row.values()]
-    top = max((abs(c) for e in entries for _, c in e), default=0)
-    width = max(map(len, entries), default=0)
+    width, top = P._table_bounds
     s = (2 * width * top * top).bit_length()
-    packed = [
-        {k: sum(c << (s * l) for l, c in e) for k, e in row.items()} for row in rows
-    ]
+    packed = P._packed_rows(s)
     column = [[] for _ in range(dim)]  # m -> (j, k, c_jkm)
     for j, row in enumerate(rows):
         for k, e in row.items():

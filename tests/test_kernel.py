@@ -2,6 +2,7 @@
 associativity and involution-law checks against the scalar loops they
 replaced, on random elements."""
 
+import argparse
 from fractions import Fraction
 from math import lcm
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algcert as ac
+from algcert import algebra, certificates as cc
 from algcert.algebra import AlgebraPresentation, Element, axiom_violations
 from algcert.linalg import PrimeField
 from helpers import dense_change_of_basis, m2, m3
@@ -104,6 +106,168 @@ def test_mul_and_involve_equal_the_scalar_loop(name, data):
     # A product carries its support; it equals the one built from coords.
     for el in (P.mul(a, b), P.involve(a)):
         assert el.support == Element(el.coords).support
+
+
+# -- packed products -----------------------------------------------------------
+
+DENSE_M3 = {
+    field: dense_change_of_basis(ac.build_matrix_algebra(3, ac.field_from_name(field), "flip"), 1)
+    for field in ("Q", "Fp:101", "Fp:1000000007")
+}
+
+
+def _slot_width(P, a, b):
+    """The slot width the packed product of a and b must use: the least
+    power of two s with 2 X Y T < 2^s, for X and Y the sums of the absolute
+    numerators of a and b and T the largest |c| of the integer table."""
+    _, rows = P._int_mul
+    top = max(abs(c) for row in rows for e in row.values() for _, c in e)
+    bound = 2 * sum(abs(x) for _, x in a.support[1]) * sum(abs(y) for _, y in b.support[1]) * top
+    s = 1
+    while bound >= 1 << s:
+        s *= 2
+    return s
+
+
+def _edge_pairs(P):
+    """(x b_i, y b_j, slot) with c_ijk the largest |c| T of the integer
+    table and x y as large as the slot width s of the pair allows, for each
+    feasible s: the slot x y c_ijk of b_k lies within T of +-2^(s-1) over
+    Q, and as near as residues below p reach over F_p, never below
+    2^(s-2). Over Q both signs of x are taken. No slot comes nearer: every
+    slot is at most X Y T, a multiple of T below 2^(s-1)."""
+    _, rows = P._int_mul
+    top, i, j, c = max(
+        (abs(c), i, j, c) for i, row in enumerate(rows) for j, e in row.items() for _, c in e
+    )
+    F = P.field
+    limit = F.p - 1 if isinstance(F, PrimeField) else None
+    pairs = []
+    for s in (8, 16, 32, 64, 128, 256):
+        most = ((1 << (s - 1)) - 1) // top  # the largest x y with x y T < 2^(s-1)
+        if limit is None:
+            choices = [(most, 1), (-most, 1)]
+        else:
+            start = max(1, -(-most // limit))
+            best = max(
+                ((x, min(limit, most // x)) for x in range(start, min(limit, start + 10_000) + 1)),
+                key=lambda xy: xy[0] * xy[1],
+                default=(0, 0),
+            )
+            choices = [best]
+        for x, y in choices:
+            slot = x * y * c
+            if 4 * abs(slot) < 1 << s:
+                continue
+            a = P.scale(x, P.basis_element(i))
+            b = P.scale(y, P.basis_element(j))
+            assert _slot_width(P, a, b) == s
+            pairs.append((a, b, slot))
+    return pairs
+
+
+def _large_elements(P):
+    """Numerators up to 10^30 over denominators up to 10^6 over Q; residues
+    within 8 of p - 1 over F_p."""
+    F = P.field
+    if isinstance(F, PrimeField):
+        nonzero = st.integers(F.p - 8, F.p - 1)
+    else:
+        nonzero = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+    scalar = st.one_of(st.just(0), nonzero)
+    return st.lists(scalar, min_size=P.dim, max_size=P.dim).map(P.element)
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_M3))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_mul_on_large_scalars(field, data):
+    P = DENSE_M3[field]
+    a, b = data.draw(_large_elements(P)), data.draw(_large_elements(P))
+    assert P.mul(a, b).coords == _fraction_mul(P, a, b)
+    assert P.mul(b, a).coords == _fraction_mul(P, b, a)
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_M3))
+def test_packed_mul_on_basis_elements(field):
+    P = DENSE_M3[field]
+    for i in range(P.dim):
+        for j in range(P.dim):
+            a, b = P.basis_element(i), P.basis_element(j)
+            assert P.mul(a, b).coords == _fraction_mul(P, a, b) == P.mul_basis(i, j).coords
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_M3))
+def test_packed_mul_at_the_slot_edge(field):
+    """Pairs whose largest slot reaches the top bit of its width: one bit
+    less, or unsigned digits over Q, read them wrong."""
+    P = DENSE_M3[field]
+    pairs = _edge_pairs(P)
+    assert len(pairs) >= 2
+    for a, b, slot in pairs:
+        s = _slot_width(P, a, b)
+        assert 1 << (s - 2) <= abs(slot) < 1 << (s - 1)
+        assert P.mul(a, b).coords == _fraction_mul(P, a, b)
+
+
+def test_wide_slots_keep_the_loop(monkeypatch):
+    """Past 256-bit slots a packed multiply-add costs more than the loop's
+    small ones: a dense product at s = 256 reads packed rows, one at
+    s = 512 does not, and both equal the scalar loop."""
+    P = DENSE_M3["Q"]
+    widths = []
+    packed_rows = AlgebraPresentation._packed_rows
+
+    def counted(P, s):
+        widths.append(s)
+        return packed_rows(P, s)
+
+    monkeypatch.setattr(AlgebraPresentation, "_packed_rows", counted)
+    a, b, _ = [pair for pair in _edge_pairs(P) if _slot_width(P, *pair[:2]) == 256][0]
+    wide = P.scale(1 << 200, a)
+    assert _slot_width(P, wide, b) == 512
+    for x, y in ((a, b), (wide, b)):
+        assert P.mul(x, y).coords == _fraction_mul(P, x, y)
+    assert widths == [256]
+
+
+def test_sparse_tables_keep_the_loop(monkeypatch):
+    """Every b_i * b_j of a matrix or example2 table has at most one term,
+    so ``mul`` never reads packed rows there: outside the axiom gate,
+    theorem 1 on M3 flip and theorem 2 on example2 D=2 enter the packed
+    path zero times (theorem 2 on M3 flip neither). Theorem 1 on a dense
+    change of basis enters it."""
+    entries = {"gate": 0, "mul": 0}
+    in_gate = []
+    gate = algebra._associativity_triples
+    packed_rows = AlgebraPresentation._packed_rows
+
+    def gated(P):
+        in_gate.append(P)
+        try:
+            return gate(P)
+        finally:
+            in_gate.pop()
+
+    def counted(P, s):
+        entries["gate" if in_gate else "mul"] += 1
+        return packed_rows(P, s)
+
+    monkeypatch.setattr(algebra, "_associativity_triples", gated)
+    monkeypatch.setattr(AlgebraPresentation, "_packed_rows", counted)
+    opts = argparse.Namespace(seed=3, cap=6, trials=8, max_gen=5)
+    runs = (
+        (m3("flip"), "thm1", "pass"),
+        (m3("flip"), "thm2", "pass"),
+        (ac.build_example2(2), "thm2", "hypothesis-not-met"),
+    )
+    for P, claim, verdict in runs:
+        assert P._table_bounds[0] == 1
+        assert cc.certify(P, claim, opts).verdict == verdict
+    assert entries["gate"] > 0
+    assert entries["mul"] == 0
+    assert cc.certify(dense_change_of_basis(m3("flip"), 1), "thm1", opts).verdict == "pass"
+    assert entries["mul"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
