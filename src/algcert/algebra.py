@@ -189,8 +189,7 @@ class AlgebraPresentation:
             if (i, j, k) in seen:
                 raise FormatError(f"duplicate mul entry for ({i},{j},{k})")
             seen.add((i, j, k))
-            c = c if not isinstance(c, str) else F.parse(c)
-            c = F.coerce(c)
+            c = F.parse(c) if isinstance(c, str) else F.coerce(c)
             if not c:
                 continue
             table.setdefault((i, j), []).append((k, c))
@@ -214,8 +213,7 @@ class AlgebraPresentation:
             if (i, j) in seen:
                 raise FormatError(f"duplicate involution entry for ({i},{j})")
             seen.add((i, j))
-            c = c if not isinstance(c, str) else F.parse(c)
-            c = F.coerce(c)
+            c = F.parse(c) if isinstance(c, str) else F.coerce(c)
             if not c:
                 continue
             rows[i].append((j, c))
@@ -224,7 +222,9 @@ class AlgebraPresentation:
     # -- element helpers -------------------------------------------------
 
     def element(self, coords):
-        """Coerce a sequence of scalars / ints / scalar strings to an Element."""
+        """Coerce a sequence of scalars / ints / scalar strings to an Element,
+        built from its support: each scalar is converted once, and the
+        dense coordinates wait for their first read."""
         if isinstance(coords, Element):
             coords = coords.coords
         coords = list(coords)
@@ -233,13 +233,16 @@ class AlgebraPresentation:
                 f"element has {len(coords)} coords, expected {self.dim}"
             )
         F = self.field
-        out = []
-        for x in coords:
-            if isinstance(x, str):
-                out.append(F.parse(x))
-            else:
-                out.append(F.coerce(x))
-        return Element(tuple(out))
+        zero = F.zero  # what ``parse`` returns for "0"
+        nonzero = []
+        for i, x in enumerate(coords):
+            if x is zero:
+                continue
+            c = F.parse(x) if isinstance(x, str) else F.coerce(x)
+            if c:
+                nonzero.append((i, c))
+        d = _common_denominator(c for _, c in nonzero)
+        return Element._of(F, self.dim, (d, _over(d, nonzero)))
 
     def _from_ints(self, nums, d):
         """The element with coordinates n / d for the ints n in the list
@@ -341,8 +344,7 @@ class AlgebraPresentation:
         if packed is None:
             _, rows = self._int_mul
             packed = self._packed[s] = [
-                {j: sum(c << (s * k) for k, c in e) for j, e in row.items()}
-                for row in rows
+                {j: _pack(e, s) for j, e in row.items()} for row in rows
             ]
         return packed
 
@@ -690,6 +692,11 @@ def hypotheses_for(P, e, wants):
     return out
 
 
+def _pack(entries, s):
+    """sum c 2^(s k) over the (k, c) pairs: a row packed into s-bit slots."""
+    return sum(c << (s * k) for k, c in entries)
+
+
 def _balanced_digits(x, s, n):
     """The n balanced base-2^s digits d_l in [-2^(s-1), 2^(s-1)) of
     x = sum d_l 2^(s l)."""
@@ -710,7 +717,9 @@ def _associativity_triples(P):
     coefficient of b_l in b_m b_k. For each i, (b_i b_j) b_k is
     sum_m c_ijm P_mk and b_i (b_j b_k) is sum_m c_jkm P_im, one big-int
     multiply-add per term in place of one per term and slot; the second
-    sum reaches the pairs (j, k) through the column index m -> (j, k, c_jkm).
+    sum reaches the pairs (j, k) through the column index
+    m -> (j dim + k, c_jkm). The sums for one i are keyed by j dim + k, and
+    when the two sides are equal dicts, no triple of that i is violated.
 
     A slot of either side sums at most w products of two constants, w the
     most entries of any b_i b_j and T the largest |c|, so each slot of the
@@ -724,8 +733,14 @@ def _associativity_triples(P):
     nonzero balanced digit. Over Q that decides the triple. Over F_p the
     constants are residues in [0, p), so the slots lie within
     w T^2 < 2^(s-1) and the balanced digits are the slots themselves; they
-    may be nonzero multiples of p, so the triple is a violation iff
-    ``from_ints`` leaves one of them nonzero.
+    may be nonzero multiples of p, so unequal sides are checked key by
+    key, and the triple is a violation iff ``from_ints`` leaves one of its
+    digits nonzero.
+
+    Only the output index l is packed. Packing (k, l) together into dim^2
+    s-bit slots is faster on small tables, but each multiply-add then spans
+    dim times as many limbs: on M24 flip over Q (dim 576) it made the axiom
+    gate about 90 times slower.
     """
     F = P.field
     dim = P.dim
@@ -733,27 +748,94 @@ def _associativity_triples(P):
     width, top = P._table_bounds
     s = (2 * width * top * top).bit_length()
     packed = P._packed_rows(s)
-    column = [[] for _ in range(dim)]  # m -> (j, k, c_jkm)
+    column = [[] for _ in range(dim)]  # m -> (j dim + k, c_jkm)
     for j, row in enumerate(rows):
         for k, e in row.items():
             for m, c in e:
-                column[m].append((j, k, c))
+                column[m].append((j * dim + k, c))
     triples = []
     for i in range(dim):
         left = {}
         for j, e in rows[i].items():
             for m, c in e:
                 for k, x in packed[m].items():
-                    left[j, k] = left.get((j, k), 0) + c * x
+                    jk = j * dim + k
+                    left[jk] = left.get(jk, 0) + c * x
         right = {}
         for m, x in packed[i].items():
-            for j, k, c in column[m]:
-                right[j, k] = right.get((j, k), 0) + c * x
-        for j, k in sorted(left.keys() | right.keys()):
-            diff = left.get((j, k), 0) - right.get((j, k), 0)
+            for jk, c in column[m]:
+                right[jk] = right.get(jk, 0) + c * x
+        if left == right:
+            continue
+        for jk in sorted(left.keys() | right.keys()):
+            diff = left.get(jk, 0) - right.get(jk, 0)
             if diff and F.from_ints(_balanced_digits(diff, s, dim), 1)[1]:
-                triples.append((i, j, k))
+                triples.append((i, *divmod(jk, dim)))
     return triples
+
+
+def _involution_law_pairs(P):
+    """The pairs (i, j), in order, with (b_i b_j)* != b_j* b_i*.
+
+    On the integer table over D and the integer involution over S, both
+    sides are compared over D S^2 on rows packed into t-bit slots, slot l
+    holding the coefficient of b_l: Q_m packs b_m* and P_ab packs b_a b_b.
+    The left side is S sum_m c_ijm Q_m. The right side is
+    sum_a s_ja R_a for R_a = sum_b s_ib P_ab, the packed b_a b_i*, summed
+    into the j with a in the support of b_j* through the column index
+    a -> (j, s_ja) of the involution. So only candidate pairs are visited:
+    those with b_i b_j != 0 (the left side) or with b_a b_b != 0 for some
+    a in the support of b_j* and b in that of b_i* (the right side); both
+    sides of any other pair are zero.
+
+    A slot of the left side is within S w T U and one of the right side
+    within v^2 U^2 T, for w and T as in ``_associativity_triples``, v the
+    most entries of any b_m* and U the largest |s|. t is the bit length of
+    twice their sum, so every slot of the difference lies strictly inside
+    +-2^(t-1) and the balanced digits are the slots themselves. As in the
+    associativity check, a nonzero difference is a violation iff
+    ``from_ints`` leaves a digit nonzero: over F_p (S = 1) the raw sums of
+    residues may differ by multiples of p. The packed table rows are built
+    here, at width t, and not kept: ``mul``'s per-width cache holds only
+    the widths that products and the associativity check read.
+    """
+    F = P.field
+    dim = P.dim
+    _, rows = P._int_mul
+    S, star = P._int_star
+    width, top = P._table_bounds
+    v = max(map(len, star))
+    u = max((abs(c) for row in star for _, c in row), default=0)
+    t = (2 * (S * width * top * u + v * v * u * u * top)).bit_length()
+    packed_star = [_pack(row, t) for row in star]
+    by_right = [[] for _ in range(dim)]  # b -> (a, P_ab)
+    for a, row in enumerate(rows):
+        for b, e in row.items():
+            by_right[b].append((a, _pack(e, t)))
+    star_column = [[] for _ in range(dim)]  # a -> (j, s_ja)
+    for j, row in enumerate(star):
+        for a, c in row:
+            star_column[a].append((j, c))
+    pairs = []
+    for i in range(dim):
+        left = {
+            j: S * sum(c * packed_star[m] for m, c in e) for j, e in rows[i].items()
+        }
+        right_of = {}  # a -> R_a
+        for b, c in star[i]:
+            for a, x in by_right[b]:
+                right_of[a] = right_of.get(a, 0) + c * x
+        right = {}
+        for a, x in right_of.items():
+            for j, c in star_column[a]:
+                right[j] = right.get(j, 0) + c * x
+        if left == right:
+            continue
+        for j in sorted(left.keys() | right.keys()):
+            diff = left.get(j, 0) - right.get(j, 0)
+            if diff and F.from_ints(_balanced_digits(diff, t, dim), 1)[1]:
+                pairs.append((i, j))
+    return pairs
 
 
 @_per_presentation
@@ -766,9 +848,7 @@ def axiom_violations(P):
         Violation("associativity", (i, j, k), f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
         for i, j, k in _associativity_triples(P)
     ]
-    F = P.field
     dim = P.dim
-    _, rows = P._int_mul
 
     if P.has_involution:
         for i in range(dim):
@@ -776,36 +856,7 @@ def axiom_violations(P):
                 violations.append(
                     Violation("involution-order2", (i,), f"b{i}** != b{i}")
                 )
-        # (b_i b_j)* = b_j* b_i* on the integer tables, over D S^2: the left
-        # side is sum_m c_ijm b_m*, the right side sum_a s_ja (b_a b_i*),
-        # grouped through the products b_a b_i* so that dense tables cost
-        # O(dim^4). Raw differences that are nonzero are reduced in F.
-        S, star = P._int_star
-        pairs, diffs = [], []
-        for i in range(dim):
-            right_of = []  # b_a b_i* for every a, as {l: int} over D S
-            for row in rows:
-                acc = {}
-                for b, s in star[i]:
-                    for l, c in row.get(b, ()):
-                        acc[l] = acc.get(l, 0) + s * c
-                right_of.append(acc)
-            for j in range(dim):
-                lhs = {}
-                for m, c in rows[i].get(j, ()):
-                    for l, s in star[m]:
-                        lhs[l] = lhs.get(l, 0) + c * s * S
-                rhs = {}
-                for a, s in star[j]:
-                    for l, x in right_of[a].items():
-                        rhs[l] = rhs.get(l, 0) + s * x
-                for l in lhs.keys() | rhs.keys():
-                    diff = lhs.get(l, 0) - rhs.get(l, 0)
-                    if diff:
-                        pairs.append((i, j))
-                        diffs.append(diff)
-        _, nonzero = F.from_ints(diffs, 1)
-        for i, j in sorted({pairs[n] for n, _ in nonzero}):
+        for i, j in _involution_law_pairs(P):
             violations.append(
                 Violation(
                     "involution-antiautomorphism",

@@ -20,7 +20,6 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import lcm
 from types import SimpleNamespace
 
 from .algebra import (
@@ -119,25 +118,19 @@ def random_element(P, rng, subspace=None, nonzero=False):
     None), one ``random_scalar`` c_r per row and draw; with nonzero, drawn
     again until the sum is nonzero.
 
-    A basis row is an integer row of the subspace over its pivot entry, so
-    the sum runs on ints over the lcm m of the pivot entries (m = 1 over
-    F_p, whose pivot entries are 1)."""
-    F = P.field
+    The draws are those of ``random_scalar``, taken as plain ints, and the
+    sum runs on ints over the sparse integer basis of the subspace
+    (``Subspace._sparse_basis``, built once per subspace)."""
     if subspace is None:
-        m, rows = 1, [(1, ((i, 1),)) for i in range(P.dim)]
+        m, rows = 1, [((i, 1),) for i in range(P.dim)]
     else:
-        int_rows = subspace._int_rows()
-        m = lcm(*(row[j] for j, row in zip(subspace.pivots, int_rows)))
-        rows = [
-            (m // row[j], [(k, row[k]) for k in itertools.compress(range(len(row)), row)])
-            for j, row in zip(subspace.pivots, int_rows)
-        ]
+        m, rows = subspace._sparse_basis
+    p = getattr(P.field, "p", 0)
     for _ in range(64):
         acc = [0] * P.dim
-        for f, row in rows:
-            c = random_scalar(F, rng).numerator
+        for row in rows:
+            c = rng.randrange(p) if p else rng.randint(-3, 3)
             if c:
-                c *= f
                 for k, x in row:
                     acc[k] += c * x
         el = P._from_ints(acc, m)

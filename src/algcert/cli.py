@@ -29,7 +29,7 @@ from .closure import (
 )
 from .decomposition import kh_split, peirce_decompose, z_grading
 from .errors import AlgcertError, CliInputError
-from .formats import canonical_json, dump_presentation, load_presentation
+from .formats import canonical_json, dump_presentation, loads_presentation
 from .instances import KINDS, INVOLUTIONS, InstanceSpec, build_instance
 from .linalg import field_from_name
 from .algebra import validate_presentation
@@ -112,11 +112,6 @@ def _build_parser():
     p_cert.add_argument("-o", "--output", default=None)
 
     return top
-
-
-def _input_hash(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _subspace_report(P, sub):
@@ -289,10 +284,13 @@ def run_cli(argv=None):
             input_sha = None
         else:
             try:
-                P = load_presentation(args.file)
+                with open(args.file, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 raise CliInputError(f"cannot read {args.file}: {exc}") from None
-            input_sha = _input_hash(args.file)
+            # The hash describes the very bytes that were parsed.
+            P = loads_presentation(data)
+            input_sha = hashlib.sha256(data).hexdigest()
             handler = {
                 "validate": _cmd_validate,
                 "decompose": _cmd_decompose,

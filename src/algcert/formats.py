@@ -14,6 +14,7 @@ bytes and reports can hash their inputs.
 
 from __future__ import annotations
 
+import io
 import json
 
 from .algebra import AlgebraPresentation
@@ -175,6 +176,14 @@ def presentation_from_dict(d):
 
 
 def loads_presentation(text):
+    """The presentation in a JSON text. Bytes are read as ``open`` reads a
+    file in text mode: UTF-8 with universal newlines, so the offsets in
+    invalid-JSON messages count the same characters."""
+    if isinstance(text, bytes):
+        try:
+            text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"file is not UTF-8: {exc}", "$") from None
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -185,12 +194,8 @@ def loads_presentation(text):
 
 
 def load_presentation(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"file is not UTF-8: {exc}", "$") from None
-    return loads_presentation(text)
+    with open(path, "rb") as fh:
+        return loads_presentation(fh.read())
 
 
 def dump_presentation(P, path):

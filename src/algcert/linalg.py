@@ -29,6 +29,7 @@ the mutable accumulator used while a span is still growing.
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
@@ -62,7 +63,8 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        # A Fraction is immutable and already in lowest terms.
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -105,6 +107,10 @@ class RationalField:
         return tuple(out)
 
     def parse(self, s):
+        # The exact string "0", most entries of a dense file, needs no
+        # conversion; "-0", "00" and the rest take the checked path.
+        if s == "0":
+            return self.zero
         if not isinstance(s, str) or not _RAT_RE.match(s):
             raise FormatError(f"not a rational scalar: {s!r}")
         num, _, den = s.partition("/")
@@ -181,6 +187,8 @@ class PrimeField:
         return tuple(out)
 
     def parse(self, s):
+        if s == "0":
+            return self.zero
         if not isinstance(s, str) or not _INT_RE.match(s):
             raise FormatError(f"not a prime-field scalar: {s!r}")
         return _digits(s) % self.p
@@ -384,6 +392,18 @@ class Subspace(_Echelon):
             rows = tuple(_int_vector(self.field, r, self.ambient_dim)[1] for r in self.basis)
             object.__setattr__(self, "_rows", rows)
         return self._rows
+
+    @functools.cached_property
+    def _sparse_basis(self):
+        """(m, rows): the canonical basis as sparse integer rows over the lcm
+        m of the pivot entries of the integer rows, rows[r] = ((k, n), ...)
+        with basis[r][k] = n / m (m = 1 over F_p). Built on first use."""
+        int_rows = self._int_rows()
+        m = lcm(*(row[j] for j, row in zip(self.pivots, int_rows)))
+        return m, tuple(
+            tuple((k, m // row[j] * row[k]) for k in compress(range(len(row)), row))
+            for j, row in zip(self.pivots, int_rows)
+        )
 
     def contains_subspace(self, other):
         _check_compatible(self, other)

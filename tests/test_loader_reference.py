@@ -1,0 +1,215 @@
+"""The loader against a reference copy of the loader it replaced, which
+parsed every scalar string into a field value with a regular expression and
+then coerced it a second time, in the tables and in every named vector.
+
+On built instances, dense changes of basis and files whose zeros are
+written "-0", "00" or "0/7", the loaded table, involution and supports and
+the canonical dump must equal the reference's. Each of "0", "-0", "00",
+"0/7", "0/0", "1/0", "abc" and the JSON number 0, put in a structure
+constant, an involution entry or a vector coordinate, must give the same
+value or the same FormatError message and pointer.
+"""
+
+import json
+import re
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+import algcert as ac
+from algcert import formats
+from algcert.errors import FormatError
+from algcert.linalg import QQ, PrimeField
+from helpers import dense_change_of_basis
+
+_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(r"^-?\d+$")
+
+
+def _reference_parse(F, s):
+    """A scalar string as the replaced loader parsed it."""
+    p = getattr(F, "p", 0)
+    if p:
+        if not isinstance(s, str) or not _INT_RE.match(s):
+            raise FormatError(f"not a prime-field scalar: {s!r}")
+        return int(s) % p
+    if not isinstance(s, str) or not _RAT_RE.match(s):
+        raise FormatError(f"not a rational scalar: {s!r}")
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in rational scalar: {s!r}") from None
+
+
+def _reference_coerce(F, x):
+    p = getattr(F, "p", 0)
+    return int(x) % p if p else Fraction(x)
+
+
+def _reference_scalar(F, s, pointer):
+    try:
+        c = _reference_parse(F, s)
+    except FormatError as exc:
+        raise FormatError(str(exc), pointer) from None
+    return _reference_coerce(F, c)
+
+
+def _reference_load(d):
+    """(mul table, involution rows, named coordinate tuples) of the
+    structurally valid file d, as the replaced loader built them."""
+    F = ac.field_from_name(d["field"])
+    dim = d["dim"]
+    table = {}
+    for t, (i, j, k, c) in enumerate(d["mul"]):
+        c = _reference_scalar(F, c, f"$.mul[{t}][3]")
+        if c:
+            table.setdefault((i, j), []).append((k, c))
+    mul = {key: tuple(sorted(entries)) for key, entries in table.items()}
+    star = None
+    if "involution" in d:
+        rows = [[] for _ in range(dim)]
+        for t, (i, j, c) in enumerate(d["involution"]):
+            c = _reference_scalar(F, c, f"$.involution[{t}][2]")
+            if c:
+                rows[i].append((j, c))
+        star = tuple(tuple(sorted(r)) for r in rows)
+    vectors = {}
+    for key in ("idempotents", "generators"):
+        for name, v in d[key].items():
+            vectors[key, name] = tuple(
+                _reference_scalar(F, x, f"$.{key}.{name}[{n}]") for n, x in enumerate(v)
+            )
+    if d["unital"]:
+        vectors["unit", None] = tuple(
+            _reference_scalar(F, x, f"$.unit[{n}]") for n, x in enumerate(d["unit"])
+        )
+    return F, mul, star, vectors
+
+
+def _support(coords):
+    nonzero = [(i, c) for i, c in enumerate(coords) if c]
+    d = lcm(*(Fraction(c).denominator for _, c in nonzero))
+    return d, tuple((i, Fraction(c).numerator * (d // Fraction(c).denominator)) for i, c in nonzero)
+
+
+def _reference_dump(d, F, mul, star, vectors):
+    out = {
+        "name": d["name"],
+        "field": F.name,
+        "dim": d["dim"],
+        "basis": d["basis"],
+        "mul": [
+            [i, j, k, F.format(c)] for (i, j), entries in sorted(mul.items()) for k, c in entries
+        ],
+        "unital": d["unital"],
+    }
+    for key in ("idempotents", "generators"):
+        out[key] = {
+            name: [F.format(x) for x in v] for (k, name), v in vectors.items() if k == key
+        }
+    if star is not None:
+        out["involution"] = [[i, j, F.format(c)] for i, row in enumerate(star) for j, c in row]
+    if d["unital"]:
+        out["unit"] = [F.format(x) for x in vectors["unit", None]]
+    return formats.canonical_json(out)
+
+
+def _named(P, key, name):
+    return P.unit if key == "unit" else getattr(P, key)[name]
+
+
+def _outcome(text):
+    """("ok", loaded parts, dump) or ("error", message, pointer) for both
+    loaders; the two must agree."""
+    d = json.loads(text)
+    try:
+        F, mul, star, vectors = _reference_load(d)
+        expected = ("ok", (mul, star, {k: _support(v) for k, v in vectors.items()}),
+                    _reference_dump(d, F, mul, star, vectors))
+    except FormatError as exc:
+        expected = ("error", str(exc), exc.pointer)
+    try:
+        P = formats.loads_presentation(text)
+        got = ("ok", (P._mul, P._star, {k: _named(P, *k).support for k in vectors}),
+               formats.dumps_presentation(P))
+        for (key, name), coords in vectors.items():
+            assert _named(P, key, name).coords == coords
+    except FormatError as exc:
+        got = ("error", str(exc), exc.pointer)
+    return got, expected
+
+
+FIELDS = {"Q": QQ, "Fp101": PrimeField(101), "Fp1000000007": PrimeField(1000000007)}
+
+
+def _instances():
+    out = {}
+    for field, F in FIELDS.items():
+        m3 = ac.build_matrix_algebra(3, F, "flip")
+        out[f"m3-flip-{field}"] = m3
+        out[f"m2-symplectic-{field}"] = ac.build_matrix_algebra(2, F, "symplectic")
+        out[f"example1-D3-{field}"] = ac.build_example1(3, F)
+        out[f"example2-D2-{field}"] = ac.build_example2(2, F)
+        out[f"m3-flip-dense-{field}"] = dense_change_of_basis(m3, 5)
+    return out
+
+
+TEXTS = {name: formats.dumps_presentation(P) for name, P in _instances().items()}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_loader_equals_the_reference(name):
+    got, expected = _outcome(TEXTS[name])
+    assert got[0] == "ok"
+    assert got == expected
+    assert got[2] == TEXTS[name]
+
+
+@pytest.mark.parametrize("zero", ["-0", "00", "0/7"])
+@pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "example1-D3-Q"])
+def test_other_spellings_of_zero(name, zero):
+    # Zeros spelled otherwise in every vector, plus a zero structure
+    # constant and involution entry for index tuples the tables lack.
+    d = json.loads(TEXTS[name])
+    for key in ("idempotents", "generators"):
+        for v in d[key].values():
+            v[:] = [zero if x == "0" else x for x in v]
+    if d["unital"]:
+        d["unit"] = [zero if x == "0" else x for x in d["unit"]]
+    present = {tuple(row[:3]) for row in d["mul"]}
+    d["mul"].append([*next(t for t in _triples(d["dim"]) if t not in present), zero])
+    if "involution" in d:
+        present = {tuple(row[:2]) for row in d["involution"]}
+        d["involution"].append([*next(t[:2] for t in _triples(d["dim"]) if t[:2] not in present), zero])
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    if zero == "0/7" and d["field"] != "Q":
+        assert got[0] == "error"
+    else:
+        assert got[0] == "ok" and got[2] == TEXTS[name]
+
+
+def _triples(dim):
+    return ((i, j, k) for i in range(dim) for j in range(dim) for k in range(dim))
+
+
+SCALARS = ["0", "-0", "00", "0/7", "0/0", "1/0", "abc", 0]
+
+
+@pytest.mark.parametrize("where", ["mul", "involution", "generator"])
+@pytest.mark.parametrize("field", ["Q", "Fp101"])
+@pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+def test_one_scalar_like_the_reference(scalar, field, where):
+    d = json.loads(TEXTS[f"m3-flip-{field}"])
+    if where == "mul":
+        d["mul"][3][3] = scalar
+    elif where == "involution":
+        d["involution"][3][2] = scalar
+    else:
+        d["generators"]["E12"][4] = scalar
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    if scalar in ("0/0", "1/0", "abc", 0):
+        assert got[0] == "error"
