@@ -435,7 +435,9 @@ class AlgebraPresentation:
         return self._from_ints(acc, da * D)
 
     def commutator(self, a, b):
-        return self.sub(self.mul(a, b), self.mul(b, a))
+        """ab - ba, each product taken only when the reach allows it to be
+        nonzero (``_product_or_zero``)."""
+        return self.sub(_product_or_zero(self, a, b), _product_or_zero(self, b, a))
 
     def circle(self, a, b):
         half = self._half
@@ -486,6 +488,14 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name!r}, dim={self.dim})"
+
+
+def _product_or_zero(P, a, b):
+    """a * b, or the zero element with no product when the support of b
+    misses the reach of a."""
+    if P._reach(a).isdisjoint(i for i, _ in b.support[1]):
+        return P.zero()
+    return P.mul(a, b)
 
 
 def unital_hull(P):

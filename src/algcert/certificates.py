@@ -10,7 +10,10 @@ apply. Targets are spans that bilinearity makes bracket-closed, which is
 not re-checked. A pass is sound whether or not the closure is closed: every
 vector of a final is a generator or a product of its vectors, so the final
 lies in the structure <S> the generators S generate; a closed target that
-equals the final contains S, hence <S>, so <S> = target.
+equals the final contains S, hence <S>, so <S> = target. The same argument
+lets a closure stop at a closed target's rank (``closure.lie_closure``'s
+``target``, and closed pair components through ``closure._pair_closure``),
+which changes no trace.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import (
+    _product_or_zero,
     axiom_violations,
     embed_in_hull,
     hypotheses_for,
@@ -32,6 +37,7 @@ from .algebra import (
 )
 from .closure import (
     GeneratorSet,
+    _pair_closure,
     assoc_closure,
     generator_set,
     lie_closure,
@@ -190,8 +196,13 @@ def _bracket_span(P, rows):
 
 
 def commutator_span(P):
-    """Span of all [b_i, b_j] over basis pairs."""
-    return _bracket_span(P, [P.basis_element(i) for i in range(P.dim)])
+    """Span of all [b_i, b_j] over basis pairs. [b_i, b_j] is zero unless
+    b_i b_j or b_j b_i is in the structure table, so only those pairs are
+    bracketed; the span is canonical, so their order does not matter."""
+    b = SpanBuilder(P.field, P.dim)
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in P._mul if i != j}):
+        b.add(P.commutator(P.basis_element(i), P.basis_element(j)))
+    return b.subspace()
 
 
 def derived_subspace(P):
@@ -209,7 +220,8 @@ def skew_commutator_span(P):
 
 def derived_K_subspace(P):
     """The derived subalgebra [K, K] of the skew part: [k, k']* = -[k, k']
-    puts [K, K] in K, so the span is bracket-closed by bilinearity."""
+    puts [K, K] in K once the involution law holds (the axiom gate), so the
+    span is bracket-closed by bilinearity."""
     return skew_commutator_span(P)
 
 
@@ -284,6 +296,13 @@ class _SandwichWitnesses:
     reads 0 once the span already holds it. The solver combines only inputs
     that grew its rank, which are linearly independent, so a target's terms
     are unique and growing more levels leaves them unchanged.
+
+    The solver gets only the nonzero products, and ``products[i]`` names
+    its input i. A product (u*mid)*v is zero when v's support misses the
+    reach of u*mid, so each u*mid is paired only with the empty word and
+    the words that ``index`` (basis index -> positions of the words whose
+    support holds it) finds in its reach. Once the solver's span is full,
+    no later input can enter a solution, and none is added.
     """
 
     def __init__(self, Pw, mid, words, cap):
@@ -292,41 +311,53 @@ class _SandwichWitnesses:
         self.words = words
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
-        self.products = []  # (u_label, u_el, v_label, v_el)
+        self.products = []  # (u_label, u_el, v_label, v_el) per solver input
         self.lefts = []  # (u * mid, its reach) for each word u up to the length
+        self.index = {}  # basis index -> positions in words_upto, ascending
         self.length = -1
+
+    def _meeting(self, reach, start):
+        """Positions, from start on and in order, of the nonempty words
+        whose support meets reach."""
+        hits = set()
+        for i in reach:
+            positions = self.index.get(i)
+            if positions:
+                hits.update(positions[bisect_left(positions, start):])
+        return sorted(hits)
 
     def _grow_to(self, L):
         """Add the products u*mid*v with max(|u|, |v|) = length for each
-        length up to L. A product is (u*mid)*v, and it goes to the solver as
-        zero, uncomputed, when v misses the reach of u*mid; ``products`` and
-        the solver's input indices are the same either way."""
-        Pw, mid = self.Pw, self.mid
-        zero = Pw.zero()
-        while self.length < L:
+        length up to L: new u against every v, then old u against new v,
+        each in word order."""
+        Pw, mid, solver = self.Pw, self.mid, self.solver
+        while self.length < L and solver.rank < Pw.dim:
             self.length += 1
             new = self.words.level(self.length) if self.length >= 1 else [("", None)]
             upto = self.words.words_upto(self.length, include_empty=True)
-            old = upto[:len(upto) - len(new)]
-            # u * mid for each word u of upto, in order; old's are known.
-            lefts = self.lefts
-            for _, u in new:
-                left = mid if u is None else Pw.mul(u, mid)
-                lefts.append((left, Pw._reach(left)))
-            # all pairs (u, v) with max(|u|, |v|) == current length
-            pairs = itertools.chain(
-                ((ul, u, left, vl, v)
-                 for (ul, u), left in zip(new, lefts[len(old):]) for vl, v in upto),
-                ((ul, u, left, vl, v) for (ul, u), left in zip(old, lefts) for vl, v in new),
-            )
-            for ul, u, (left, reach), vl, v in pairs:
+            n_old = len(upto) - len(new)
+            for pos in range(max(n_old, 1), len(upto)):
+                for i, _ in upto[pos][1].support[1]:
+                    self.index.setdefault(i, []).append(pos)
+
+            def pairs():
+                for ul, u in new:
+                    left = mid if u is None else Pw.mul(u, mid)
+                    reach = Pw._reach(left)
+                    self.lefts.append((left, reach))
+                    for pos in [0] + self._meeting(reach, 1):
+                        yield ul, u, left, upto[pos]
+                for (ul, u), (left, reach) in zip(upto[:n_old], self.lefts):
+                    for pos in self._meeting(reach, n_old):
+                        yield ul, u, left, upto[pos]
+
+            for ul, u, left, (vl, v) in pairs():
+                prod = left if v is None else Pw.mul(left, v)
+                if Pw.is_zero(prod):
+                    continue
                 self.products.append((ul, u, vl, v))
-                if v is None:
-                    self.solver.add(left)
-                elif reach.isdisjoint(i for i, _ in v.support[1]):
-                    self.solver.add(zero)
-                else:
-                    self.solver.add(Pw.mul(left, v))
+                if solver.add(prod) and solver.rank == Pw.dim:
+                    return
 
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)]."""
@@ -378,8 +409,8 @@ def lemma1_certificate(P, e=None):
         for k, row in enumerate(comp.basis):
             items.append((f"{name}:{k}", P.element(row), name))
     gens = generator_set("lie", items)
-    trace = lie_closure(P, gens)
     target = derived_subspace(P)
+    trace = lie_closure(P, gens, target)
     return Certificate(
         claim="lemma1",
         verdict=_verdict(trace.final, target),
@@ -481,8 +512,11 @@ def lemma2_certificate(P, e=None, f=None, cap=6, budget=None):
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma2", hyp)
     gens, info = _lemma2_impl(P, _witness_search(P, e, f, cap, budget))
-    trace = pair_closure(P, gens, "assoc-pair", components=info["components"])
     target = info["components"]
+    # eRf.fRe.eRf lies in eRf (and symmetrically) by associativity, so the
+    # components are closed once the gate has passed.
+    closed = not axiom_violations(P)
+    trace = _pair_closure(P, gens, "assoc-pair", target, closed=closed)
     return Certificate(
         claim="lemma2",
         verdict=_verdict(trace.final, target),
@@ -602,9 +636,10 @@ def lemma3_jordan_check(P, pair_generators, seed=0, samples=100):
         identity_checks += 2
 
     # The monomials are iterated triple products of the inputs, so they lie
-    # in the associative pair the inputs generate.
+    # in the associative pair the inputs generate. That pair is closed under
+    # x*y*z, hence under x*y*z + z*y*x.
     monomials = _distinct_index_monomials(P, pair_generators, target_trace.final)
-    trace = pair_closure(P, monomials, "jordan-pair", components=target_trace.final)
+    trace = _pair_closure(P, monomials, "jordan-pair", target_trace.final, closed=True)
     verdict = _verdict(trace.final, target_trace.final)
     return Certificate(
         claim="lemma3",
@@ -636,14 +671,6 @@ def _lemma3_claim(P, opts):
 
 
 # -- theorem1 ---------------------------------------------------------------
-
-
-def _product_or_zero(P, a, b):
-    """a * b, or the zero element with no product when the support of b
-    misses the reach of a."""
-    if P._reach(a).isdisjoint(i for i, _ in b.support[1]):
-        return P.zero()
-    return P.mul(a, b)
 
 
 def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
@@ -697,16 +724,16 @@ def theorem1_certify(P, e=None, seed=0, cap=6, samples=100, budget=None):
     monomials = _distinct_index_monomials(
         P, pair_gens, (comp_minus, comp_plus), budget
     )
-    jordan_trace = pair_closure(
-        P, monomials, "jordan-pair", components=(comp_minus, comp_plus)
+    jordan_trace = _pair_closure(
+        P, monomials, "jordan-pair", (comp_minus, comp_plus), closed=True
     )
     jordan_ok = jordan_trace.final == (comp_minus, comp_plus)
 
     lie_gens = generator_set(
         "lie", [(lab, el, prov) for lab, el, prov in monomials.elements]
     )
-    trace = lie_closure(P, lie_gens)
     target = derived_subspace(P)
+    trace = lie_closure(P, lie_gens, target)
     verdict = PASS if jordan_ok and trace.final == target else FAIL
     return Certificate(
         claim="theorem1",
@@ -914,7 +941,8 @@ def lemma6_check(P, grading=None, e=None):
         for k, row in enumerate(Ki.basis):
             items.append((f"K_{i}:{k}", P.element(row), f"K_{i}-basis"))
     gens = generator_set("lie", items)
-    trace = lie_closure(P, gens)
+    # [K, K] is bracket-closed once the gate has passed (derived_K_subspace).
+    trace = lie_closure(P, gens, None if axiom_violations(P) else target)
     verdict = PASS if membership_ok and trace.final == target else FAIL
     return Certificate(
         claim="lemma6",
@@ -1108,8 +1136,8 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     seen_union = SpanBuilder(P.field, P.dim)
     union = [(lab, el, prov) for lab, el, prov in union if seen_union.add(el)]
     gens = generator_set("lie", union)
-    trace = lie_closure(P, gens)
     target = derived_K_subspace(P)
+    trace = lie_closure(P, gens, target)
     stage["union_size"] = len(union)
     return Certificate(
         claim="theorem2",
@@ -1333,7 +1361,7 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
         for i in range(g):
             el = random_element(P, rng, target, nonzero=target.rank > 0)
             items.append((f"t{t}g{i}", el, "random"))
-        trace = lie_closure(P, generator_set("lie", items))
+        trace = lie_closure(P, generator_set("lie", items), target)
         rank = trace.final_rank
         max_rank = max(max_rank, rank)
         hit = rank == target.rank

@@ -18,6 +18,15 @@ in the round after its newest factor is found. The saturation stops only
 after a round that adds nothing: then every such product lies in the span,
 and by bilinearity so does every product of the final's elements. A full
 side is R, which holds every product.
+
+A closure can also stop at a ceiling: the rank of a closed subspace known
+to hold the generators, and with them everything they generate. The final
+lies in what the generators generate, so once it has the ceiling's rank it
+is that subspace and closed. ``lie_closure`` takes such a ``target``
+(a bracket-closed span such as [R, R]) and checks that it holds the
+generators; pair closures take their components' ranks only from callers
+that have proved the components closed. The round list is the same as
+without the ceiling.
 """
 
 from __future__ import annotations
@@ -41,15 +50,20 @@ _BUDGET_ENV = "ALGCERT_MAX_WORDS"
 
 
 def word_budget(budget=None):
+    """The word budget: budget when given, else ``ALGCERT_MAX_WORDS``, else
+    the default. The variable must hold a positive integer."""
     if budget is not None:
         return int(budget)
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_WORD_BUDGET
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise StructureError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
+        value = 0
+    if value < 1:
+        raise StructureError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,7 +136,7 @@ class ClosureTrace:
         return d
 
 
-def _saturate_linear(P, seeds, product_round):
+def _saturate_linear(P, seeds, product_round, ceilings=None):
     """Saturate one span per side, from one iterable of seeds per side.
 
     product_round(P, vectors, old, n) yields (side, product) for the
@@ -130,15 +144,28 @@ def _saturate_linear(P, seeds, product_round):
     index old[s] to n[s] on side s. A round's rank is the total over the
     sides. Every product is taken once its newest factor is found, so when
     a round adds nothing, or every side is full, the finals are closed.
+
+    ``ceilings`` holds one rank per side that the side's final is known to
+    reach once closed (the rank of a closed span that holds it; see
+    ``lie_closure``). A side at its ceiling is treated like a full side: it
+    takes no more vectors, and once every side is at its ceiling the round
+    stops and the next one is recorded without computing its products. The
+    round list is the same as without ceilings, since a side that reached
+    its ceiling could not have grown in those rounds.
     """
+    if ceilings is None:
+        ceilings = [P.dim] * len(seeds)
     builders = [SpanBuilder(P.field, P.dim) for _ in seeds]
     vectors = [[] for _ in seeds]
+    done = [False] * len(seeds)
     for side, els in enumerate(seeds):
-        # Seeds may be a lazy stream of products; a full side takes no more.
+        # Seeds may be a lazy stream of products; a side at its ceiling
+        # takes no more.
         for el in els:
             if builders[side].add(el):
                 vectors[side].append(el)
-                if builders[side].is_full:
+                done[side] = builders[side].rank >= ceilings[side]
+                if done[side]:
                     break
     rounds = [(0, sum(b.rank for b in builders))]
     old = [0] * len(seeds)
@@ -147,14 +174,16 @@ def _saturate_linear(P, seeds, product_round):
         rnd += 1
         n = [len(v) for v in vectors]
         grew = False
-        # Full spans cannot grow: the round stops once every side is full,
-        # and the next one records the stagnation without computing products.
-        if not all(b.is_full for b in builders):
+        # Sides at their ceilings cannot grow: the round stops once every
+        # side is there, and the next one records the stagnation without
+        # computing products.
+        if not all(done):
             for side, el in product_round(P, vectors, old, n):
-                if builders[side].add(el):
+                if not done[side] and builders[side].add(el):
                     vectors[side].append(el)
                     grew = True
-                    if all(b.is_full for b in builders):
+                    done[side] = builders[side].rank >= ceilings[side]
+                    if all(done):
                         break
         old = n
         rounds.append((rnd, sum(b.rank for b in builders)))
@@ -199,12 +228,22 @@ def _pair_round(P, vectors, old, n, jordan):
                     yield side, triple(outer[i], inner[j], outer[k])
 
 
-def lie_closure(P, S):
-    """Smallest subspace containing S and closed under [a,b] = ab - ba."""
+def lie_closure(P, S, target=None):
+    """Smallest subspace containing S and closed under [a,b] = ab - ba.
+
+    ``target``, when given, must be a bracket-closed subspace. If it holds
+    every generator, it holds the Lie algebra <S> they generate, and the
+    closure stops once its final has target's rank: the final lies in <S>,
+    so <S> ⊆ target = final ⊆ <S>. A target that misses a generator sets
+    no ceiling.
+    """
     if S.structure != "lie":
         raise StructureError("lie_closure needs a lie generator set")
     seeds = [el for _, el, _ in S.elements]
-    return _saturate_linear(P, [seeds], _lie_round)
+    ceilings = None
+    if target is not None and all(target.contains(el) for el in seeds):
+        ceilings = [target.rank]
+    return _saturate_linear(P, [seeds], _lie_round, ceilings)
 
 
 def assoc_closure(P, S):
@@ -220,11 +259,22 @@ def pair_closure(P, S, kind=None, components=None):
 
     kind picks the product family: x*y*z for 'assoc-pair', the symmetrized
     x*y*z + z*y*x for 'jordan-pair'. When ``components`` = (minus, plus)
-    subspaces are supplied every generator must lie in its declared side.
+    subspaces are supplied every generator must lie in its declared side;
+    they are only checked, since they need not be closed.
     """
+    return _pair_closure(P, S, kind, components, closed=False)
+
+
+def _pair_closure(P, S, kind, components, closed):
+    """``pair_closure``; with closed, the caller has proved the components
+    closed under the kind's triple products. They hold every generator
+    (checked), so they hold the pair <S> the generators generate, and each
+    side stops at its component's rank: the final side lies in <S>'s, so
+    <S>_side ⊆ component = final_side ⊆ <S>_side."""
     kind = kind or S.structure
     if kind not in PAIR_STRUCTURES or S.structure not in PAIR_STRUCTURES:
         raise StructureError("pair_closure needs a pair generator set")
+    ceilings = None
     if components is not None:
         comp_minus, comp_plus = components
         for (label, el, _), side in zip(S.elements, S.sides):
@@ -233,9 +283,11 @@ def pair_closure(P, S, kind=None, components=None):
                 raise GeneratorSideError(
                     f"generator {label!r} lies outside its {side} component"
                 )
+        if closed:
+            ceilings = [comp_minus.rank, comp_plus.rank]
     jordan = kind == "jordan-pair"
     seeds = [S.side_elements("-"), S.side_elements("+")]
-    return _saturate_linear(P, seeds, partial(_pair_round, jordan=jordan))
+    return _saturate_linear(P, seeds, partial(_pair_round, jordan=jordan), ceilings)
 
 
 def _dedupe_exact(elements):

@@ -777,3 +777,37 @@ def test_theorem2_splits_once(monkeypatch):
     assert cc.lemma4_check(P).verdict == "pass"
     assert cc.lemma9_check(P).verdict == "pass"
     assert len(calls) == 1
+
+
+def test_ceilings_only_where_the_target_is_proved_closed(monkeypatch):
+    # [R, R] is bracket-closed and lemma 3's associative-pair final is
+    # closed under both triples on any table; [K, K] and the Peirce pair
+    # components are closed only under the axioms. On M3 flip with one
+    # spurious product (b0 * b1 += b4) the gated ceilings are dropped.
+    seen = []
+    saturate = ac.closure._saturate_linear
+
+    def recording(P, seeds, product_round, ceilings=None):
+        if product_round is not algebra._ideal_round:
+            seen.append(ceilings)
+        return saturate(P, seeds, product_round, ceilings)
+
+    monkeypatch.setattr(ac.closure, "_saturate_linear", recording)
+    d = formats.presentation_to_dict(m3("flip"))
+    d["mul"].append([0, 1, 4, "1"])
+    dirty = formats.presentation_from_dict(d)
+    assert algebra.axiom_violations(dirty)
+    opts = argparse.Namespace(seed=0)
+    runs = {
+        "lemma1": cc.lemma1_certificate,
+        "lemma2": cc.lemma2_certificate,
+        "lemma3": lambda P: cc._lemma3_claim(P, opts),
+        "lemma6": cc.lemma6_check,
+    }
+    for P, gated in ((m3("flip"), [[8], [2, 2], [2, 2], [3]]), (dirty, [[9], None, [4, 2], None])):
+        got = []
+        for claim, run in runs.items():
+            seen.clear()
+            run(P)
+            got.append(seen[-1])
+        assert got == gated

@@ -4,6 +4,8 @@ import json
 import re
 import sys
 
+import pytest
+
 from algcert.cli import run_cli
 
 
@@ -202,6 +204,21 @@ def test_budget_env_exit1(capsys, tmp_path, monkeypatch):
     )
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "ten"])
+def test_budget_env_must_be_positive(capsys, tmp_path, monkeypatch, raw):
+    # A budget below one is an input error, not a budget exceeded by the
+    # first word.
+    path = _build(capsys, tmp_path, "m3.json", "--kind", "matrix_n", "--n", "3")
+    monkeypatch.setenv("ALGCERT_MAX_WORDS", raw)
+    code, out, err = _run(
+        capsys, "oracle", path, "--structure", "lie", "--gens", "E12,E21", "--max-len", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert f"ALGCERT_MAX_WORDS must be a positive integer, got {raw!r}" in err
+    assert "budget exceeded" not in err and "Traceback" not in err
 
 
 def test_report_determinism(capsys, tmp_path):

@@ -6,7 +6,8 @@ from functools import partial
 import pytest
 
 import algcert as ac
-from algcert import closure
+from algcert import certificates as cc, closure
+from algcert.algebra import axiom_violations
 from algcert.certificates import random_element
 from algcert.closure import oracle_until_stagnation
 from algcert.errors import (
@@ -561,3 +562,133 @@ def test_pair_closure_matches_two_builder_loop(monkeypatch, kind, case):
         # The rounds after both sides are full do not run.
         assert muls[0] < old_calls
 
+
+
+# -- target ceilings -----------------------------------------------------------
+
+
+def _ceiling_instances():
+    out = {}
+    for field in ("Q", "Fp:101"):
+        F = ac.field_from_name(field)
+        for n in (2, 3):
+            for inv in ("transpose", "flip"):
+                out[f"m{n}-{inv}-{field}"] = ac.build_matrix_algebra(n, F, inv)
+        out[f"example2-D1-{field}"] = ac.build_example2(1, F)
+        out[f"example1-D2-{field}"] = ac.build_example1(2, F)
+    out["m4-flip-Q"] = ac.build_matrix_algebra(4, involution="flip")
+    return out
+
+
+CEILING_INSTANCES = _ceiling_instances()
+
+
+def _bracket_targets(P):
+    """[R, R], and [K, K] when P has an involution: both bracket-closed."""
+    out = {"[R,R]": cc.derived_subspace(P)}
+    if P.has_involution:
+        out["[K,K]"] = cc.derived_K_subspace(P)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CEILING_INSTANCES))
+def test_lie_ceiling_keeps_the_trace(name):
+    # Seeded generator sets drawn inside a bracket-closed target: with the
+    # target's rank as ceiling the trace is the same, the final is closed,
+    # and (up to dim 9, within the oracle's budget) equals the word span.
+    P = CEILING_INSTANCES[name]
+    assert not axiom_violations(P)
+    rng = random.Random(f"ceiling-{name}")
+    for label, target in _bracket_targets(P).items():
+        for sparse in (False, True):
+            for t in range(6):
+                items = [
+                    (f"g{i}", _draw(P, rng, target, sparse), "random")
+                    for i in range(rng.randint(1, 3))
+                ]
+                gens = ac.generator_set("lie", items)
+                capped = ac.lie_closure(P, gens, target)
+                assert capped == ac.lie_closure(P, gens), (label, sparse, t)
+                assert _closed(P, capped.final, "lie")
+                if P.dim <= 9:
+                    assert capped.final == oracle_until_stagnation(P, gens)[0]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_lie_ceiling_skips_the_products_past_the_target(field, monkeypatch):
+    # Lemma 1's generators on M4 flip reach [R, R] in the first round; the
+    # rest of that round and the whole stagnation round are not computed.
+    P = ac.build_matrix_algebra(4, ac.field_from_name(field), "flip")
+    pd = ac.peirce_decompose(P, P.idempotents["e"])
+    items = [(f"g{k}", P.element(row), "t") for k, row in enumerate(pd.eRf.basis + pd.fRe.basis)]
+    gens = ac.generator_set("lie", items)
+    target = cc.derived_subspace(P)
+    muls = count_muls(monkeypatch)
+    plain = ac.lie_closure(P, gens)
+    plain_calls, muls[0] = muls[0], 0
+    capped = ac.lie_closure(P, gens, target)
+    assert capped == plain and capped.final == target
+    assert muls[0] < plain_calls / 2
+
+
+def _recorded_ceilings(monkeypatch):
+    seen = []
+    saturate = closure._saturate_linear
+
+    def recording(P, seeds, product_round, ceilings=None):
+        seen.append(ceilings)
+        return saturate(P, seeds, product_round, ceilings)
+
+    monkeypatch.setattr(closure, "_saturate_linear", recording)
+    return seen
+
+
+def test_target_missing_a_seed_sets_no_ceiling(monkeypatch):
+    # span(E12) misses E21; its rank 1 as ceiling would stop the closure
+    # at its first seed, but the closure is sl2, of rank 3.
+    P = m2()
+    gens = lie_gens(P, ["E12", "E21"])
+    plain = ac.lie_closure(P, gens)
+    seen = _recorded_ceilings(monkeypatch)
+    assert ac.lie_closure(P, gens, _span(P, ["E12"])) == plain
+    assert plain.final_rank == 3
+    assert ac.lie_closure(P, gens, cc.derived_subspace(P)) == plain
+    assert seen == [None, [3]]
+
+
+def test_pair_components_that_are_not_closed_set_no_ceiling(monkeypatch):
+    # Random pair generators on M4 flip over e = E11 + E22, with the spans
+    # of their own sides as components: those hold the generators but are
+    # not closed wherever the closure grows past them.
+    P = ORACLE_INSTANCES["m4-flip-Q"]
+    seen = _recorded_ceilings(monkeypatch)
+    grown = 0
+    for gens in _oracle_cases(P, random.Random("open-components"), draws=4):
+        spans = (P.span_of(gens.side_elements("-")), P.span_of(gens.side_elements("+")))
+        plain = ac.pair_closure(P, gens)
+        assert ac.pair_closure(P, gens, components=spans) == plain
+        grown += plain.final != spans
+    assert grown
+    assert set(map(repr, seen)) == {"None"}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_pair_ceiling_inside_closed_components_keeps_the_trace(name, monkeypatch):
+    # The Peirce components eR(1-e) and (1-e)Re are closed under both triple
+    # products, as at the certificates' call sites; generators drawn inside
+    # them give the same trace with the components' ranks as ceilings.
+    P = ORACLE_INSTANCES[name]
+    rng = random.Random(f"pair-ceiling-{name}")
+    cases = [g for g in _oracle_cases(P, rng, draws=4) if g.structure in closure.PAIR_STRUCTURES]
+    e = P.idempotents["e"]
+    if P.dim == 16:
+        e = P.add(unit_elem(P, "E11"), unit_elem(P, "E22"))
+    pd = ac.peirce_decompose(P, e)
+    components = (pd.eRf, pd.fRe)
+    seen = _recorded_ceilings(monkeypatch)
+    for gens in cases:
+        plain = ac.pair_closure(P, gens, components=components)
+        capped = closure._pair_closure(P, gens, gens.structure, components, closed=True)
+        assert capped == plain
+        assert _closed(P, capped.final, gens.structure)
+    assert seen == [None, [pd.eRf.rank, pd.fRe.rank]] * len(cases)

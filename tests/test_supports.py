@@ -181,7 +181,12 @@ def test_random_element_on_the_zero_subspace():
 
 class _UncachedWitnesses(_SandwichWitnesses):
     """The witness search before u * mid was computed once per word: one
-    ``words_upto`` call per new u, and u * mid once per pair."""
+    ``words_upto`` call per new u, u * mid once per pair, and every
+    product, zero or not, handed to the solver. ``inputs`` holds them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.inputs = []
 
     def _grow_to(self, L):
         while self.length < L:
@@ -198,7 +203,31 @@ class _UncachedWitnesses(_SandwichWitnesses):
             for ul, u, vl, v in pairs:
                 prod = _sandwich(self.Pw, u, self.mid, v)
                 self.products.append((ul, u, vl, v))
+                self.inputs.append(prod)
                 self.solver.add(prod)
+
+
+def _nonzero_until_full(P, products, inputs):
+    """The products of the nonzero inputs, in order, up to the one that
+    makes their span full."""
+    span = ac.SpanBuilder(P.field, P.dim)
+    out = []
+    for product, el in zip(products, inputs):
+        if P.is_zero(el):
+            continue
+        out.append(product)
+        if span.add(el) and span.is_full:
+            break
+    return out
+
+
+def _labelled_combos(search):
+    """Each pivot row's combination, keyed by the (u, v) labels of its
+    inputs rather than by input index."""
+    return [
+        {search.products[i][0::2]: c for i, c in combo.items()}
+        for combo in search.solver.combos
+    ]
 
 
 def _witness_searches(P, cls, cap):
@@ -233,8 +262,12 @@ def test_witness_terms_equal_the_uncached_search(name, data):
             got = _outcome(search, target)
             expected = _outcome(reference, target)
             assert got == expected
-        assert search.products == reference.products
-        assert search.solver.combos == reference.solver.combos
+        # The solver gets the reference's nonzero inputs, in order, until
+        # their span is full; zero inputs never enter a combination.
+        assert search.products == _nonzero_until_full(
+            search.Pw, reference.products, reference.inputs
+        )
+        assert _labelled_combos(search) == _labelled_combos(reference)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -243,7 +276,7 @@ def test_witness_terms_stay_the_same_on_longer_words(name, k):
     # A target's terms combine the solver inputs that grew its rank. Those
     # are linearly independent, so once the target lies in their span its
     # terms are unique, and growing the search k more levels cannot change
-    # them.
+    # them. A full span takes no more inputs.
     P = PRESENTATIONS[name]
     rng = random.Random(k)
     lift, gens, searches = _witness_searches(P, _SandwichWitnesses, 2)
@@ -256,8 +289,9 @@ def test_witness_terms_stay_the_same_on_longer_words(name, k):
                 solved.append((target, outcome[1]))
         assert solved
         inputs = len(search.products)
+        full = search.solver.rank == search.Pw.dim
         search._grow_to(search.length + k)
-        assert len(search.products) > inputs
+        assert (len(search.products) == inputs) == full
         for target, terms in solved:
             assert search.decompose(target, "target")[1] == terms
 
@@ -267,22 +301,93 @@ def _table_reach(P, a):
     return {j for i, _ in a.support[1] for j in range(P.dim) if P.mul_basis(i, j).support[1]}
 
 
-def test_witness_search_computes_each_left_factor_once(monkeypatch):
-    P = m3("flip")
-    _, _, (search, *_) = _witness_searches(P, _SandwichWitnesses, 2)
-    Pw, mid = search.Pw, search.mid
-    words = search.words.words_upto(2, include_empty=True)  # not counted below
-    reach = {
-        ul: _table_reach(Pw, mid if u is None else Pw.mul(u, mid)) for ul, u in words
-    }
-    calls = count_muls(monkeypatch)
-    search._grow_to(2)
-    # One u * mid per nonempty word u and one (u * mid) * v per pair whose v
-    # meets the reach of u * mid; the other products are zero.
-    meets = sum(
-        v is not None and not reach[ul].isdisjoint(i for i, _ in v.support[1])
-        for ul, _, _, v in search.products
-    )
-    assert len(search.products) == len(words) ** 2
-    assert 0 < meets < sum(v is not None for *_, v in search.products)
-    assert calls[0] == (len(words) - 1) + meets
+def _meets(P, left, v):
+    return not _table_reach(P, left).isdisjoint(i for i, _ in v.support[1])
+
+
+def _expected_witness_run(Pw, mid, levels, L):
+    """(mul calls, pairs skipped, products) of a search grown to L, by
+    brute force: one u * mid per nonempty word u that it reaches, and one
+    (u * mid) * v per pair, in the old order, whose v meets the table reach
+    of u * mid; the nonzero products until their span is full."""
+    calls = skipped = 0
+    products = []
+    span = ac.SpanBuilder(Pw.field, Pw.dim)
+    lefts = {}
+    for length in range(L + 1):
+        new = levels[length]
+        upto = [w for n in range(length + 1) for w in levels[n]]
+        old = upto[:len(upto) - len(new)]
+        pairs = [(u, v) for u in new for v in upto] + [(u, v) for u in old for v in new]
+        for (ul, u), (vl, v) in pairs:
+            if ul not in lefts:
+                calls += u is not None
+                lefts[ul] = mid if u is None else Pw.mul(u, mid)
+            left = lefts[ul]
+            if v is not None:
+                if not _meets(Pw, left, v):
+                    skipped += 1
+                    continue
+                calls += 1
+            prod = left if v is None else Pw.mul(left, v)
+            if Pw.is_zero(prod):
+                continue
+            products.append((ul, u, vl, v))
+            if span.add(prod) and span.is_full:
+                return calls, skipped, products
+    return calls, skipped, products
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_witness_search_computes_each_left_factor_once(monkeypatch, name):
+    P = PRESENTATIONS[name]
+    _, _, searches = _witness_searches(P, _SandwichWitnesses, 3)
+    for search in searches:
+        Pw, words = search.Pw, search.words
+        L = 2
+        levels = [[("", None)]] + [words.level(n) for n in range(1, L + 1)]
+        calls, skipped, products = _expected_witness_run(Pw, search.mid, levels, L)
+        muls = count_muls(monkeypatch)
+        search._grow_to(L)
+        monkeypatch.undo()
+        assert muls[0] == calls
+        assert search.products == products
+        if "dense" not in name:
+            # Matrix units and the examples' tables leave most pairs zero.
+            assert skipped > 0
+
+
+class _NoSpan:
+    """A solver whose span never grows, so that a search never stops at
+    full rank."""
+
+    rank = 0
+
+    def add(self, vec):
+        return False
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_reach_index_yields_the_words_that_meet_the_reach(name):
+    # At each level, the words paired with u * mid are those whose support
+    # meets the table reach of u * mid: all of them from position 1
+    # (position 0 is the empty word) for a new u, the newest level's from
+    # n_old for an old one.
+    P = PRESENTATIONS[name]
+    _, _, searches = _witness_searches(P, _SandwichWitnesses, 3)
+    for search in searches:
+        Pw = search.Pw
+        search.solver = _NoSpan()
+        for length in range(4):
+            search._grow_to(length)
+            upto = search.words.words_upto(length, include_empty=True)
+            n_old = len(upto) - len(search.words.level(length)) if length else 0
+            assert len(search.lefts) == len(upto)
+            for left, reach in search.lefts:
+                table_reach = _table_reach(Pw, left)
+                assert reach == table_reach
+                for start in {1, max(n_old, 1)}:
+                    assert search._meeting(reach, start) == [
+                        pos for pos in range(start, len(upto))
+                        if not table_reach.isdisjoint(i for i, _ in upto[pos][1].support[1])
+                    ]

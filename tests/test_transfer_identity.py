@@ -1,8 +1,10 @@
 """Theorem 1's bracket-transfer spot checks: each sample computes ac and ca
 and holds when both are zero, since {a,b,c} - [[a,b],c] = b(ac) + (ca)b.
 Checked against the old sample loop, which compared both sides with eight
-products, on matrix algebras over Q and F_101; with the product helper
-stubbed to a nonzero element, the full comparison runs instead."""
+products, on matrix algebras over Q and F_101; with the samples' product
+helper stubbed to a nonzero element, the full comparison runs instead.
+``commutator`` keeps its own binding of the helper, so the stub leaves the
+brackets exact."""
 
 import random
 
@@ -81,15 +83,17 @@ def test_nonzero_ac_runs_the_full_comparison(monkeypatch, name):
 
 def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # On M3 flip the reach proves ac and ca zero: the 200 samples cost no
-    # product. With the helper stubbed to a nonzero element each sample
-    # takes the old eight products, 1,600 in all.
+    # product. With the samples' helper stubbed to a nonzero element each
+    # sample runs the full comparison: the four products of {a,b,c} and
+    # those of the two brackets that the reach does not prove zero, 1,540
+    # in all.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 352
+    assert muls[0] == 189
     muls[0] = 0
     monkeypatch.setattr(cc, "_product_or_zero", lambda P, a, b: P.basis_element(0))
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 352 + 1600
+    assert muls[0] == 189 + 1540
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import algcert as ac
 from algcert import algebra
-from algcert.algebra import Element, ideal_span
+from algcert.algebra import AlgebraPresentation, Element, ideal_span
+from algcert.certificates import commutator_span
 from algcert.errors import DimensionError
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder
-from helpers import dense_change_of_basis, m3, m4
+from helpers import count_muls, dense_change_of_basis, m3, m4
 
 FP = PrimeField(101)
 
@@ -200,3 +201,63 @@ def test_zero_inputs_leave_spans_and_solvers_unchanged(name):
     for target in (span, full, solver):
         with pytest.raises(DimensionError):
             target.add(short)
+
+
+# -- brackets by reach ---------------------------------------------------------
+
+
+def _without_unit(P):
+    """P's table, declared with no unit."""
+    return AlgebraPresentation(
+        P.name + "-no-unit",
+        P.field,
+        P.basis_labels,
+        [(i, j, k, c) for (i, j), entries in P._mul.items() for k, c in entries],
+    )
+
+
+BRACKET_PRESENTATIONS = {
+    "m3-flip-Q": m3("flip"),
+    "m4-flip-Fp101": ac.build_matrix_algebra(4, FP, "flip"),
+    "m3-flip-dense-Q": dense_change_of_basis(m3("flip"), 1),
+    "m3-flip-dense-Fp1000000007": dense_change_of_basis(
+        ac.build_matrix_algebra(3, PrimeField(1000000007), "flip"), 2
+    ),
+    "example1-D3-Q-no-unit": _without_unit(ac.build_example1(3)),
+    "example2-D2-Fp101": ac.build_example2(2, FP),
+}
+
+
+def _meets(P, a, b):
+    return not _table_reach(P, a).isdisjoint(i for i, _ in b.support[1])
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PRESENTATIONS))
+@ZERO
+@given(data=st.data())
+def test_commutator_takes_a_product_only_when_the_reach_meets(name, data):
+    P = BRACKET_PRESENTATIONS[name]
+    a = data.draw(_elements(P))
+    b = data.draw(_elements(P))
+    expected = P.sub(P.mul(a, b), P.mul(b, a))
+    with pytest.MonkeyPatch.context() as m:
+        muls = count_muls(m)
+        got = P.commutator(a, b)
+    _same(got, expected)
+    assert muls[0] == _meets(P, a, b) + _meets(P, b, a)
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PRESENTATIONS))
+def test_commutator_span_equals_the_all_pairs_span(name, monkeypatch):
+    P = BRACKET_PRESENTATIONS[name]
+    basis = [P.basis_element(i) for i in range(P.dim)]
+    all_pairs = P.span_of(
+        [P.sub(P.mul(u, v), P.mul(v, u)) for i, u in enumerate(basis) for v in basis[i + 1:]]
+    )
+    muls = count_muls(monkeypatch)
+    assert commutator_span(P) == all_pairs
+    # One product per table entry b_i * b_j with i != j, none for the pairs
+    # that the table leaves zero both ways.
+    assert muls[0] == sum(
+        bool(P.mul_basis(i, j).support[1]) for i in range(P.dim) for j in range(P.dim) if i != j
+    )
