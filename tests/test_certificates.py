@@ -363,12 +363,15 @@ def test_stagnation_probe_detects_generation():
     cert = ac.stagnation_probe(P, target, trials=10, max_gen=2, seed=3)
     assert cert.verdict == "fail"
     assert cert.detail["reached_target_count"] > 0
+    # sl2 is not abelian: [E12, E21] = E11 - E22.
+    assert cert.detail["bracket_abelian"] is False
 
 
 def test_stagnation_requires_closed_target():
     P = m2()
     open_span = P.span_of([unit_elem(P, "E12"), unit_elem(P, "E21")])
-    with pytest.raises(ValueError):
+    # [E12, E21] = E11 - E22 lies outside the span.
+    with pytest.raises(ValueError, match="not bracket-closed"):
         ac.stagnation_probe(P, open_span, trials=1, max_gen=1, seed=0)
 
 

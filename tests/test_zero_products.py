@@ -5,12 +5,15 @@ the combination solver that take a zero element without eliminating it, and
 the zero paths of ``mul`` and of sums, each against the full computation it
 replaces, over Q (mixed denominators) and over F_101."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import algcert as ac
 from algcert import algebra
 from algcert.algebra import AlgebraPresentation, Element, ideal_span
+from algcert import certificates as cc
 from algcert.certificates import commutator_span
 from algcert.errors import DimensionError
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder
@@ -247,17 +250,43 @@ def test_commutator_takes_a_product_only_when_the_reach_meets(name, data):
     assert muls[0] == _meets(P, a, b) + _meets(P, b, a)
 
 
-@pytest.mark.parametrize("name", sorted(BRACKET_PRESENTATIONS))
-def test_commutator_span_equals_the_all_pairs_span(name, monkeypatch):
+def _bracket_rows(P, kind):
+    """Rows whose bracket span the certificates take: the basis ([R,R]),
+    the skew basis ([K,K]), lemma 4's K_1 or K_-1 rows, or seeded random
+    elements with a zero, a repeat and a basis element among them."""
+    if kind == "basis":
+        return [P.basis_element(i) for i in range(P.dim)]
+    if kind == "skew":
+        return [P.element(r) for r in cc._skew_part(P).basis]
+    if kind in ("K1", "K-1"):
+        _, kh = cc._graded_split(P, cc._resolve_idempotent(P, None))
+        return [P.element(r) for r in kh.graded[int(kind[1:])][0].basis]
+    rng = random.Random(7)
+    rows = [cc.random_element(P, rng) for _ in range(5)]
+    return rows + [P.zero(), rows[0], P.basis_element(0)]
+
+
+BRACKET_SPANS = [
+    (name, kind)
+    for name, P in sorted(BRACKET_PRESENTATIONS.items())
+    for kind in ("basis", "skew", "K1", "K-1", "random")
+    if P.has_involution or kind in ("basis", "random")
+]
+
+
+@pytest.mark.parametrize("name,kind", BRACKET_SPANS)
+def test_commutator_span_equals_the_all_pairs_span(name, kind, monkeypatch):
     P = BRACKET_PRESENTATIONS[name]
-    basis = [P.basis_element(i) for i in range(P.dim)]
+    rows = _bracket_rows(P, kind)
     all_pairs = P.span_of(
-        [P.sub(P.mul(u, v), P.mul(v, u)) for i, u in enumerate(basis) for v in basis[i + 1:]]
+        [P.sub(P.mul(u, v), P.mul(v, u)) for i, u in enumerate(rows) for v in rows[i + 1:]]
     )
     muls = count_muls(monkeypatch)
-    assert commutator_span(P) == all_pairs
-    # One product per table entry b_i * b_j with i != j, none for the pairs
-    # that the table leaves zero both ways.
+    span = commutator_span(P) if kind == "basis" else cc._bracket_span(P, rows)
+    assert span == all_pairs
+    # One product per ordered pair of rows whose support meets the reach of
+    # the other (on the basis, per table entry b_i * b_j with i != j), none
+    # for the pairs that the table leaves zero both ways.
     assert muls[0] == sum(
-        bool(P.mul_basis(i, j).support[1]) for i in range(P.dim) for j in range(P.dim) if i != j
+        _meets(P, u, v) for p, u in enumerate(rows) for q, v in enumerate(rows) if p != q
     )
