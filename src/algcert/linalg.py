@@ -12,12 +12,13 @@ of its entries is 1, so it is the canonical row times the lcm of its
 denominators. A vector is cleared against a row fraction-free, as
 w <- a*w - c*row (after Bareiss 1968), and divided by its gcd when it is
 stored. Over F_p a row is a list of residues with pivot entry 1, and the
-same loop runs mod p. Fractions appear only in the snapshots: the basis of
-a :class:`Subspace`, the remainder ``reduce`` returns and the coefficients
-of a :class:`CombinationSolver`. An Element passed as a vector hands over
-its integer support, and nothing here reads its dense coordinates; a zero
-Element is only length-checked (and counted by the solver), never
-eliminated.
+same loop runs mod p. A :class:`CombinationSolver` keeps each row's
+combination of its inputs as ints over a common denominator. Fractions
+appear only in the snapshots: the basis of a :class:`Subspace`, the
+remainder ``reduce`` returns and the coefficients a solve returns. An
+Element passed as a vector hands over its integer support, and nothing
+here reads its dense coordinates; a zero Element is only length-checked
+(and counted by the solver), never eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
 the canonical support of the vector nums / d (an Element's form, see
@@ -450,21 +451,36 @@ class SpanBuilder(_Echelon):
         if self.is_full or _is_zero_element(vec):
             _check_length(vec, self.ambient_dim)
             return False
-        p = _modulus(self.field)
         _, w = _int_vector(self.field, vec, self.ambient_dim)
-        w, _ = _eliminate(w, self.pivots, self.rows, p)
+        w, _ = _eliminate(w, self.pivots, self.rows, _modulus(self.field))
         j = _first_nonzero(w)
         if j is None:
             return False
-        w = _primitive(w, j, p)
-        rows = self.rows
-        for k, row in enumerate(rows):
-            if row[j]:
-                rows[k] = _primitive(_eliminate(row, (j,), (w,), p)[0], self.pivots[k], p)
-        at = bisect_left(self.pivots, j)
-        self.pivots.insert(at, j)
-        rows.insert(at, w)
+        self._insert(w, j)
         return True
+
+    def _insert(self, w, j):
+        """Store the nonzero remainder w, already eliminated against the
+        rows, whose first nonzero column is j: clear column j from every row
+        (a*row - c*w over gcd(a, c), a = w[j], c = row[j], then made
+        primitive; mod p over F_p, where pivot entries stay 1) and insert w
+        as a row."""
+        p = _modulus(self.field)
+        w = _primitive(w, j, p)
+        a = w[j]
+        rows, pivots = self.rows, self.pivots
+        for k, row in enumerate(rows):
+            c = row[j]
+            if c:
+                if p:
+                    rows[k] = [(x - c * y) % p for x, y in zip(row, w)]
+                else:
+                    g = gcd(a, c)
+                    ag, cg = a // g, c // g
+                    rows[k] = _primitive([ag * x - cg * y for x, y in zip(row, w)], pivots[k], 0)
+        at = bisect_left(pivots, j)
+        pivots.insert(at, j)
+        rows.insert(at, w)
 
     def subspace(self):
         F = self.field
@@ -517,17 +533,21 @@ def intersect(a, b):
     return out.subspace()
 
 
-def _ratio(F, n, d):
-    """The scalar n / d of the ints n and d."""
-    return F.mul(F.coerce(n), F.inv(F.coerce(d)))
-
-
-def _coordinates(F, vec, ambient_dim):
-    """k -> the k-th coordinate of vec as a scalar, read from its integer
-    form (an Element's support), so no dense coordinate tuple is built."""
-    d, w = _int_vector(F, vec, ambient_dim)
-    inv = F.inv(F.coerce(d))
-    return lambda k: F.mul(F.coerce(w[k]), inv) if w[k] else F.zero
+def _lowest(nums, d, p):
+    """The combination nums / d, for a dict nums of input index -> int, as
+    (D, N) in lowest terms with its zero entries dropped: D > 0 and
+    gcd(D, *N.values()) = 1 over Q, D = 1 and N residues over F_p."""
+    if p:
+        inv = pow(d, -1, p)
+        return 1, {i: r for i, n in nums.items() if (r := n * inv % p)}
+    nums = {i: n for i, n in nums.items() if n}
+    g = gcd(d, *nums.values())
+    if d < 0:
+        g = -g
+    if g != 1:
+        d //= g
+        nums = {i: n // g for i, n in nums.items()}
+    return d, nums
 
 
 class CombinationSolver:
@@ -537,10 +557,14 @@ class CombinationSolver:
     returned witnesses deterministic.
 
     The rows are the integer rows of a SpanBuilder, and an input that does
-    not grow it is only counted: no solution uses it. Its combination and
-    those of the rows it changes are computed from the pivot entries,
-    since a vector v in the span equals sum v[pivot_k] * row_k over the
-    canonical rows.
+    not grow it is only counted: no solution uses it. Each row's
+    combination is kept in integers, keyed by its pivot column q, as
+    (D, N) with canonical row_q = sum_i N[i] / D * input_i, in lowest terms
+    (D = 1 and N residues over F_p). A vector v in the span equals
+    sum v[q] * row_q over the pivots q in its support, which is how a
+    solve reads its coefficients and how an input's remainder is written
+    in the inputs; Fractions are built only for the coefficients a solve
+    returns.
     """
 
     def __init__(self, field, ambient_dim):
@@ -548,65 +572,85 @@ class CombinationSolver:
         self.ambient_dim = ambient_dim
         self.count = 0
         self._span = SpanBuilder(field, ambient_dim)
-        self.combos = []  # per span row, sparse dicts: input index -> coefficient
+        self._combos = {}  # pivot column -> (D, {input index: N})
+
+    def _expand(self, w):
+        """(L, sums) with sum_q w[q] * row_q = sum_i sums[i] / L * input_i
+        over the pivots q where the int list w is nonzero: L is the lcm of
+        their combinations' D, and zero sums are kept (reduced mod p over
+        F_p by the caller)."""
+        combos = self._combos
+        terms = [(w[q], combos[q]) for q in compress(range(len(w)), w) if q in combos]
+        L = lcm(*(D for _, (D, _) in terms))
+        sums = {}
+        for x, (D, N) in terms:
+            m = x * (L // D)
+            for i, n in N.items():
+                sums[i] = sums.get(i, 0) + m * n
+        return L, sums
 
     def add(self, vec):
         """Register one more input vector. Returns True iff the rank grew.
-        A zero Element is only counted, once its length is checked."""
-        F = self.field
+        A zero Element, or any input once the span is full, is only counted
+        after its length is checked."""
         idx = self.count
         self.count += 1
-        if _is_zero_element(vec):
+        span = self._span
+        if span.is_full or _is_zero_element(vec):
             _check_length(vec, self.ambient_dim)
             return False
-        span = self._span
-        pivots, rows = list(span.pivots), list(span.rows)
-        if not span.add(vec):
+        p = _modulus(self.field)
+        d, w = _int_vector(self.field, vec, self.ambient_dim)
+        r, s = _eliminate(w, span.pivots, span.rows, p)
+        j = _first_nonzero(r)
+        if j is None:
             return False
-        at = next(k for k, j in enumerate(span.pivots) if k == len(pivots) or j != pivots[k])
-        j = span.pivots[at]
-        coord = _coordinates(F, vec, self.ambient_dim)
-        # vec minus sum vec[p] * row over the old canonical rows, at column j
-        # and as a combination of the inputs; scaled so its pivot entry is 1.
-        r = coord(j)
-        c = {idx: F.one}
-        for p, row, cb in zip(pivots, rows, self.combos):
-            f = coord(p)
-            if f:
-                if row[j]:
-                    r = F.sub(r, F.mul(f, _ratio(F, row[j], row[p])))
-                for i, b in cb.items():
-                    c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))
-        inv = F.inv(r)
-        c = {i: F.mul(inv, a) for i, a in c.items()}
-        for k, (p, row) in enumerate(zip(pivots, rows)):
-            if row[j]:
-                f = _ratio(F, row[j], row[p])
-                new_cb = dict(self.combos[k])
-                for i, b in c.items():
-                    new_cb[i] = F.sub(new_cb.get(i, F.zero), F.mul(f, b))
-                self.combos[k] = new_cb
-        self.combos.insert(at, c)
+        # r = s * (d * vec - sum_q w[q] * row_q), so the new canonical row
+        # r / r[j] is s / r[j] times that combination of the inputs.
+        L, sums = self._expand(w)
+        nums = {i: -s * t for i, t in sums.items()}
+        nums[idx] = s * d * L
+        new = _lowest(nums, r[j] * L, p)
+        # Inserting r clears column j of each row: row_q - (c / b) * r / r[j]
+        # for c = row[j] and the pivot entry b = row[q] (b = 1 over F_p).
+        changed = [(q, row[j], row[q]) for q, row in zip(span.pivots, span.rows) if row[j]]
+        span._insert(r, j)
+        combos = self._combos
+        Dn, Nn = new
+        for q, c, b in changed:
+            D, N = combos[q]
+            M = lcm(D, b * Dn)
+            nums = {i: n * (M // D) for i, n in N.items()}
+            f = c * (M // (b * Dn))
+            for i, n in Nn.items():
+                nums[i] = nums.get(i, 0) - f * n
+            combos[q] = _lowest(nums, M, p)
+        combos[j] = new
         return True
 
     @property
     def rank(self):
         return self._span.rank
 
+    def combination(self, k):
+        """The combination of the k-th pivot row as {input index: scalar}:
+        the canonical row is sum coefficient * input."""
+        D, N = self._combos[self._span.pivots[k]]
+        if _modulus(self.field):
+            return dict(N)
+        return {i: Fraction(n, D) for i, n in N.items()}
+
     def solve(self, target):
         """Sparse dict {input index: coeff} expressing target, or None."""
         span = self._span
-        if not span.contains(target):
+        p = _modulus(self.field)
+        d, w = _int_vector(self.field, target, self.ambient_dim)
+        if any(_eliminate(w, span.pivots, span.rows, p)[0]):
             return None
-        F = self.field
-        coord = _coordinates(F, target, self.ambient_dim)
-        c = {}
-        for p, cb in zip(span.pivots, self.combos):
-            f = coord(p)
-            if f:
-                for i, b in cb.items():
-                    c[i] = F.sub(c.get(i, F.zero), F.mul(f, b))
-        return {i: F.neg(a) for i, a in c.items() if a}
+        L, sums = self._expand(w)
+        if p:
+            return _lowest(sums, d * L, p)[1]
+        return {i: Fraction(t, d * L) for i, t in sums.items() if t}
 
 
 def linear_combination(field, vectors, target):

@@ -5,10 +5,13 @@ denominators) and over F_101."""
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algcert as ac
+from algcert import linalg
 from algcert.algebra import Element
 from algcert.linalg import (
     QQ,
@@ -18,8 +21,10 @@ from algcert.linalg import (
     Subspace,
     echelonize,
     intersect,
+    linear_combination,
     subspace_sum,
 )
+from helpers import dense_change_of_basis
 
 FIELDS = {"Q": QQ, "Fp101": PrimeField(101)}
 
@@ -317,6 +322,8 @@ def test_combination_solver_equals_fraction_solver(field, data):
         assert new.add(v) == old.add(v)
         assert new.count == old.count == k + 1
         assert new.rank == len(old.rows)
+        assert _combinations(new) == _nonzero_combos(old)
+        _assert_lowest_terms(new)
         targets.append(_combination(F, stream[: k + 1], range(k + 1, 0, -1)))
         for t in (targets[0], targets[-1]):
             assert new.solve(t) == old.solve(t)
@@ -327,3 +334,99 @@ def test_combination_solver_equals_fraction_solver(field, data):
         by_element.add(Element(v))
     for t in targets:
         assert by_element.solve(Element(t)) == old.solve(t)
+
+
+def _combinations(solver):
+    return [solver.combination(k) for k in range(solver.rank)]
+
+
+def _nonzero_combos(reference):
+    """The reference solver's combinations without the zero coefficients
+    it keeps where an update cancelled."""
+    return [{i: c for i, c in cb.items() if c} for cb in reference.combos]
+
+
+def _assert_lowest_terms(solver):
+    """Every stored combination (D, N) is in lowest terms with no zero
+    entry: D > 0 and gcd(D, *N) = 1 over Q, D = 1 and residues in
+    [1, p-1] over F_p. This keeps its integers no larger than the
+    Fractions of the same coefficients over their common denominator."""
+    p = getattr(solver.field, "p", 0)
+    for D, N in solver._combos.values():
+        assert N
+        if p:
+            assert D == 1 and all(1 <= n < p for n in N.values())
+        else:
+            assert D > 0 and 0 not in N.values() and gcd(D, *N.values()) == 1
+
+
+# The nonzero products b_i * b_j of a dense change of basis of M3 flip, in
+# (i, j) order: nine-dimensional inputs whose coordinates over Q carry large
+# mixed denominators.
+DENSE_FIELDS = ("Q", "Fp:101", "Fp:1000000007")
+
+
+@pytest.fixture(scope="module", params=DENSE_FIELDS)
+def dense_products(request):
+    F = ac.field_from_name(request.param)
+    P = dense_change_of_basis(ac.build_matrix_algebra(3, F, "flip"), 1)
+    products = [P.mul_basis(i, j) for i in range(P.dim) for j in range(P.dim)]
+    return P, [x for x in products if not P.is_zero(x)]
+
+
+def test_combination_solver_on_dense_products(dense_products):
+    P, products = dense_products
+    F, n = P.field, P.dim
+    old = FractionSolver(F, n)
+    new = CombinationSolver(F, n)
+    basis = [P.basis_element(i) for i in range(n)]
+    outside = 0
+    for k, x in enumerate(products):
+        v = x.coords
+        # The next input, before it is added: inside or outside the span.
+        assert new.solve(x) == new.solve(v) == old.solve(v)
+        assert new.add(x) == old.add(v)
+        assert new.count == old.count == k + 1
+        assert new.rank == len(old.rows)
+        assert _combinations(new) == _nonzero_combos(old)
+        _assert_lowest_terms(new)
+        # A combination of every input so far lies in the span.
+        inside = _combination(F, [y.coords for y in products[: k + 1]], range(k + 1, 0, -1))
+        assert old.solve(inside) is not None
+        assert new.solve(inside) == new.solve(Element(inside)) == old.solve(inside)
+        for b in basis:
+            expected = old.solve(b.coords)
+            outside += expected is None
+            assert new.solve(b) == new.solve(b.coords) == expected
+    assert new.rank == n and outside > 0
+    # linear_combination on prefixes of the same inputs.
+    for k in (1, 3, 6, len(products)):
+        vectors = [x.coords for x in products[:k]]
+        ref = FractionSolver(F, n)
+        for v in vectors:
+            ref.add(v)
+        for target in [vectors[-1], _combination(F, vectors, range(1, k + 1))] + [
+            b.coords for b in basis
+        ]:
+            sol = ref.solve(target)
+            expected = None if sol is None else [sol.get(i, F.zero) for i in range(k)]
+            assert linear_combination(F, vectors, target) == expected
+
+
+def test_combination_solver_eliminates_each_input_once(dense_products, monkeypatch):
+    P, products = dense_products
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    solver = CombinationSolver(P.field, P.dim)
+    for x in [P.zero()] + products:
+        before, full = len(calls), solver.rank == P.dim
+        solver.add(x)
+        expected = 0 if full or P.is_zero(x) else 1
+        assert len(calls) - before == expected
+    assert solver.rank == P.dim

@@ -224,9 +224,10 @@ def _nonzero_until_full(P, products, inputs):
 def _labelled_combos(search):
     """Each pivot row's combination, keyed by the (u, v) labels of its
     inputs rather than by input index."""
+    solver = search.solver
     return [
-        {search.products[i][0::2]: c for i, c in combo.items()}
-        for combo in search.solver.combos
+        {search.products[i][0::2]: c for i, c in solver.combination(k).items()}
+        for k in range(solver.rank)
     ]
 
 
