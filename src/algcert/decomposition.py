@@ -4,17 +4,18 @@ and the skew/symmetric split under an involution.
 All components are computed by sandwich projection of each basis element
 (a -> e*a*e and friends) followed by echelonization, so the results are
 exact canonical subspaces. Complements like 1-e never require a unit:
-(1-e)*a is just a - e*a. What the axioms prove about the grading is not
-re-computed unless ``algebra.axiom_violations`` is non-empty.
+(1-e)*a is just a - e*a. The grading runs behind the axiom gate
+(``algebra.require_axioms``), and what the axioms prove about it is not
+re-computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import axiom_violations
+from .algebra import require_axioms
 from .errors import IdempotentError, MissingInvolutionError
-from .linalg import SpanBuilder, intersect
+from .linalg import SpanBuilder
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class ZGrading:
     """
 
     parts: dict
-    multiplicative: bool
-    violations: tuple
     e: object = None
     estar: object = None
 
@@ -94,13 +93,14 @@ def z_grading(P, e):
     s may be zero (e + e* = 1); the odd components and the sRs part of the
     middle component are then zero.
 
-    Under the axioms e, s, e* are orthogonal idempotents summing to 1 (in
-    the hull if need be). With weights -1, 0, +1, xRy has grade
-    w(x) - w(y), and xRy · y'Rz is zero for y != y' and lies in xRz for
-    y = y'. So grades add and ``violations`` is () with no product computed;
-    only on a presentation that violates an axiom are the products of
-    component basis pairs tested.
+    The grading is built behind the axiom gate: on a presentation that
+    violates an axiom it raises FormatError. Under the axioms e, s, e* are
+    orthogonal idempotents summing to 1 (in the hull if need be). With
+    weights -1, 0, +1, xRy has grade w(x) - w(y), and xRy · y'Rz is zero
+    for y != y' and lies in xRz for y = y'. So grades add,
+    R_i R_j ⊆ R_{i+j}, with no product computed.
     """
+    require_axioms(P)
     if not P.has_involution:
         raise MissingInvolutionError(f"{P.name} has no involution")
     _check_idempotent(P, e)
@@ -133,21 +133,7 @@ def z_grading(P, e):
 
     if sum(v.rank for v in parts.values()) != P.dim:
         raise IdempotentError("grading components do not add up to R")
-
-    violations = []
-    if axiom_violations(P):
-        rows = {i: [P.element(v) for v in part.basis] for i, part in parts.items()}
-        for gi in range(-2, 3):
-            for gj in range(-2, 3):
-                for u in rows[gi]:
-                    for v in rows[gj]:
-                        prod = P.mul(u, v)
-                        if P.is_zero(prod):
-                            continue
-                        k = gi + gj
-                        if abs(k) > 2 or not parts[k].contains(prod):
-                            violations.append((gi, gj))
-    return ZGrading(parts, not violations, tuple(violations), e, estar)
+    return ZGrading(parts, e, estar)
 
 
 def _skew_symmetric_spans(P, rows):
@@ -166,21 +152,17 @@ def kh_split(P, grading=None):
 
     Since the characteristic is not 2, K is spanned by b - b* and H by
     b + b* over the basis. A supplied grading also gives K_i = K ∩ R_i and
-    H_i = H ∩ R_i. Under the axioms (xRy)* = y*Rx* has the grade of xRy, so
-    R_i is *-stable and K_i = (1 - *)R_i, H_i = (1 + *)R_i: spanned over the
-    basis of R_i. On a presentation that violates an axiom they are exact
-    intersections.
+    H_i = H ∩ R_i. The grading was built behind the axiom gate, and under
+    the axioms (xRy)* = y*Rx* has the grade of xRy, so R_i is *-stable and
+    K_i = (1 - *)R_i, H_i = (1 + *)R_i: spanned over the basis of R_i.
     """
     if not P.has_involution:
         raise MissingInvolutionError(f"{P.name} has no involution")
     K, H = _skew_symmetric_spans(P, [P.basis_element(i) for i in range(P.dim)])
     graded = None
     if grading is not None:
-        graded = {}
-        for i in range(-2, 3):
-            part = grading.parts[i]
-            if axiom_violations(P):
-                graded[i] = (intersect(K, part), intersect(H, part))
-            else:
-                graded[i] = _skew_symmetric_spans(P, [P.element(r) for r in part.basis])
+        graded = {
+            i: _skew_symmetric_spans(P, [P.element(r) for r in grading.parts[i].basis])
+            for i in range(-2, 3)
+        }
     return KHSplit(K, H, graded)

@@ -254,14 +254,6 @@ def field_from_name(name):
     raise FormatError(f"unknown field tag: {name!r}")
 
 
-def parse_vector(field, items, ambient_dim):
-    if len(items) != ambient_dim:
-        raise DimensionError(
-            f"vector has length {len(items)}, expected {ambient_dim}"
-        )
-    return tuple(field.parse(s) for s in items)
-
-
 def _check_length(vec, ambient_dim):
     if len(vec) != ambient_dim:
         raise DimensionError(f"vector length {len(vec)} != ambient dim {ambient_dim}")

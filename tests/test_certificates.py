@@ -11,6 +11,7 @@ import pytest
 import algcert as ac
 from algcert import algebra, certificates as cc
 from algcert import formats
+from algcert.errors import FormatError
 from helpers import (
     component_pair_gens,
     count_muls,
@@ -109,7 +110,7 @@ def test_lemma2_rejects_non_generating_set():
 def test_lemma3_m2_and_m3():
     for P in (m2(), m3()):
         gens = ac.lemma2_generating_set(P)
-        cert = ac.lemma3_jordan_check(P, gens, seed=4, samples=100)
+        cert = ac.lemma3_jordan_check(P, gens, seed=4)
         assert cert.verdict == "pass"
         assert cert.detail["identity_checks"] == 200
 
@@ -462,7 +463,6 @@ def _count_ideal_spans(monkeypatch):
         return original(P, x, unit_coeff)
 
     monkeypatch.setattr(algebra, "ideal_span", counting)
-    monkeypatch.setattr(cc, "ideal_span", counting)
     return calls
 
 
@@ -588,7 +588,7 @@ def test_lemma3_ceiling_is_the_generated_pair():
               if item[0] in ("p-0", "p+0")]
     subset = ac.generator_set("assoc-pair", [i for i, _ in picked], [s for _, s in picked])
     assert len(subset.elements) == 2 < len(full.elements) == 6
-    cert = ac.lemma3_jordan_check(P, subset, samples=5)
+    cert = ac.lemma3_jordan_check(P, subset)
     assert cert.verdict == "pass"
     assert cert.detail["pair_dims"] == (1, 1)
     assert _same_generators(cert.generators, _uncapped_monomials(P, subset))
@@ -783,10 +783,10 @@ def test_theorem2_splits_once(monkeypatch):
 
 
 def test_ceilings_only_where_the_target_is_proved_closed(monkeypatch):
-    # [R, R] is bracket-closed and lemma 3's associative-pair final is
-    # closed under both triples on any table; [K, K] and the Peirce pair
-    # components are closed only under the axioms. On M3 flip with one
-    # spurious product (b0 * b1 += b4) the gated ceilings are dropped.
+    # [R, R] is bracket-closed on any table, so lemma 1 keeps its ceiling
+    # on M3 flip with one spurious product (b0 * b1 += b4). [K, K] and the
+    # Peirce pair components are closed only under the axioms, so lemmas 2,
+    # 3 and 6 refuse that table at the gate.
     seen = []
     saturate = ac.closure._saturate_linear
 
@@ -807,10 +807,15 @@ def test_ceilings_only_where_the_target_is_proved_closed(monkeypatch):
         "lemma3": lambda P: cc._lemma3_claim(P, opts),
         "lemma6": cc.lemma6_check,
     }
-    for P, gated in ((m3("flip"), [[8], [2, 2], [2, 2], [3]]), (dirty, [[9], None, [4, 2], None])):
-        got = []
-        for claim, run in runs.items():
-            seen.clear()
-            run(P)
-            got.append(seen[-1])
-        assert got == gated
+    got = []
+    for claim, run in runs.items():
+        seen.clear()
+        run(m3("flip"))
+        got.append(seen[-1])
+    assert got == [[8], [2, 2], [2, 2], [3]]
+    seen.clear()
+    cc.lemma1_certificate(dirty)
+    assert seen[-1] == [9]
+    for claim in ("lemma2", "lemma3", "lemma6"):
+        with pytest.raises(FormatError, match="violates associativity"):
+            runs[claim](dirty)

@@ -1,16 +1,17 @@
 """Peirce components, the five-part grading, and the skew/symmetric split."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import algcert as ac
-from algcert import decomposition, formats
+from algcert import formats
 from algcert.algebra import axiom_violations
-from algcert.errors import IdempotentError, MissingInvolutionError
+from algcert.errors import FormatError, IdempotentError, MissingInvolutionError
 from algcert.linalg import intersect
-from helpers import elem, m2, m3, m4, unit_elem
+from helpers import component_pair_gens, elem, m2, m3, m4, unit_elem
 
 
 def test_peirce_m2_dims():
@@ -61,7 +62,6 @@ def test_z_grading_m3_flip():
     P = m3("flip")
     g = ac.z_grading(P, P.idempotents["e"])
     assert g.dims() == (1, 2, 3, 2, 1)
-    assert g.multiplicative
     assert g.parts[-2].contains(unit_elem(P, "E13").coords)
     assert g.parts[2].contains(unit_elem(P, "E31").coords)
     for lab in ("E12", "E23"):
@@ -77,7 +77,6 @@ def test_z_grading_m2_symplectic():
     P = m2("symplectic")
     g = ac.z_grading(P, P.idempotents["e"])
     assert g.dims() == (1, 0, 2, 0, 1)
-    assert g.multiplicative
 
 
 def test_z_grading_top_products_vanish():
@@ -114,8 +113,6 @@ def _product_violations(P, parts):
 def test_grading_multiplicativity_exhaustive():
     for P in (m3("flip"), m4("flip"), m2("symplectic"), ac.build_example2(2)):
         g = ac.z_grading(P, P.idempotents["e"])
-        assert g.multiplicative
-        assert g.violations == ()
         # The fact z_grading takes from the axioms, checked on every pair.
         assert _product_violations(P, g.parts) == []
 
@@ -138,35 +135,53 @@ def _graded_intersections(kh, g):
     ids=["m3-flip", "m4-flip", "m3-flip-fp101", "m4-flip-fp101", "symplectic-m2",
          "example2-d2", "example2-d3"],
 )
-def test_graded_kh_projection_equals_intersection(P, monkeypatch):
+def test_graded_kh_projection_equals_intersection(P):
     g = ac.z_grading(P, P.idempotents["e"])
     assert axiom_violations(P) == ()
-
-    def unreachable(*args):
-        raise AssertionError("intersect reached on a presentation that meets the axioms")
-
-    monkeypatch.setattr(decomposition, "intersect", unreachable)
-    kh = ac.kh_split(P, g)
-    monkeypatch.undo()
-    assert kh.graded == _graded_intersections(kh, g)
-
-
-def test_dirty_grading_is_checked_not_proved():
-    # One spurious product b0 * b1 += b4 breaks the axioms, yet e = E11
-    # still meets the grading's own preconditions.
-    d = formats.presentation_to_dict(m3("flip"))
-    d["mul"].append([0, 1, 4, "1"])
-    P = formats.presentation_from_dict(d)
-    assert axiom_violations(P)
-    g = ac.z_grading(P, P.idempotents["e"])
-    assert not g.multiplicative
-    assert list(g.violations) == _product_violations(P, g.parts) != []
     kh = ac.kh_split(P, g)
     assert kh.graded == _graded_intersections(kh, g)
-    # Here (1 - *)R_i and (1 + *)R_i are not K_i and H_i: the branch matters.
-    projected = {i: decomposition._skew_symmetric_spans(
-        P, [P.element(r) for r in g.parts[i].basis]) for i in range(-2, 3)}
-    assert projected != kh.graded
+
+
+def _with_spurious_product(P, entry):
+    d = formats.presentation_to_dict(P)
+    d["mul"].append(entry)
+    return d, formats.presentation_from_dict(d)
+
+
+def test_dirty_presentation_is_refused_by_every_proof_using_entry(tmp_path, capsys):
+    # One spurious product b0 * b1 += b4 breaks associativity, yet e = E11
+    # still meets the grading's own preconditions. The grading, lemmas 2-8
+    # and decompose use facts the axioms prove, so each refuses the table
+    # instead of re-checking those facts on it.
+    d, P = _with_spurious_product(m3("flip"), [0, 1, 4, "1"])
+    assert axiom_violations(P)[0].axiom == "associativity"
+    # On M3 flip e + e* != 1, so lemma 8 stops at its hypotheses before it
+    # reaches the grading; it is run on M2 symplectic with b0 * b1 += b3.
+    _, P2 = _with_spurious_product(m2("symplectic"), [0, 1, 3, "1"])
+    entries = {
+        "z_grading": lambda: ac.z_grading(P, P.idempotents["e"]),
+        "lemma2": lambda: ac.lemma2_certificate(P),
+        "lemma3": lambda: ac.lemma3_jordan_check(P, component_pair_gens(P)),
+        "lemma4": lambda: ac.lemma4_check(P),
+        "lemma5": lambda: ac.lemma5_certificate(P),
+        "lemma5_sets": lambda: ac.lemma5_sets(P),
+        "lemma6": lambda: ac.lemma6_check(P),
+        "lemma7": lambda: ac.lemma7_reduction_check(P),
+        "lemma8": lambda: ac.lemma8_check(P2),
+    }
+    for run in entries.values():
+        with pytest.raises(FormatError, match="violates associativity"):
+            run()
+    # decompose gates up front, also where it computes no grading (M3 has
+    # no involution).
+    for table in (d, _with_spurious_product(m3(), [0, 1, 4, "1"])[0]):
+        path = tmp_path / "dirty.json"
+        path.write_text(json.dumps(table))
+        assert ac.run_cli(["decompose", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "violates associativity" in out.err
+        assert "Traceback" not in out.err
 
 
 def test_kh_split_m2_transpose():

@@ -16,7 +16,6 @@ from algcert.linalg import (
     field_from_name,
     intersect,
     linear_combination,
-    parse_vector,
     subspace_sum,
 )
 from helpers import naive_rref
@@ -281,13 +280,6 @@ def test_rational_parse_equals_fraction(s):
 def test_rational_parse_zero_denominator(s):
     with pytest.raises(FormatError, match="zero denominator"):
         QQ.parse(s)
-
-
-def test_parse_vector():
-    v = parse_vector(QQ, ["1", "-1/2"], 2)
-    assert v == (F(1), Fraction(-1, 2))
-    with pytest.raises(DimensionError):
-        parse_vector(QQ, ["1"], 2)
 
 
 def test_fp_closure_consistency():
