@@ -850,6 +850,64 @@ def _involution_law_pairs(P):
     return pairs
 
 
+def _differs_from_basis(F, nums, i, scale):
+    """Whether the vector with coordinates n / scale, for the ints n in the
+    list nums, differs from b_i over F. nums is changed in place."""
+    nums[i] -= scale
+    return any(nums) and bool(F.from_ints(nums, 1)[1])
+
+
+def _unit_failures(P):
+    """The indices i, in order, with u b_i != b_i or b_i u != b_i for the
+    declared unit u.
+
+    For u = sum n_m b_m / d and the integer structure constants over D, the
+    coordinates of u b_i and b_i u over d D are sum_m n_m c_mik and
+    sum_m n_m c_imk: a sum over the support of u for each side, in place
+    of two products per basis element. As in ``_unequal_keys``, over F_p
+    (d = D = 1) the raw sums of residues may differ from those of b_i by
+    multiples of p, so a nonzero difference fails iff ``from_ints`` leaves
+    it nonzero.
+    """
+    F = P.field
+    dim = P.dim
+    D, rows = P._int_mul
+    d, unit = P.unit.support
+    one = d * D
+    failures = []
+    for i in range(dim):
+        left = [0] * dim
+        right = [0] * dim
+        for m, n in unit:
+            for k, c in rows[m].get(i, ()):
+                left[k] += n * c
+            for k, c in rows[i].get(m, ()):
+                right[k] += n * c
+        if _differs_from_basis(F, left, i, one) or _differs_from_basis(F, right, i, one):
+            failures.append(i)
+    return failures
+
+
+def _order2_failures(P):
+    """The indices i, in order, with b_i** != b_i.
+
+    For the integer involution over S, the coordinates of b_i** over S^2
+    are sum_j s_ij s_jk, and a nonzero difference from b_i is decided by
+    ``from_ints`` as in ``_unit_failures``.
+    """
+    F = P.field
+    S, star = P._int_star
+    failures = []
+    for i, row in enumerate(star):
+        acc = [0] * P.dim
+        for j, s in row:
+            for k, t in star[j]:
+                acc[k] += s * t
+        if _differs_from_basis(F, acc, i, S * S):
+            failures.append(i)
+    return failures
+
+
 @_per_presentation
 def axiom_violations(P):
     """The violated algebra axioms, as a tuple of Violations: associativity
@@ -860,14 +918,9 @@ def axiom_violations(P):
         Violation("associativity", (i, j, k), f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
         for i, j, k in _associativity_triples(P)
     ]
-    dim = P.dim
-
     if P.has_involution:
-        for i in range(dim):
-            if P.involve(P.involve(P.basis_element(i))) != P.basis_element(i):
-                violations.append(
-                    Violation("involution-order2", (i,), f"b{i}** != b{i}")
-                )
+        for i in _order2_failures(P):
+            violations.append(Violation("involution-order2", (i,), f"b{i}** != b{i}"))
         for i, j in _involution_law_pairs(P):
             violations.append(
                 Violation(
@@ -878,12 +931,8 @@ def axiom_violations(P):
             )
 
     if P.unital:
-        for i in range(dim):
-            b_i = P.basis_element(i)
-            if P.mul(P.unit, b_i) != b_i or P.mul(b_i, P.unit) != b_i:
-                violations.append(
-                    Violation("unit", (i,), f"declared unit does not fix b{i}")
-                )
+        for i in _unit_failures(P):
+            violations.append(Violation("unit", (i,), f"declared unit does not fix b{i}"))
 
     for name, e in sorted(P.idempotents.items()):
         if not hypotheses_for(P, e, ("e^2=e",))["e^2=e"]:

@@ -758,6 +758,7 @@ def _squares_family(P, K1):
 
 def lemma4_check(P, grading=None, e=None):
     """K_{±2} = [K_{±1}, K_{±1}] and H_{±2} = span{k^2 : k in K_{±1}}."""
+    require_axioms(P)
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, _THEOREM2_HYPS)
     if not all(hyp.values()):
@@ -854,6 +855,7 @@ def lemma5_sets(P, grading=None, e=None, cap=6, budget=None):
 
 def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
     """Certificate form of the odd-component spanning equalities."""
+    require_axioms(P)
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, ("involution", "e^2=e", "ee*=0", "e*e=0", "ReR=R"))
     if not all(hyp.values()):
@@ -880,6 +882,7 @@ def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
 
 def lemma6_check(P, grading=None, e=None):
     """K_{±1} and K_{±2} lie inside [K,K], and K_{-1} + K_1 Lie-generates it."""
+    require_axioms(P)
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, _THEOREM2_HYPS)
     if not all(hyp.values()):
@@ -1125,6 +1128,7 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
     distinct b's, the product a1 b1 ... bn a_{n+1} must lie in the span of
     shorter alternating products times (K_{-2}K_2 + H_{-2}H_2).
     """
+    require_axioms(P)
     if n_bound < 2:
         raise ValueError("n_bound must be >= 2")
     e = grading.e if grading is not None else _resolve_idempotent(P, e)
@@ -1205,6 +1209,7 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
 def lemma8_check(P, e=None):
     """For a desk-simple involutive algebra with e + e* = 1, the corner skew
     parts K_{-2} + K_2 generate R as an associative algebra."""
+    require_axioms(P)
     e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(
         P, e, ("involution", "e^2=e", "ee*=0", "e*e=0", "e+e*=1", "simple(desk-scale)")

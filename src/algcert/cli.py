@@ -13,6 +13,7 @@ axiom reaches certify or decompose, which run behind the axiom gate.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -67,7 +68,9 @@ def _int_at_least(low):
     return parse
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing never changes it."""
     top = _Parser(prog="algcert", description=__doc__)
     top.add_argument("--version", action="version", version=f"algcert {__version__}")
     sub = top.add_subparsers(dest="command", required=True)

@@ -96,9 +96,23 @@ def presentation_from_dict(d):
     _expect(len(basis) == dim, "dim does not match basis length", "$.basis")
     _expect(len(set(basis)) == dim, "basis labels must be unique", "$.basis")
 
+    # Each distinct scalar string is parsed once per file: a file repeats a
+    # few strings many times (example2's tables hold nothing but "1"). A
+    # string that fails to parse raises at its first occurrence, so it is
+    # never stored, and non-strings are always handed to ``parse``.
+    parsed = {}
+
+    def parse(s):
+        if type(s) is not str:
+            return field.parse(s)
+        c = parsed.get(s)
+        if c is None:
+            c = parsed[s] = field.parse(s)
+        return c
+
     def scalar(s, pointer):
         try:
-            return field.parse(s)
+            return parse(s)
         except FormatError as exc:
             raise FormatError(str(exc), pointer) from None
 
@@ -108,7 +122,7 @@ def presentation_from_dict(d):
         out = []
         for x in v:
             try:
-                out.append(field.parse(x))
+                out.append(parse(x))
             except FormatError as exc:
                 raise FormatError(str(exc), f"{pointer}[{len(out)}]") from None
         return out

@@ -229,6 +229,41 @@ def test_report_determinism(capsys, tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # run_cli builds its parser once per process. Usage errors, other
+    # subcommands and flags given to one call leave the next call's
+    # defaults and reports as they would be with a fresh parser.
+    path = _build(capsys, tmp_path, "m3f.json", "--kind", "flip_matrix_n", "--n", "3")
+    strip = lambda s: re.sub(r'"wall_time_s":[0-9.eE+-]+', '"wall_time_s":0', s)
+    certify = ("certify", path, "--claim", "thm2", "--seed", "7")
+    jobs = [
+        (certify, 0),
+        (("certify", path, "--claim", "thm2", "--trials", "0"), 1),
+        (("certify", path, "--claim", "bogus"), 1),
+        (("validate", path), 0),
+        (("decompose", path), 0),
+        (("certify", path, "--claim", "thm2"), 0),
+        (certify, 0),
+        (("validate", path), 0),
+        (("decompose", path), 0),
+    ]
+    reports = []
+    for argv, expected in jobs:
+        code, out, err = _run(capsys, *argv)
+        assert code == expected, (argv, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == "" and err.startswith("error: ")
+        reports.append(strip(out))
+    assert "must be at least 1" in _run(capsys, *jobs[1][0])[2]
+    assert "invalid choice: 'bogus'" in _run(capsys, *jobs[2][0])[2]
+    assert reports[6] == reports[0]
+    assert reports[7:] == reports[3:5]
+    # The flags of the first certify do not leak into a call without them.
+    assert json.loads(reports[5])["result"]["certificates"][0]["seed"] == 0
+    assert json.loads(reports[0])["result"]["certificates"][0]["seed"] == 7
+
+
 def test_report_output_file(capsys, tmp_path):
     path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
     dest = tmp_path / "report.json"

@@ -155,8 +155,8 @@ def test_dirty_presentation_is_refused_by_every_proof_using_entry(tmp_path, caps
     # instead of re-checking those facts on it.
     d, P = _with_spurious_product(m3("flip"), [0, 1, 4, "1"])
     assert axiom_violations(P)[0].axiom == "associativity"
-    # On M3 flip e + e* != 1, so lemma 8 stops at its hypotheses before it
-    # reaches the grading; it is run on M2 symplectic with b0 * b1 += b3.
+    # Lemma 8 also runs on M2 symplectic with b0 * b1 += b3, where its
+    # hypotheses hold.
     _, P2 = _with_spurious_product(m2("symplectic"), [0, 1, 3, "1"])
     entries = {
         "z_grading": lambda: ac.z_grading(P, P.idempotents["e"]),
@@ -182,6 +182,33 @@ def test_dirty_presentation_is_refused_by_every_proof_using_entry(tmp_path, caps
         assert out.out == ""
         assert "violates associativity" in out.err
         assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "base,entry",
+    [(m3("flip"), [0, 1, 4, "1"]), (m2("transpose"), [0, 1, 3, "1"])],
+    ids=["m3-flip", "m2-transpose"],
+)
+def test_graded_lemmas_gate_before_their_hypotheses(base, entry):
+    # Lemmas 4-8 call the gate before they evaluate a hypothesis, so a
+    # dirty table is refused even where a hypothesis fails: e + e* != 1 on
+    # M3 flip (lemma 8), and ee* != 0 on M2 transpose (all five).
+    _, P = _with_spurious_product(base, entry)
+    lemmas = {
+        "lemma4": ac.lemma4_check,
+        "lemma5": ac.lemma5_certificate,
+        "lemma6": ac.lemma6_check,
+        "lemma7": ac.lemma7_reduction_check,
+        "lemma8": ac.lemma8_check,
+    }
+    if base.name.startswith("m2"):
+        for lemma in lemmas.values():
+            assert lemma(base).verdict == "hypothesis-not-met"
+    else:
+        assert ac.lemma8_check(base).verdict == "hypothesis-not-met"
+    for lemma in lemmas.values():
+        with pytest.raises(FormatError, match="violates associativity"):
+            lemma(P)
 
 
 def test_kh_split_m2_transpose():

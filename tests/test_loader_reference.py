@@ -5,9 +5,12 @@ then coerced it a second time, in the tables and in every named vector.
 On built instances, dense changes of basis and files whose zeros are
 written "-0", "00" or "0/7", the loaded table, involution and supports and
 the canonical dump must equal the reference's. Each of "0", "-0", "00",
-"0/7", "0/0", "1/0", "abc" and the JSON number 0, put in a structure
-constant, an involution entry or a vector coordinate, must give the same
-value or the same FormatError message and pointer.
+"0/7", "0/0", "1/0", "abc", the JSON number 0 and the list [1], put in a
+structure constant, an involution entry or a vector coordinate, must give
+the same value or the same FormatError message and pointer. The loader
+parses each distinct scalar string once per file: one string put in all
+three places gives the reference's values, or its error at the first
+occurrence.
 """
 
 import json
@@ -20,7 +23,7 @@ import pytest
 import algcert as ac
 from algcert import formats
 from algcert.errors import FormatError
-from algcert.linalg import QQ, PrimeField
+from algcert.linalg import QQ, PrimeField, RationalField
 from helpers import dense_change_of_basis
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -195,7 +198,7 @@ def _triples(dim):
     return ((i, j, k) for i in range(dim) for j in range(dim) for k in range(dim))
 
 
-SCALARS = ["0", "-0", "00", "0/7", "0/0", "1/0", "abc", 0]
+SCALARS = ["0", "-0", "00", "0/7", "0/0", "1/0", "abc", 0, [1]]
 
 
 @pytest.mark.parametrize("where", ["mul", "involution", "generator"])
@@ -211,5 +214,49 @@ def test_one_scalar_like_the_reference(scalar, field, where):
         d["generators"]["E12"][4] = scalar
     got, expected = _outcome(json.dumps(d))
     assert got == expected
-    if scalar in ("0/0", "1/0", "abc", 0):
+    if scalar in ("0/0", "1/0", "abc", 0, [1]):
         assert got[0] == "error"
+
+
+@pytest.mark.parametrize("places", [("mul", "involution", "generator"), ("involution", "generator")])
+@pytest.mark.parametrize("field", ["Q", "Fp101"])
+@pytest.mark.parametrize("scalar", ["-3", "1/0", "0"])
+def test_one_string_in_several_places(scalar, field, places):
+    # Each distinct string is parsed once per file; the value, or the
+    # error with the pointer of the first occurrence, is the reference's.
+    d = json.loads(TEXTS[f"m3-flip-{field}"])
+    pointers = {
+        "mul": "$.mul[3][3]",
+        "involution": "$.involution[3][2]",
+        "generator": "$.generators.E12[4]",
+    }
+    if "mul" in places:
+        d["mul"][3][3] = scalar
+    if "involution" in places:
+        d["involution"][3][2] = scalar
+    d["generators"]["E12"][4] = scalar
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    if scalar == "1/0":
+        assert got[0] == "error" and got[2] == pointers[places[0]]
+    else:
+        assert got[0] == "ok"
+
+
+@pytest.mark.parametrize("name", ["example2-D2-Q", "m3-flip-dense-Q"])
+def test_each_distinct_string_is_parsed_once(monkeypatch, name):
+    calls = []
+    parse = RationalField.parse
+
+    def counted(self, s):
+        calls.append(s)
+        return parse(self, s)
+
+    monkeypatch.setattr(RationalField, "parse", counted)
+    d = json.loads(TEXTS[name])
+    strings = [row[-1] for key in ("mul", "involution") for row in d.get(key, ())]
+    strings += [x for key in ("idempotents", "generators") for v in d[key].values() for x in v]
+    strings += d["unit"] if d["unital"] else []
+    P = formats.loads_presentation(TEXTS[name])
+    assert sorted(calls) == sorted(set(strings)) and len(strings) > len(calls)
+    assert formats.dumps_presentation(P) == TEXTS[name]
