@@ -168,54 +168,44 @@ class AlgebraPresentation:
 
     # -- construction helpers -------------------------------------------
 
-    def _normalize_mul(self, mul):
+    def _checked_entries(self, rows, kind, shape):
+        """(indices, c) for each row (*indices, scalar) of a ``kind`` table
+        whose scalar is nonzero, checked in order: the row's arity (its
+        ``shape``), each index in range, no repeated indices; the scalar
+        is parsed or coerced once."""
         F = self.field
-        table = {}
-        if hasattr(mul, "items"):
-            items = []
-            for (i, j), entries in mul.items():
-                for k, c in entries:
-                    items.append((i, j, k, c))
-        else:
-            items = [tuple(row) for row in mul]
+        dim = self.dim
+        arity = shape.count(",") + 1
         seen = set()
-        for row in items:
-            if len(row) != 4:
-                raise FormatError(f"mul entry must be [i, j, k, scalar]: {row!r}")
-            i, j, k, c = row
-            for idx in (i, j, k):
-                if not isinstance(idx, int) or not 0 <= idx < self.dim:
-                    raise FormatError(f"mul index out of range: {row!r}")
-            if (i, j, k) in seen:
-                raise FormatError(f"duplicate mul entry for ({i},{j},{k})")
-            seen.add((i, j, k))
+        for row in rows:
+            if len(row) != arity:
+                raise FormatError(f"{kind} entry must be [{shape}]: {row!r}")
+            idx, c = tuple(row[:-1]), row[-1]
+            for x in idx:
+                if not isinstance(x, int) or not 0 <= x < dim:
+                    raise FormatError(f"{kind} index out of range: {row!r}")
+            if idx in seen:
+                raise FormatError(f"duplicate {kind} entry for ({','.join(map(str, idx))})")
+            seen.add(idx)
             c = F.parse(c) if isinstance(c, str) else F.coerce(c)
-            if not c:
-                continue
+            if c:
+                yield idx, c
+
+    def _normalize_mul(self, mul):
+        if hasattr(mul, "items"):
+            rows = [(i, j, k, c) for (i, j), entries in mul.items() for k, c in entries]
+        else:
+            rows = [tuple(row) for row in mul]
+        table = {}
+        for (i, j, k), c in self._checked_entries(rows, "mul", "i, j, k, scalar"):
             table.setdefault((i, j), []).append((k, c))
-        return {
-            key: tuple(sorted(entries)) for key, entries in table.items()
-        }
+        return {key: tuple(sorted(entries)) for key, entries in table.items()}
 
     def _normalize_involution(self, involution):
         if involution is None:
             return None
-        F = self.field
         rows = [[] for _ in range(self.dim)]
-        seen = set()
-        for row in involution:
-            if len(row) != 3:
-                raise FormatError(f"involution entry must be [i, j, scalar]: {row!r}")
-            i, j, c = row
-            for idx in (i, j):
-                if not isinstance(idx, int) or not 0 <= idx < self.dim:
-                    raise FormatError(f"involution index out of range: {row!r}")
-            if (i, j) in seen:
-                raise FormatError(f"duplicate involution entry for ({i},{j})")
-            seen.add((i, j))
-            c = F.parse(c) if isinstance(c, str) else F.coerce(c)
-            if not c:
-                continue
+        for (i, j), c in self._checked_entries(involution, "involution", "i, j, scalar"):
             rows[i].append((j, c))
         return tuple(tuple(sorted(r)) for r in rows)
 
@@ -248,6 +238,11 @@ class AlgebraPresentation:
         """The element with coordinates n / d for the ints n in the list
         nums, built from its canonical support."""
         return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
+
+    def elements(self, sub):
+        """The canonical basis of the subspace sub as Elements, built from
+        its integer rows."""
+        return [self._from_ints(row, row[j]) for j, row in zip(sub.pivots, sub.rows)]
 
     def zero(self):
         return Element._of(self.field, self.dim, (1, ()))
@@ -652,7 +647,7 @@ def _square_zero_witness(P):
         ideal = principal_ideal(P, P.basis_element(i))
         if ideal.rank == 0:
             continue
-        rows = [P.element(r) for r in ideal.basis]
+        rows = P.elements(ideal)
         if all(P.is_zero(P.mul(u, v)) for u in rows for v in rows):
             return P.basis_labels[i]
     return None

@@ -217,7 +217,7 @@ def derived_subspace(P):
 
 def skew_commutator_span(P):
     """Span of all [k_i, k_j] over a basis of the skew part K."""
-    return _bracket_span(P, [P.element(r) for r in _skew_part(P).basis])
+    return _bracket_span(P, P.elements(_skew_part(P)))
 
 
 def derived_K_subspace(P):
@@ -408,8 +408,8 @@ def lemma1_certificate(P, e=None):
     pd = peirce_decompose(P, e)
     items = []
     for name, comp in (("eR(1-e)", pd.eRf), ("(1-e)Re", pd.fRe)):
-        for k, row in enumerate(comp.basis):
-            items.append((f"{name}:{k}", P.element(row), name))
+        for k, el in enumerate(P.elements(comp)):
+            items.append((f"{name}:{k}", el, name))
     gens = generator_set("lie", items)
     target = derived_subspace(P)
     trace = lie_closure(P, gens, target)
@@ -637,8 +637,8 @@ def _lemma3_claim(P, opts):
     items = []
     sides = []
     for side, comp in (("-", pd.eRf), ("+", pd.fRe)):
-        for k, row in enumerate(comp.basis):
-            items.append((f"p{side}{k}", P.element(row), "component-basis"))
+        for k, el in enumerate(P.elements(comp)):
+            items.append((f"p{side}{k}", el, "component-basis"))
             sides.append(side)
     gens = generator_set("assoc-pair", items, sides)
     return lemma3_jordan_check(P, gens, seed=opts.seed)
@@ -748,7 +748,7 @@ def _squares_family(P, K1):
     Polarization: (k+k')^2 - k^2 - k'^2 = 2 k o k', so squares of the family
     span the same space as all squares of K1 (characteristic is not 2).
     """
-    rows = [P.element(r) for r in K1.basis]
+    rows = P.elements(K1)
     family = list(rows)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -769,7 +769,7 @@ def lemma4_check(P, grading=None, e=None):
     for sigma in (1, -1):
         K1, _ = kh.graded[sigma]
         K2, H2 = kh.graded[2 * sigma]
-        bracket_span = _bracket_span(P, [P.element(r) for r in K1.basis])
+        bracket_span = _bracket_span(P, P.elements(K1))
         sq = SpanBuilder(P.field, P.dim)
         for k in _squares_family(P, K1):
             sq.add(P.mul(k, k))
@@ -827,8 +827,7 @@ def _lemma5_impl(P, grading, search):
     for items, sign in ((minus_items, 1), (plus_items, -1)):
         span = SpanBuilder(P.field, P.dim)
         for _, m, _ in items:
-            for row in grading.parts[2 * sign].basis:
-                r = P.element(row)
+            for r in P.elements(grading.parts[2 * sign]):
                 span.add(P.mul(m, r))
                 span.add(P.mul(r, m))
         spans_ok = spans_ok and span.subspace() == grading.parts[sign]
@@ -889,17 +888,11 @@ def lemma6_check(P, grading=None, e=None):
         return _hypothesis_certificate(P, "lemma6", hyp)
     grading, kh = _graded_split(P, e, grading)
     target = derived_K_subspace(P)
-    membership_ok = True
-    for i in (-2, -1, 1, 2):
-        Ki = kh.graded[i][0]
-        for row in Ki.basis:
-            if not target.contains(row):
-                membership_ok = False
+    membership_ok = all(target.contains_subspace(kh.graded[i][0]) for i in (-2, -1, 1, 2))
     items = []
     for i in (-1, 1):
-        Ki = kh.graded[i][0]
-        for k, row in enumerate(Ki.basis):
-            items.append((f"K_{i}:{k}", P.element(row), f"K_{i}-basis"))
+        for k, el in enumerate(P.elements(kh.graded[i][0])):
+            items.append((f"K_{i}:{k}", el, f"K_{i}-basis"))
     gens = generator_set("lie", items)
     # [K, K] is bracket-closed (derived_K_subspace): the grading was built
     # behind the gate.
@@ -1141,10 +1134,11 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
 
     D = SpanBuilder(P.field, P.dim)
     for left, right in ((Km2, K2), (Hm2, H2)):
-        for u in left.basis:
-            for v in right.basis:
-                D.add(P.mul(P.element(u), P.element(v)))
-    D_rows = [P.element(r) for r in D.subspace().basis]
+        right_rows = P.elements(right)
+        for u in P.elements(left):
+            for v in right_rows:
+                D.add(P.mul(u, v))
+    D_rows = P.elements(D.subspace())
 
     rng = random.Random(seed)
     n = n_bound
@@ -1219,9 +1213,8 @@ def lemma8_check(P, e=None):
     grading, kh = _graded_split(P, e)
     items = []
     for i in (-2, 2):
-        Ki = kh.graded[i][0]
-        for k, row in enumerate(Ki.basis):
-            items.append((f"K_{i}:{k}", P.element(row), f"K_{i}-basis"))
+        for k, el in enumerate(P.elements(kh.graded[i][0])):
+            items.append((f"K_{i}:{k}", el, f"K_{i}-basis"))
     gens = generator_set("associative", items)
     trace = assoc_closure(P, gens)
     target = P.span_of([P.basis_element(i) for i in range(P.dim)])
@@ -1248,7 +1241,7 @@ def lemma9_check(P, samples=20, seed=0):
     hyp.update(hypotheses_for(P, None, ("semiprime(desk-scale)",)))
     witness = hyp.pop("square-zero-ideal-witness", None)
     K = _skew_part(P)
-    K_rows = [P.element(r) for r in K.basis]
+    K_rows = P.elements(K)
     if witness is not None:
         # Illustrate the failure: a nonzero skew element annihilated by K.
         demo = None
@@ -1306,7 +1299,7 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
     records whether the target is bracket-abelian, in which case any g
     generators span at most rank g.
     """
-    brackets = _bracket_span(P, [P.element(r) for r in target.basis])
+    brackets = _bracket_span(P, P.elements(target))
     if not target.contains_subspace(brackets):
         raise ValueError("stagnation target is not bracket-closed")
     rng = random.Random(seed)

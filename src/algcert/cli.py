@@ -119,7 +119,7 @@ def _build_parser():
 
 
 def _subspace_report(P, sub):
-    return {"rank": sub.rank, "basis": [P.render(P.element(r)) for r in sub.basis]}
+    return {"rank": sub.rank, "basis": [P.render(el) for el in P.elements(sub)]}
 
 
 def _resolve_named_elements(P, names):

@@ -162,7 +162,7 @@ def kh_split(P, grading=None):
     graded = None
     if grading is not None:
         graded = {
-            i: _skew_symmetric_spans(P, [P.element(r) for r in grading.parts[i].basis])
+            i: _skew_symmetric_spans(P, P.elements(grading.parts[i]))
             for i in range(-2, 3)
         }
     return KHSplit(K, H, graded)

@@ -1,24 +1,25 @@
 """Exact linear algebra over Q and over odd prime fields.
 
 Vectors are tuples of scalars: :class:`fractions.Fraction` over Q, plain
-int residues in [0, p-1] over F_p. Subspaces are stored as reduced
-row-echelon bases, which makes every span canonical: two lists of vectors
-with the same span echelonize to bit-identical bases, so subspace equality
-is plain ``==``.
+int residues in [0, p-1] over F_p. A span is kept in reduced row-echelon
+form, which makes it canonical: two lists of vectors with the same span
+echelonize to identical rows, so subspace equality is plain ``==``.
 
-Elimination runs on rows that are lists of ints. Over Q a row is primitive:
-its pivot entry is positive, its other pivot columns are zero and the gcd
-of its entries is 1, so it is the canonical row times the lcm of its
+Elimination runs on rows of ints. Over Q a row is primitive: its pivot
+entry is positive, its other pivot columns are zero and the gcd of its
+entries is 1, so it is the canonical row times the lcm of its
 denominators. A vector is cleared against a row fraction-free, as
 w <- a*w - c*row (after Bareiss 1968), and divided by its gcd when it is
 stored. Over F_p a row is a list of residues with pivot entry 1, and the
-same loop runs mod p. A :class:`CombinationSolver` keeps each row's
-combination of its inputs as ints over a common denominator. Fractions
-appear only in the snapshots: the basis of a :class:`Subspace`, the
-remainder ``reduce`` returns and the coefficients a solve returns. An
-Element passed as a vector hands over its integer support, and nothing
-here reads its dense coordinates; a zero Element is only length-checked
-(and counted by the solver), never eliminated.
+same loop runs mod p. A :class:`Subspace` snapshot holds these integer
+rows and nothing else; its Fraction ``basis`` is built on first read. A
+:class:`CombinationSolver` keeps each row's combination of its inputs as
+ints over a common denominator. Fractions appear only where a value
+leaves the integer form: a ``basis`` that is read, the remainder
+``reduce`` returns and the coefficients a solve returns. An Element
+passed as a vector hands over its integer support, and nothing here
+reads its dense coordinates; a zero Element is only length-checked (and
+counted by the solver), never eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
 the canonical support of the vector nums / d (an Element's form, see
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -333,13 +334,21 @@ def _primitive(w, j, p):
 class _Echelon:
     """Reduction against integer rows in reduced echelon form, shared by
     :class:`Subspace` and :class:`SpanBuilder`, which provide ``field``,
-    ``ambient_dim``, ``pivots`` and ``_int_rows()``."""
+    ``ambient_dim``, ``pivots`` and ``rows``."""
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @property
+    def is_full(self):
+        return len(self.rows) == self.ambient_dim
 
     def _int_remainder(self, vec):
         """(d, w): the remainder of vec after elimination against the rows
         is w / d for the int list w (residues over F_p)."""
         d, w = _int_vector(self.field, vec, self.ambient_dim)
-        w, s = _eliminate(w, self.pivots, self._int_rows(), _modulus(self.field))
+        w, s = _eliminate(w, self.pivots, self.rows, _modulus(self.field))
         return d * s, w
 
     def reduce(self, vec):
@@ -356,55 +365,48 @@ class _Echelon:
 
 @dataclass(frozen=True)
 class Subspace(_Echelon):
-    """A linear subspace in canonical reduced row-echelon form.
-
-    Invariants: pivot entries are 1, pivot columns are otherwise zero,
-    pivots strictly increase. Equality of subspaces is equality of bases.
+    """A linear subspace, held as the integer rows of its canonical reduced
+    row-echelon basis: ``rows[r]`` is the r-th canonical row times the lcm
+    of its denominators (primitive, pivot entry positive) over Q, and the
+    canonical row itself over F_p. Pivots strictly increase and every
+    pivot column is zero outside its row, so the rows are canonical and
+    equality of subspaces is equality of rows. Only
+    :meth:`SpanBuilder.subspace` builds one.
     """
 
     field: object
     ambient_dim: int
-    basis: tuple
     pivots: tuple
-    # The basis as integer rows, when the constructor already has them;
-    # see ``_int_rows``.
-    _rows: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    rows: tuple
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    @property
-    def is_full(self):
-        return self.rank == self.ambient_dim
-
-    def _int_rows(self):
-        """The basis rows as SpanBuilder keeps them, built on first use:
-        each canonical row times the lcm of its denominators is primitive."""
-        if self._rows is None:
-            rows = tuple(_int_vector(self.field, r, self.ambient_dim)[1] for r in self.basis)
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+    @functools.cached_property
+    def basis(self):
+        """The canonical basis as tuples of field scalars (pivot entries 1),
+        built on first read."""
+        F = self.field
+        return tuple(
+            F.to_coords(F.from_ints(row, row[j]), self.ambient_dim)
+            for j, row in zip(self.pivots, self.rows)
+        )
 
     @functools.cached_property
     def _sparse_basis(self):
         """(m, rows): the canonical basis as sparse integer rows over the lcm
         m of the pivot entries of the integer rows, rows[r] = ((k, n), ...)
         with basis[r][k] = n / m (m = 1 over F_p). Built on first use."""
-        int_rows = self._int_rows()
-        m = lcm(*(row[j] for j, row in zip(self.pivots, int_rows)))
+        m = lcm(*(row[j] for j, row in zip(self.pivots, self.rows)))
         return m, tuple(
             tuple((k, m // row[j] * row[k]) for k in compress(range(len(row)), row))
-            for j, row in zip(self.pivots, int_rows)
+            for j, row in zip(self.pivots, self.rows)
         )
 
     def contains_subspace(self, other):
         _check_compatible(self, other)
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other.rows)
 
     def builder(self):
         b = SpanBuilder(self.field, self.ambient_dim)
-        b.rows = list(self._int_rows())
+        b.rows = list(self.rows)
         b.pivots = list(self.pivots)
         return b
 
@@ -425,17 +427,6 @@ class SpanBuilder(_Echelon):
         self.ambient_dim = ambient_dim
         self.rows = []
         self.pivots = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    @property
-    def is_full(self):
-        return len(self.rows) == self.ambient_dim
-
-    def _int_rows(self):
-        return self.rows
 
     def add(self, vec):
         """Insert vec into the span. Returns True iff the rank grew. A full
@@ -475,12 +466,9 @@ class SpanBuilder(_Echelon):
         rows.insert(at, w)
 
     def subspace(self):
-        F = self.field
-        n = self.ambient_dim
-        basis = tuple(
-            F.to_coords(F.from_ints(row, row[j]), n) for j, row in zip(self.pivots, self.rows)
-        )
-        return Subspace(F, self.ambient_dim, basis, tuple(self.pivots), tuple(self.rows))
+        """The frozen snapshot of the span: its pivots and rows, copied."""
+        rows = tuple(map(tuple, self.rows))
+        return Subspace(self.field, self.ambient_dim, tuple(self.pivots), rows)
 
 
 def _check_compatible(a, b):
@@ -504,7 +492,7 @@ def subspace_sum(a, b):
     """Canonical basis of a + b."""
     _check_compatible(a, b)
     out = a.builder()
-    for row in b._int_rows():
+    for row in b.rows:
         out.add(row)
     return out.subspace()
 
@@ -514,10 +502,10 @@ def intersect(a, b):
     _check_compatible(a, b)
     n = a.ambient_dim
     big = SpanBuilder(a.field, 2 * n)
-    for u in a._int_rows():
-        big.add(u + u)
-    for w in b._int_rows():
-        big.add(w + [0] * n)
+    for u in a.rows:
+        big.add(list(u) * 2)
+    for w in b.rows:
+        big.add(list(w) + [0] * n)
     out = SpanBuilder(a.field, n)
     for row in big.rows:
         if _first_nonzero(row[:n]) is None:

@@ -8,7 +8,7 @@ import pytest
 import algcert as ac
 from algcert import formats
 from algcert.algebra import AlgebraPresentation, ideal_span
-from algcert.errors import MissingInvolutionError, UnitalityError
+from algcert.errors import FormatError, MissingInvolutionError, UnitalityError
 from algcert.linalg import QQ
 from helpers import count_muls, elem, m2, m3, unit_elem
 
@@ -270,3 +270,31 @@ def test_ideal_span_equals_fixed_point_saturation(monkeypatch, build):
         assert got == _saturate_to_fixed_point(P, x, unit_coeff), name
         if got.is_full:
             assert got_calls < calls[0], name
+
+
+@pytest.mark.parametrize("tables, message", [
+    ({"mul": [[0, 0, 0, "1"], [0, 1]]}, "mul entry must be [i, j, k, scalar]: (0, 1)"),
+    ({"mul": [(0, 0, 0, 1), (0, 5, 0, 1)]}, "mul index out of range: (0, 5, 0, 1)"),
+    ({"mul": [(0, 0, 0, 1), (1.0, 0, 0, 2)]}, "mul index out of range: (1.0, 0, 0, 2)"),
+    ({"mul": [(0, 0, 0, "0"), (0, 0, 0, 1)]}, "duplicate mul entry for (0,0,0)"),
+    ({"mul": {(0, 0): [(0, 1), (0, 2)]}}, "duplicate mul entry for (0,0,0)"),
+    ({"mul": {(1, 1): [(3, 1)]}}, "mul index out of range: (1, 1, 3, 1)"),
+    ({"mul": [(0, 0, 0, "x")]}, "not a rational scalar: 'x'"),
+    ({"mul": [], "involution": [[0, 0, 1], [0, 1]]}, "involution entry must be [i, j, scalar]: [0, 1]"),
+    ({"mul": [], "involution": [[0, 0, 1], [0, 2, 1]]}, "involution index out of range: [0, 2, 1]"),
+    ({"mul": [], "involution": [[1, 1, 0], [1, 1, 1]]}, "duplicate involution entry for (1,1)"),
+    ({"mul": [], "involution": [[1, 1, "1/0"]]}, "zero denominator in rational scalar: '1/0'"),
+])
+def test_constructor_checks_table_rows(tables, message):
+    """Both tables go through one row check, in the order arity, index
+    range, duplicates, scalar; a zero scalar still counts as an entry."""
+    with pytest.raises(FormatError) as err:
+        AlgebraPresentation("t", QQ, ["a", "b"], **tables)
+    assert str(err.value) == message
+
+
+def test_constructor_drops_zero_entries():
+    P = AlgebraPresentation("t", QQ, ["a", "b"], mul={(0, 0): [(0, "1"), (1, "0")]},
+                            involution=[(0, 0, 1), (1, 1, "-1"), (0, 1, 0)])
+    assert P._mul == {(0, 0): ((0, Fraction(1)),)}
+    assert P._star == (((0, Fraction(1)),), ((1, Fraction(-1)),))

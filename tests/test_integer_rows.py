@@ -18,7 +18,6 @@ from algcert.linalg import (
     CombinationSolver,
     PrimeField,
     SpanBuilder,
-    Subspace,
     echelonize,
     intersect,
     linear_combination,
@@ -210,8 +209,9 @@ def test_span_builder_equals_fraction_span(field, data):
     assert sub.pivots == tuple(old.pivots)
     assert by_element.subspace() == sub
     # The stored rows are primitive with positive pivot entries (pivot 1
-    # over F_p): the rows a Subspace derives from its canonical basis.
-    assert new.rows == list(Subspace(F, n, sub.basis, sub.pivots)._int_rows())
+    # over F_p): the canonical basis, each row times the lcm of its
+    # denominators.
+    assert new.rows == [linalg._int_vector(F, r, n)[1] for r in sub.basis]
     assert echelonize(F, vectors, n) == sub
     assert echelonize(F, [Element(v) for v in vectors], n) == sub
     # Remainders and membership, for the snapshot and for the builder, of
