@@ -11,9 +11,6 @@ from .linalg import (
     SpanBuilder,
     echelonize,
     field_from_name,
-    intersect,
-    linear_combination,
-    subspace_sum,
 )
 from .algebra import (
     AlgebraPresentation,

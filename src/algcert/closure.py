@@ -415,17 +415,3 @@ def _oracle_pair(P, S, max_len, counter):
                 b.add(el)
         result.append(b.subspace())
     return tuple(result)
-
-
-def oracle_until_stagnation(P, S, start_len=1, budget=None, max_rounds=12):
-    """Grow max_len until the oracle span stops changing; returns (span, len)."""
-    step = 2 if S.structure in PAIR_STRUCTURES else 1
-    prev = word_oracle(P, S, start_len, budget)
-    length = start_len
-    for _ in range(max_rounds):
-        nxt = word_oracle(P, S, length + step, budget)
-        if nxt == prev:
-            return prev, length
-        prev = nxt
-        length += step
-    return prev, length

@@ -488,31 +488,6 @@ def echelonize(field, vectors, ambient_dim):
     return b.subspace()
 
 
-def subspace_sum(a, b):
-    """Canonical basis of a + b."""
-    _check_compatible(a, b)
-    out = a.builder()
-    for row in b.rows:
-        out.add(row)
-    return out.subspace()
-
-
-def intersect(a, b):
-    """Canonical basis of the intersection, by the Zassenhaus block trick."""
-    _check_compatible(a, b)
-    n = a.ambient_dim
-    big = SpanBuilder(a.field, 2 * n)
-    for u in a.rows:
-        big.add(list(u) * 2)
-    for w in b.rows:
-        big.add(list(w) + [0] * n)
-    out = SpanBuilder(a.field, n)
-    for row in big.rows:
-        if _first_nonzero(row[:n]) is None:
-            out.add(row[n:])
-    return out.subspace()
-
-
 def _lowest(nums, d, p):
     """The combination nums / d, for a dict nums of input index -> int, as
     (D, N) in lowest terms with its zero entries dropped: D > 0 and
@@ -631,17 +606,3 @@ class CombinationSolver:
         if p:
             return _lowest(sums, d * L, p)[1]
         return {i: Fraction(t, d * L) for i, t in sums.items() if t}
-
-
-def linear_combination(field, vectors, target):
-    """Exact coefficients c with sum(c_i * vectors[i]) == target, or None."""
-    solver = CombinationSolver(field, len(target))
-    for v in vectors:
-        solver.add(v)
-    sol = solver.solve(target)
-    if sol is None:
-        return None
-    out = [field.zero] * len(vectors)
-    for i, c in sol.items():
-        out[i] = c
-    return out

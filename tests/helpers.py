@@ -1,6 +1,8 @@
 """Shared test utilities: instance shortcuts, an independent textbook
 Gauss-Jordan reduction used as an oracle against the library's echelon
-routine, a seeded dense change of basis, and element construction
+routine, subspace sums, intersections, linear combinations and the
+stagnating word oracle as test references built on the library's public
+span API, a seeded dense change of basis, and element construction
 helpers."""
 
 import random
@@ -8,6 +10,8 @@ from fractions import Fraction
 
 import algcert as ac
 from algcert.algebra import AlgebraPresentation
+from algcert.closure import PAIR_STRUCTURES, word_oracle
+from algcert.linalg import CombinationSolver, SpanBuilder, echelonize
 
 
 def naive_rref(rows):
@@ -36,6 +40,57 @@ def naive_rref(rows):
         if pivot_row == len(m):
             break
     return [tuple(row) for row in m[:pivot_row] if any(row)]
+
+
+def subspace_sum(a, b):
+    """Canonical basis of a + b."""
+    out = a.builder()
+    for row in b.basis:
+        out.add(row)
+    return out.subspace()
+
+
+def intersect(a, b):
+    """Canonical basis of the intersection, by the Zassenhaus block trick:
+    the rows (u, u) for u in a and (w, 0) for w in b span a space whose
+    rows with zero first half are (0, x) for x in the intersection."""
+    n = a.ambient_dim
+    zero = (a.field.zero,) * n
+    big = SpanBuilder(a.field, 2 * n)
+    for u in a.basis:
+        big.add(u + u)
+    for w in b.basis:
+        big.add(w + zero)
+    rows = [row[n:] for row in big.subspace().basis if not any(row[:n])]
+    return echelonize(a.field, rows, n)
+
+
+def linear_combination(field, vectors, target):
+    """Exact coefficients c with sum(c_i * vectors[i]) == target, or None."""
+    solver = CombinationSolver(field, len(target))
+    for v in vectors:
+        solver.add(v)
+    sol = solver.solve(target)
+    if sol is None:
+        return None
+    out = [field.zero] * len(vectors)
+    for i, c in sol.items():
+        out[i] = c
+    return out
+
+
+def oracle_until_stagnation(P, S, start_len=1, budget=None, max_rounds=12):
+    """Grow max_len until the oracle span stops changing; returns (span, len)."""
+    step = 2 if S.structure in PAIR_STRUCTURES else 1
+    prev = word_oracle(P, S, start_len, budget)
+    length = start_len
+    for _ in range(max_rounds):
+        nxt = word_oracle(P, S, length + step, budget)
+        if nxt == prev:
+            return prev, length
+        prev = nxt
+        length += step
+    return prev, length
 
 
 def _inverse(F, T):

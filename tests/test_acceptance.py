@@ -14,7 +14,6 @@ from fractions import Fraction
 import algcert as ac
 from algcert import certificates as cc
 from algcert.cli import run_cli
-from algcert.closure import oracle_until_stagnation
 from algcert.instances import x_component_span
 from helpers import (
     assoc_gens,
@@ -23,6 +22,7 @@ from helpers import (
     m2,
     m3,
     m4,
+    oracle_until_stagnation,
 )
 
 

@@ -9,7 +9,6 @@ import algcert as ac
 from algcert import certificates as cc, closure
 from algcert.algebra import axiom_violations
 from algcert.certificates import random_element
-from algcert.closure import oracle_until_stagnation
 from algcert.errors import (
     BudgetExceededError,
     GeneratorSideError,
@@ -24,6 +23,7 @@ from helpers import (
     m2,
     m3,
     m4,
+    oracle_until_stagnation,
     pair_gens,
     unit_elem,
 )

@@ -10,8 +10,7 @@ import algcert as ac
 from algcert import formats
 from algcert.algebra import axiom_violations
 from algcert.errors import FormatError, IdempotentError, MissingInvolutionError
-from algcert.linalg import intersect
-from helpers import component_pair_gens, elem, m2, m3, m4, unit_elem
+from helpers import component_pair_gens, elem, intersect, m2, m3, m4, unit_elem
 
 
 def test_peirce_m2_dims():

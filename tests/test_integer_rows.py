@@ -19,11 +19,8 @@ from algcert.linalg import (
     PrimeField,
     SpanBuilder,
     echelonize,
-    intersect,
-    linear_combination,
-    subspace_sum,
 )
-from helpers import dense_change_of_basis
+from helpers import dense_change_of_basis, intersect, linear_combination, subspace_sum
 
 FIELDS = {"Q": QQ, "Fp101": PrimeField(101)}
 

@@ -14,11 +14,8 @@ from algcert.linalg import (
     PrimeField,
     echelonize,
     field_from_name,
-    intersect,
-    linear_combination,
-    subspace_sum,
 )
-from helpers import naive_rref
+from helpers import intersect, linear_combination, naive_rref, subspace_sum
 
 
 def F(x):
