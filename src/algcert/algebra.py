@@ -7,8 +7,9 @@ generators, and an optional unit. An :class:`Element` is an exact vector
 over that basis, held as its integer support: its nonzero coordinates as
 ints over a common denominator, made canonical by dividing out their gcd.
 Sums, scalings, products and the involution work on supports and the
-presentation's integer tables and hand the canonical support of the result
-to the new element; its dense coordinates, Fractions over Q and residues
+presentation's integer tables, sum into a dict keyed by basis index, so
+they cost their operands' supports and not dim, and hand the canonical
+support of the result to the new element; its dense coordinates, Fractions over Q and residues
 over F_p, are built only when something reads them. A product the table
 makes zero costs no division: the reach of a (``_reach``), the indices j
 with b_i * b_j != 0 for some i in its support, tells which products a * b
@@ -235,14 +236,16 @@ class AlgebraPresentation:
         return Element._of(F, self.dim, (d, _over(d, nonzero)))
 
     def _from_ints(self, nums, d):
-        """The element with coordinates n / d for the ints n in the list
-        nums, built from its canonical support."""
+        """The element with coordinates n / d for the ints n in the dict
+        nums {index: n}, built from its canonical support."""
         return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
 
     def elements(self, sub):
-        """The canonical basis of the subspace sub as Elements, built from
-        its integer rows."""
-        return [self._from_ints(row, row[j]) for j, row in zip(sub.pivots, sub.rows)]
+        """The canonical basis of the subspace sub as Elements. An integer
+        row is primitive, so the row over its pivot entry, its first entry,
+        is already a canonical support."""
+        F, dim = self.field, self.dim
+        return [Element._of(F, dim, (row[0][1], row)) for row in sub.rows]
 
     def zero(self):
         return Element._of(self.field, self.dim, (1, ()))
@@ -272,11 +275,9 @@ class AlgebraPresentation:
             return b
         d = lcm(da, db)
         fa, fb = d // da, sign * (d // db)
-        acc = [0] * self.dim
-        for i, n in sa:
-            acc[i] = n * fa
+        acc = {i: n * fa for i, n in sa}
         for i, n in sb:
-            acc[i] += n * fb
+            acc[i] = acc.get(i, 0) + n * fb
         return self._from_ints(acc, d)
 
     def add(self, a, b):
@@ -291,10 +292,8 @@ class AlgebraPresentation:
     def scale(self, c, a):
         c = self.field.coerce(c)
         d, sa = a.support
-        acc = [0] * self.dim
-        for i, n in sa:
-            acc[i] = n * c.numerator
-        return self._from_ints(acc, d * c.denominator)
+        n = c.numerator
+        return self._from_ints({i: x * n for i, x in sa}, d * c.denominator)
 
     # -- products ---------------------------------------------------------
 
@@ -344,9 +343,9 @@ class AlgebraPresentation:
         return packed
 
     def _packed_product(self, sa, sb, s):
-        """The integer coordinates sum_ij x_i y_j c_ijk of a * b for the
-        supports sa and sb, as sum_i x_i sum_j y_j P_ij on the packed rows
-        of width s, unpacked into balanced digits."""
+        """The nonzero integer coordinates {k: sum_ij x_i y_j c_ijk} of a * b
+        for the supports sa and sb, as sum_i x_i sum_j y_j P_ij on the
+        packed rows of width s, unpacked into balanced digits."""
         packed = self._packed_rows(s)
         total = 0
         for i, x in sa:
@@ -359,12 +358,13 @@ class AlgebraPresentation:
                 if p:
                     inner += y * p
             total += x * inner
-        return _balanced_digits(total, s, self.dim)
+        return _balanced_digits(total, s)
 
     def mul(self, a, b):
         """Bilinear extension of the structure constants: integer products
-        over the supports of a and b, one division per coordinate. A product
-        whose terms all vanish is the zero element, with no division.
+        over the supports of a and b, summed into a dict keyed by output
+        index, one division per nonzero coordinate. A product whose terms
+        all vanish is the zero element, with no division.
 
         When some b_i * b_j has more than one term, the products are summed
         on packed rows (``_packed_product``): one big-int multiply-add per
@@ -391,7 +391,7 @@ class AlgebraPresentation:
             if s <= _PACKED_WIDTH_MAX:
                 acc = self._packed_product(sa, sb, s)
         if acc is None:
-            acc = [0] * self.dim
+            acc = {}
             for i, x in sa:
                 row = rows[i]
                 if not row:
@@ -401,8 +401,8 @@ class AlgebraPresentation:
                     if entries:
                         xy = x * y
                         for k, c in entries:
-                            acc[k] += xy * c
-        if not any(acc):
+                            acc[k] = acc.get(k, 0) + xy * c
+        if not any(acc.values()):
             return self.zero()
         return self._from_ints(acc, da * db * D)
 
@@ -423,10 +423,10 @@ class AlgebraPresentation:
             raise MissingInvolutionError(f"{self.name} has no involution")
         D, rows = self._int_star
         da, sa = a.support
-        acc = [0] * self.dim
+        acc = {}
         for i, x in sa:
             for j, s in rows[i]:
-                acc[j] += x * s
+                acc[j] = acc.get(j, 0) + x * s
         return self._from_ints(acc, da * D)
 
     def commutator(self, a, b):
@@ -702,19 +702,22 @@ def _pack(entries, s):
     return sum(c << (s * k) for k, c in entries)
 
 
-def _balanced_digits(x, s, n):
-    """The n balanced base-2^s digits d_l in [-2^(s-1), 2^(s-1)) of
-    x = sum d_l 2^(s l)."""
+def _balanced_digits(x, s):
+    """The nonzero balanced base-2^s digits d_l in [-2^(s-1), 2^(s-1)) of
+    x = sum d_l 2^(s l), as a dict {l: d_l}."""
     half, mask = 1 << (s - 1), (1 << s) - 1
-    digits = []
-    for _ in range(n):
+    digits = {}
+    l = 0
+    while x:
         d = ((x + half) & mask) - half
-        digits.append(d)
+        if d:
+            digits[l] = d
         x = (x - d) >> s
+        l += 1
     return digits
 
 
-def _unequal_keys(F, left, right, s, n):
+def _unequal_keys(F, left, right, s):
     """The sorted keys of the dicts of packed s-bit rows left and right at
     which ``from_ints`` over F leaves a balanced digit of left - right nonzero."""
     if left == right:
@@ -722,7 +725,7 @@ def _unequal_keys(F, left, right, s, n):
     return [
         key for key in sorted(left.keys() | right.keys())
         if (diff := left.get(key, 0) - right.get(key, 0))
-        and F.from_ints(_balanced_digits(diff, s, n), 1)[1]
+        and F.from_ints(_balanced_digits(diff, s), 1)[1]
     ]
 
 
@@ -782,7 +785,7 @@ def _associativity_triples(P):
         for m, x in packed[i].items():
             for jk, c in column[m]:
                 right[jk] = right.get(jk, 0) + c * x
-        triples.extend((i, *divmod(jk, dim)) for jk in _unequal_keys(F, left, right, s, dim))
+        triples.extend((i, *divmod(jk, dim)) for jk in _unequal_keys(F, left, right, s))
     return triples
 
 
@@ -841,15 +844,16 @@ def _involution_law_pairs(P):
         for a, x in right_of.items():
             for j, c in star_column[a]:
                 right[j] = right.get(j, 0) + c * x
-        pairs.extend((i, j) for j in _unequal_keys(F, left, right, t, dim))
+        pairs.extend((i, j) for j in _unequal_keys(F, left, right, t))
     return pairs
 
 
 def _differs_from_basis(F, nums, i, scale):
     """Whether the vector with coordinates n / scale, for the ints n in the
-    list nums, differs from b_i over F. nums is changed in place."""
-    nums[i] -= scale
-    return any(nums) and bool(F.from_ints(nums, 1)[1])
+    dict nums {index: n}, differs from b_i over F. nums is changed in
+    place."""
+    nums[i] = nums.get(i, 0) - scale
+    return any(nums.values()) and bool(F.from_ints(nums, 1)[1])
 
 
 def _unit_failures(P):
@@ -871,13 +875,12 @@ def _unit_failures(P):
     one = d * D
     failures = []
     for i in range(dim):
-        left = [0] * dim
-        right = [0] * dim
+        left, right = {}, {}
         for m, n in unit:
             for k, c in rows[m].get(i, ()):
-                left[k] += n * c
+                left[k] = left.get(k, 0) + n * c
             for k, c in rows[i].get(m, ()):
-                right[k] += n * c
+                right[k] = right.get(k, 0) + n * c
         if _differs_from_basis(F, left, i, one) or _differs_from_basis(F, right, i, one):
             failures.append(i)
     return failures
@@ -894,10 +897,10 @@ def _order2_failures(P):
     S, star = P._int_star
     failures = []
     for i, row in enumerate(star):
-        acc = [0] * P.dim
+        acc = {}
         for j, s in row:
             for k, t in star[j]:
-                acc[k] += s * t
+                acc[k] = acc.get(k, 0) + s * t
         if _differs_from_basis(F, acc, i, S * S):
             failures.append(i)
     return failures

@@ -132,12 +132,12 @@ def random_element(P, rng, subspace=None, nonzero=False):
         m, rows = subspace._sparse_basis
     p = getattr(P.field, "p", 0)
     for _ in range(64):
-        acc = [0] * P.dim
+        acc = {}
         for row in rows:
             c = rng.randrange(p) if p else rng.randint(-3, 3)
             if c:
                 for k, x in row:
-                    acc[k] += c * x
+                    acc[k] = acc.get(k, 0) + c * x
         el = P._from_ints(acc, m)
         if not nonzero or not P.is_zero(el):
             return el

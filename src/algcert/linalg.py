@@ -5,25 +5,35 @@ int residues in [0, p-1] over F_p. A span is kept in reduced row-echelon
 form, which makes it canonical: two lists of vectors with the same span
 echelonize to identical rows, so subspace equality is plain ``==``.
 
-Elimination runs on rows of ints. Over Q a row is primitive: its pivot
-entry is positive, its other pivot columns are zero and the gcd of its
-entries is 1, so it is the canonical row times the lcm of its
-denominators. A vector is cleared against a row fraction-free, as
-w <- a*w - c*row (after Bareiss 1968), and divided by its gcd when it is
-stored. Over F_p a row is a list of residues with pivot entry 1, and the
-same loop runs mod p. A :class:`Subspace` snapshot holds these integer
-rows and nothing else; its Fraction ``basis`` is built on first read. A
-:class:`CombinationSolver` keeps each row's combination of its inputs as
-ints over a common denominator. Fractions appear only where a value
-leaves the integer form: a ``basis`` that is read, the remainder
-``reduce`` returns and the coefficients a solve returns. An Element
-passed as a vector hands over its integer support, and nothing here
-reads its dense coordinates; a zero Element is only length-checked (and
-counted by the solver), never eliminated.
+Elimination runs on sparse rows of ints, so it costs the supports of the
+vectors and rows it touches, not the dimension. A row holds only its
+nonzero entries. Over Q a row is primitive: its pivot entry is positive,
+its other pivot columns are zero and the gcd of its entries is 1, so it is
+the canonical row times the lcm of its denominators. Over F_p a row holds
+residues with pivot entry 1. A vector enters as a dict {column: int} and
+is cleared fraction-free, as w <- a*w - c*row (after Bareiss 1968), mod p
+over F_p, and divided by its gcd when it is stored. Since every row is
+zero at the other pivot columns, clearing one pivot never changes another:
+a vector is cleared only against the rows of the pivots in its support,
+and a new row clears its pivot column only from the rows that hold it.
+
+A :class:`SpanBuilder` keeps its rows as dicts {column: int} keyed by
+their pivots, with an index from each other column to the rows nonzero
+there. A :class:`Subspace` snapshot holds the rows as tuples of their
+``(column, n)`` entries in column order, which compare and hash
+canonically, and nothing else; its Fraction ``basis`` is built on first
+read. A :class:`CombinationSolver` keeps each row's combination of its
+inputs as ints over a common denominator. Fractions appear only where a
+value leaves the integer form: a ``basis`` that is read, the remainder
+``reduce`` returns and the coefficients a solve returns. An Element passed
+as a vector hands over its integer support, and nothing here reads its
+dense coordinates; a zero Element is only length-checked (and counted by
+the solver), never eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
-the canonical support of the vector nums / d (an Element's form, see
-``algebra``), and ``to_coords`` the dense tuple of a support.
+the canonical support of the vector nums / d for a dict nums {index: int}
+(an Element's form, see ``algebra``), and ``to_coords`` the dense tuple of
+a support.
 
 Everything here is immutable after construction except :class:`SpanBuilder`,
 the mutable accumulator used while a span is still growing.
@@ -33,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import re
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 
 from .errors import DimensionError, FieldMismatchError, FormatError
@@ -87,10 +96,10 @@ class RationalField:
 
     def from_ints(self, nums, d):
         """The support (d', ((k, n'), ...)) of the vector with coordinates
-        n / d for the ints n in the list nums: its nonzero coordinates as
-        ints n' over the lcm d' > 0 of their denominators, which is nums
-        and d divided by their gcd."""
-        nonzero = list(compress(range(len(nums)), nums))
+        n / d for the ints n in the dict nums {k: n}, zeros allowed: its
+        nonzero coordinates in index order as ints n' over the lcm d' > 0
+        of their denominators, which is nums and d divided by their gcd."""
+        nonzero = sorted(k for k, n in nums.items() if n)
         values = [nums[k] for k in nonzero]
         g = gcd(d, *values)
         if d < 0:
@@ -170,12 +179,12 @@ class PrimeField:
 
     def from_ints(self, nums, d):
         """The support (1, ((k, residue), ...)) of the vector with
-        coordinates n / d for the ints n in the list nums: its nonzero
-        residues."""
+        coordinates n / d for the ints n in the dict nums {k: n}: its
+        nonzero residues in index order."""
         p = self.p
         inv = pow(d, -1, p)
         support = []
-        for k in compress(range(len(nums)), nums):
+        for k in sorted(nums):
             r = nums[k] * inv % p
             if r:
                 support.append((k, r))
@@ -266,75 +275,92 @@ def _is_zero_element(vec):
     return support is not None and not support[1]
 
 
-def _first_nonzero(v):
-    return next(compress(range(len(v)), v), None)
-
-
 def _modulus(field):
     """p over F_p, 0 over Q."""
     return getattr(field, "p", 0)
 
 
 def _int_vector(field, vec, ambient_dim):
-    """(d, w) with vec = w / d for a new list w of ints: residues and d = 1
-    over F_p. An Element (anything with a ``support``) hands over its
-    nonzero coordinates as they are."""
+    """(d, w) with vec = w / d for a new dict w of nonzero ints keyed by
+    column, in column order: residues and d = 1 over F_p. An Element
+    (anything with a ``support``) hands over its nonzero coordinates as
+    they are."""
     _check_length(vec, ambient_dim)
     support = getattr(vec, "support", None)
     if support is not None:
         d, pairs = support
-        w = [0] * ambient_dim
-        for i, n in pairs:
-            w[i] = n
-        return d, w
+        return d, dict(pairs)
     p = _modulus(field)
     if p:
-        return 1, [x % p for x in vec]
+        return 1, {k: r for k, x in enumerate(vec) if (r := x % p)}
     d = lcm(*(x.denominator for x in vec))
-    return d, [x.numerator * (d // x.denominator) for x in vec]
+    return d, {k: x.numerator * (d // x.denominator) for k, x in enumerate(vec) if x}
 
 
-def _eliminate(w, pivots, rows, p):
-    """Clear the pivot columns of the int list w against integer rows in
-    reduced echelon form, fraction-free: w <- a*w - c*row for the row's
-    pivot entry a and c = w[pivot], divided by gcd(a, c). Over F_p (p > 0)
-    every pivot entry is 1 and the step runs mod p.
+def _eliminate(w, rows, p):
+    """Clear the pivot columns of the int dict w against the integer rows
+    {pivot: {column: int}} of a reduced echelon form, fraction-free:
+    w <- a*w - c*row for the row's pivot entry a and c = w[pivot], divided
+    by gcd(a, c). Over F_p (p > 0) every pivot entry is 1 and the step runs
+    mod p. A row is zero at every other pivot column, so clearing one pivot
+    never changes w at another: the pivots cleared are those in the support
+    w has on entry, visited in its order. Only their rows are read.
 
-    Returns (w, s): the new w is s times the exact remainder of the old
-    one, and the input is not modified.
+    w is changed in place to s times the exact remainder of the input, and
+    keeps only nonzero entries; returns s.
     """
     s = 1
-    for j, row in zip(pivots, rows):
+    for j in [j for j in w if j in rows]:
+        row = rows[j]
         c = w[j]
-        if c:
-            if p:
-                w = [(x - c * y) % p for x, y in zip(w, row)]
+        if p:
+            for k, y in row.items():
+                x = (w.get(k, 0) - c * y) % p
+                if x:
+                    w[k] = x
+                else:
+                    del w[k]
+            continue
+        a = row[j]
+        g = gcd(a, c)
+        a //= g
+        c //= g
+        if a != 1:
+            for k in w:
+                w[k] *= a
+            s *= a
+        for k, y in row.items():
+            x = w.get(k, 0) - c * y
+            if x:
+                w[k] = x
             else:
-                a = row[j]
-                g = gcd(a, c)
-                a //= g
-                c //= g
-                w = [a * x - c * y for x, y in zip(w, row)]
-                s *= a
-    return w, s
+                del w[k]
+    return s
 
 
-def _primitive(w, j, p):
-    """The row stored for w with pivot column j: divided by the gcd of its
-    entries, pivot entry positive, over Q; pivot entry 1 over F_p."""
+def _make_primitive(w, j, p):
+    """Make the nonzero int dict w, with pivot column j, the row stored
+    for it, in place: divided by the gcd of its entries with its pivot
+    entry positive over Q, pivot entry 1 over F_p."""
     if p:
         inv = pow(w[j], -1, p)
-        return w if inv == 1 else [x * inv % p for x in w]
-    g = gcd(*w)
+        if inv != 1:
+            for k in w:
+                w[k] = w[k] * inv % p
+        return
+    g = gcd(*w.values())
     if w[j] < 0:
         g = -g
-    return w if g == 1 else [x // g for x in w]
+    if g != 1:
+        for k in w:
+            w[k] //= g
 
 
 class _Echelon:
     """Reduction against integer rows in reduced echelon form, shared by
     :class:`Subspace` and :class:`SpanBuilder`, which provide ``field``,
-    ``ambient_dim``, ``pivots`` and ``rows``."""
+    ``ambient_dim``, ``rows`` and ``_pivot_rows``, the rows as
+    {pivot: {column: int}}."""
 
     @property
     def rank(self):
@@ -346,9 +372,9 @@ class _Echelon:
 
     def _int_remainder(self, vec):
         """(d, w): the remainder of vec after elimination against the rows
-        is w / d for the int list w (residues over F_p)."""
+        is w / d for the dict w of nonzero ints (residues over F_p)."""
         d, w = _int_vector(self.field, vec, self.ambient_dim)
-        w, s = _eliminate(w, self.pivots, self.rows, _modulus(self.field))
+        s = _eliminate(w, self._pivot_rows, _modulus(self.field))
         return d * s, w
 
     def reduce(self, vec):
@@ -360,18 +386,19 @@ class _Echelon:
     def contains(self, vec):
         """Whether the remainder of vec is zero, read off its integer form
         without building its coordinates."""
-        return not any(self._int_remainder(vec)[1])
+        return not self._int_remainder(vec)[1]
 
 
 @dataclass(frozen=True)
 class Subspace(_Echelon):
     """A linear subspace, held as the integer rows of its canonical reduced
-    row-echelon basis: ``rows[r]`` is the r-th canonical row times the lcm
+    row-echelon basis. ``rows[r]`` is the r-th canonical row times the lcm
     of its denominators (primitive, pivot entry positive) over Q, and the
-    canonical row itself over F_p. Pivots strictly increase and every
-    pivot column is zero outside its row, so the rows are canonical and
-    equality of subspaces is equality of rows. Only
-    :meth:`SpanBuilder.subspace` builds one.
+    canonical row itself over F_p, as the tuple of its nonzero entries
+    ``((column, n), ...)`` in column order; its first entry is its pivot.
+    Pivots strictly increase and every pivot column is zero outside its
+    row, so the rows are canonical and equality of subspaces is equality
+    of rows. Only :meth:`SpanBuilder.subspace` builds one.
     """
 
     field: object
@@ -380,33 +407,45 @@ class Subspace(_Echelon):
     rows: tuple
 
     @functools.cached_property
+    def _pivot_rows(self):
+        """{pivot: {column: int}}, the rows as reduction reads them, built
+        on first use."""
+        return {row[0][0]: dict(row) for row in self.rows}
+
+    @functools.cached_property
     def basis(self):
         """The canonical basis as tuples of field scalars (pivot entries 1),
-        built on first read."""
+        built on first read: a row over its pivot entry is a canonical
+        support, since the row is primitive."""
         F = self.field
-        return tuple(
-            F.to_coords(F.from_ints(row, row[j]), self.ambient_dim)
-            for j, row in zip(self.pivots, self.rows)
-        )
+        return tuple(F.to_coords((row[0][1], row), self.ambient_dim) for row in self.rows)
 
     @functools.cached_property
     def _sparse_basis(self):
         """(m, rows): the canonical basis as sparse integer rows over the lcm
         m of the pivot entries of the integer rows, rows[r] = ((k, n), ...)
         with basis[r][k] = n / m (m = 1 over F_p). Built on first use."""
-        m = lcm(*(row[j] for j, row in zip(self.pivots, self.rows)))
+        m = lcm(*(row[0][1] for row in self.rows))
         return m, tuple(
-            tuple((k, m // row[j] * row[k]) for k in compress(range(len(row)), row))
-            for j, row in zip(self.pivots, self.rows)
+            tuple((k, m // row[0][1] * n) for k, n in row) for row in self.rows
         )
 
     def contains_subspace(self, other):
         _check_compatible(self, other)
-        return all(self.contains(row) for row in other.rows)
+        rows, p = self._pivot_rows, _modulus(self.field)
+        for row in other.rows:
+            w = dict(row)
+            _eliminate(w, rows, p)
+            if w:
+                return False
+        return True
 
     def builder(self):
         b = SpanBuilder(self.field, self.ambient_dim)
-        b.rows = list(self.rows)
+        for j, row in zip(self.pivots, self.rows):
+            b.rows[j] = dict(row)
+            for k, _ in row[1:]:
+                b._holders.setdefault(k, set()).add(j)
         b.pivots = list(self.pivots)
         return b
 
@@ -417,7 +456,10 @@ class SpanBuilder(_Echelon):
     ``add`` keeps the stored rows in full reduced echelon form at all times,
     as integer rows (see the module docstring), so the frozen
     :class:`Subspace` snapshot is canonical no matter what order vectors
-    arrived in.
+    arrived in. ``rows`` maps each pivot to its row {column: int},
+    ``pivots`` lists the pivots in increasing order, and ``_holders`` maps
+    each column that is not a pivot to the pivots of the rows that are
+    nonzero there.
     """
 
     def __init__(self, field, ambient_dim):
@@ -425,8 +467,13 @@ class SpanBuilder(_Echelon):
             raise DimensionError("ambient dimension must be >= 0")
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = []
+        self.rows = {}
         self.pivots = []
+        self._holders = {}
+
+    @property
+    def _pivot_rows(self):
+        return self.rows
 
     def add(self, vec):
         """Insert vec into the span. Returns True iff the rank grew. A full
@@ -435,40 +482,64 @@ class SpanBuilder(_Echelon):
             _check_length(vec, self.ambient_dim)
             return False
         _, w = _int_vector(self.field, vec, self.ambient_dim)
-        w, _ = _eliminate(w, self.pivots, self.rows, _modulus(self.field))
-        j = _first_nonzero(w)
-        if j is None:
+        _eliminate(w, self.rows, _modulus(self.field))
+        if not w:
             return False
-        self._insert(w, j)
+        self._insert(w, min(w))
         return True
 
     def _insert(self, w, j):
         """Store the nonzero remainder w, already eliminated against the
-        rows, whose first nonzero column is j: clear column j from every row
-        (a*row - c*w over gcd(a, c), a = w[j], c = row[j], then made
-        primitive; mod p over F_p, where pivot entries stay 1) and insert w
-        as a row."""
+        rows, whose first nonzero column is j: clear column j from the rows
+        that hold it (a*row - c*w over gcd(a, c), a = w[j], c = row[j], then
+        made primitive; mod p over F_p, where pivot entries stay 1) and
+        insert w as a row. w becomes the row."""
         p = _modulus(self.field)
-        w = _primitive(w, j, p)
+        _make_primitive(w, j, p)
         a = w[j]
-        rows, pivots = self.rows, self.pivots
-        for k, row in enumerate(rows):
+        rows, holders = self.rows, self._holders
+        for k in w:
+            if k != j:
+                holders.setdefault(k, set()).add(j)
+        for q in holders.pop(j, ()):
+            row = rows[q]
             c = row[j]
-            if c:
+            if not p:
+                g = gcd(a, c)
+                if a != g:
+                    f = a // g
+                    for k in row:
+                        row[k] *= f
+                c //= g
+            for k, y in w.items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = (-c * y) % p if p else -c * y
+                    holders[k].add(q)
+                    continue
+                x -= c * y
                 if p:
-                    rows[k] = [(x - c * y) % p for x, y in zip(row, w)]
+                    x %= p
+                if x:
+                    row[k] = x
                 else:
-                    g = gcd(a, c)
-                    ag, cg = a // g, c // g
-                    rows[k] = _primitive([ag * x - cg * y for x, y in zip(row, w)], pivots[k], 0)
-        at = bisect_left(pivots, j)
-        pivots.insert(at, j)
-        rows.insert(at, w)
+                    del row[k]
+                    if k != j:
+                        holders[k].discard(q)
+            if not p:
+                _make_primitive(row, q, 0)
+        rows[j] = w
+        insort(self.pivots, j)
 
     def subspace(self):
         """The frozen snapshot of the span: its pivots and rows, copied."""
-        rows = tuple(map(tuple, self.rows))
-        return Subspace(self.field, self.ambient_dim, tuple(self.pivots), rows)
+        rows = self.rows
+        return Subspace(
+            self.field,
+            self.ambient_dim,
+            tuple(self.pivots),
+            tuple(tuple(sorted(rows[j].items())) for j in self.pivots),
+        )
 
 
 def _check_compatible(a, b):
@@ -531,11 +602,11 @@ class CombinationSolver:
 
     def _expand(self, w):
         """(L, sums) with sum_q w[q] * row_q = sum_i sums[i] / L * input_i
-        over the pivots q where the int list w is nonzero: L is the lcm of
-        their combinations' D, and zero sums are kept (reduced mod p over
-        F_p by the caller)."""
+        over the pivots q in the support of the int dict w, in its order: L
+        is the lcm of their combinations' D, and zero sums are kept (reduced
+        mod p over F_p by the caller)."""
         combos = self._combos
-        terms = [(w[q], combos[q]) for q in compress(range(len(w)), w) if q in combos]
+        terms = [(x, combos[q]) for q, x in w.items() if q in combos]
         L = lcm(*(D for _, (D, _) in terms))
         sums = {}
         for x, (D, N) in terms:
@@ -556,10 +627,11 @@ class CombinationSolver:
             return False
         p = _modulus(self.field)
         d, w = _int_vector(self.field, vec, self.ambient_dim)
-        r, s = _eliminate(w, span.pivots, span.rows, p)
-        j = _first_nonzero(r)
-        if j is None:
+        r = dict(w)
+        s = _eliminate(r, span.rows, p)
+        if not r:
             return False
+        j = min(r)
         # r = s * (d * vec - sum_q w[q] * row_q), so the new canonical row
         # r / r[j] is s / r[j] times that combination of the inputs.
         L, sums = self._expand(w)
@@ -568,7 +640,8 @@ class CombinationSolver:
         new = _lowest(nums, r[j] * L, p)
         # Inserting r clears column j of each row: row_q - (c / b) * r / r[j]
         # for c = row[j] and the pivot entry b = row[q] (b = 1 over F_p).
-        changed = [(q, row[j], row[q]) for q, row in zip(span.pivots, span.rows) if row[j]]
+        rows = span.rows
+        changed = [(q, rows[q][j], rows[q][q]) for q in span._holders.get(j, ())]
         span._insert(r, j)
         combos = self._combos
         Dn, Nn = new
@@ -600,7 +673,9 @@ class CombinationSolver:
         span = self._span
         p = _modulus(self.field)
         d, w = _int_vector(self.field, target, self.ambient_dim)
-        if any(_eliminate(w, span.pivots, span.rows, p)[0]):
+        r = dict(w)
+        _eliminate(r, span.rows, p)
+        if r:
             return None
         L, sums = self._expand(w)
         if p:

@@ -72,7 +72,7 @@ def _reference_associativity(P):
                 right[j, k] = right.get((j, k), 0) + c * x
         for j, k in sorted(left.keys() | right.keys()):
             diff = left.get((j, k), 0) - right.get((j, k), 0)
-            if diff and F.from_ints(_digits(diff, s, dim), 1)[1]:
+            if diff and F.from_ints(dict(enumerate(_digits(diff, s, dim))), 1)[1]:
                 triples.append((i, j, k))
     return triples
 
@@ -109,7 +109,7 @@ def _raw_involution_diffs(P):
 
 def _reference_involution_pairs(P):
     raw = _raw_involution_diffs(P)
-    _, nonzero = P.field.from_ints([diff for _, diff in raw], 1)
+    _, nonzero = P.field.from_ints({n: diff for n, (_, diff) in enumerate(raw)}, 1)
     return sorted({raw[n][0] for n, _ in nonzero})
 
 

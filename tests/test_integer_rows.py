@@ -5,7 +5,7 @@ denominators) and over F_101."""
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +29,13 @@ ROWS = settings(derandomize=True, max_examples=60, deadline=None)
 
 def _first_nonzero(v):
     return next((i for i, x in enumerate(v) if x), None)
+
+
+def _integer_row(row):
+    """The nonzero entries (k, n) of a row of scalars times the lcm of
+    their denominators."""
+    m = lcm(*(Fraction(x).denominator for x in row))
+    return tuple((k, int(x * m)) for k, x in enumerate(row) if x)
 
 
 class FractionSpan:
@@ -207,8 +214,8 @@ def test_span_builder_equals_fraction_span(field, data):
     assert by_element.subspace() == sub
     # The stored rows are primitive with positive pivot entries (pivot 1
     # over F_p): the canonical basis, each row times the lcm of its
-    # denominators.
-    assert new.rows == [linalg._int_vector(F, r, n)[1] for r in sub.basis]
+    # denominators, as its nonzero entries in column order.
+    assert sub.rows == tuple(_integer_row(r) for r in sub.basis)
     assert echelonize(F, vectors, n) == sub
     assert echelonize(F, [Element(v) for v in vectors], n) == sub
     # Remainders and membership, for the snapshot and for the builder, of

@@ -40,7 +40,9 @@ def _dict_convolution(P):
     """The associativity violations the old gate reported, in its order."""
     left, right = _raw_sides(P)
     keys = list(set(left) | set(right))
-    _, nonzero = P.field.from_ints([left.get(k, 0) - right.get(k, 0) for k in keys], 1)
+    _, nonzero = P.field.from_ints(
+        {n: left.get(k, 0) - right.get(k, 0) for n, k in enumerate(keys)}, 1
+    )
     return [
         ("associativity", (i, j, k), f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
         for i, j, k in sorted({keys[n][:3] for n, _ in nonzero})

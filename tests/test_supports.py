@@ -61,7 +61,7 @@ def test_coords_built_on_first_read_equal_the_eager_ones(name, data):
     F = FIELDS[name]
     nums, d = data.draw(_int_vectors(F))
     eager = _eager_from_ints(F, nums, d)
-    lazy = Element._of(F, len(nums), F.from_ints(nums, d))
+    lazy = Element._of(F, len(nums), F.from_ints(dict(enumerate(nums)), d))
     assert lazy.coords == eager
     assert list(map(type, lazy.coords)) == list(map(type, eager))
     assert lazy.support[0] > 0
@@ -73,7 +73,7 @@ def test_coords_built_on_first_read_equal_the_eager_ones(name, data):
 def test_elements_from_coords_and_from_supports_are_equal(name, data):
     F = FIELDS[name]
     nums, d = data.draw(_int_vectors(F))
-    from_support = Element._of(F, len(nums), F.from_ints(nums, d))
+    from_support = Element._of(F, len(nums), F.from_ints(dict(enumerate(nums)), d))
     from_coords = Element(_eager_from_ints(F, nums, d))
     assert from_coords == from_support
     assert hash(from_coords) == hash(from_support)
