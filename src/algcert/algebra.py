@@ -9,11 +9,12 @@ ints over a common denominator, made canonical by dividing out their gcd.
 Sums, scalings, products and the involution work on supports and the
 presentation's integer tables, sum into a dict keyed by basis index, so
 they cost their operands' supports and not dim, and hand the canonical
-support of the result to the new element; its dense coordinates, Fractions over Q and residues
-over F_p, are built only when something reads them. A product the table
-makes zero costs no division: the reach of a (``_reach``), the indices j
-with b_i * b_j != 0 for some i in its support, tells which products a * b
-can be nonzero, and callers skip the others.
+support of the result to the new element; its dense coordinates,
+Fractions over Q and residues over F_p, are built only when something
+reads them. A product the table makes zero costs no division: the reach
+of a (``_reach``), the indices j with b_i * b_j != 0 for some i in its
+support, tells which products a * b can be nonzero, and callers skip the
+others.
 
 The presentation is treated as immutable once built; every operation is a
 pure function of its inputs. The axiom checks and the named generation

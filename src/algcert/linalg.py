@@ -99,15 +99,12 @@ class RationalField:
         n / d for the ints n in the dict nums {k: n}, zeros allowed: its
         nonzero coordinates in index order as ints n' over the lcm d' > 0
         of their denominators, which is nums and d divided by their gcd."""
-        nonzero = sorted(k for k, n in nums.items() if n)
-        values = [nums[k] for k in nonzero]
-        g = gcd(d, *values)
+        g = gcd(d, *nums.values())
         if d < 0:
             g = -g
-        if g != 1:
-            d //= g
-            values = [n // g for n in values]
-        return d, tuple(zip(nonzero, values))
+        if g == 1:
+            return d, tuple(sorted([(k, n) for k, n in nums.items() if n]))
+        return d // g, tuple(sorted([(k, n // g) for k, n in nums.items() if n]))
 
     def to_coords(self, support, dim):
         """The dense coordinate tuple of length dim of a support."""
@@ -183,12 +180,7 @@ class PrimeField:
         nonzero residues in index order."""
         p = self.p
         inv = pow(d, -1, p)
-        support = []
-        for k in sorted(nums):
-            r = nums[k] * inv % p
-            if r:
-                support.append((k, r))
-        return 1, tuple(support)
+        return 1, tuple(sorted([(k, r) for k, n in nums.items() if (r := n * inv % p)]))
 
     def to_coords(self, support, dim):
         """The dense residue tuple of length dim of a support."""
