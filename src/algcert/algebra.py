@@ -379,7 +379,7 @@ class AlgebraPresentation:
         and so do slots wider than ``_PACKED_WIDTH_MAX`` bits, where the loop
         is faster.
         """
-        if len(a) != self.dim or len(b) != self.dim:
+        if a._dim != self.dim or b._dim != self.dim:
             raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
         da, sa = a.support
@@ -730,8 +730,44 @@ def _unequal_keys(F, left, right, s):
     ]
 
 
-def _associativity_triples(P):
-    """The triples (i, j, k), in order, with (b_i b_j) b_k != b_i (b_j b_k).
+def _left_generators(P):
+    """The indices of a left generating set G of the basis, in order: the
+    right-nested products b_g1 (b_g2 (... b_gr)) of its elements reach
+    every b_l up to a nonzero scalar.
+
+    A worklist closure over the integer table, walking the basis indices
+    in order: an index joins G when no earlier step has reached it, and
+    b_l is reached when b_g b_x = c b_l is a single nonzero term for g in
+    G and x already reached. Each pair (g, x) is tried once, so the
+    closure costs O(|G| dim) dict reads. A dense table has no single-term
+    products, and there G is every index.
+    """
+    _, rows = P._int_mul
+    reached = [False] * P.dim
+    gens, tried = [], []  # tried: the x already tried with every g in gens
+    for i in range(P.dim):
+        if reached[i]:
+            continue
+        reached[i] = True
+        gens.append(i)
+        todo = [i]
+        products = [rows[i].get(x) for x in tried]
+        while True:
+            for e in products:
+                if e and len(e) == 1 and not reached[e[0][0]]:
+                    reached[e[0][0]] = True
+                    todo.append(e[0][0])
+            if not todo:
+                break
+            x = todo.pop()
+            products = [rows[g].get(x) for g in gens]
+            tried.append(x)
+    return gens
+
+
+def _associativity_triples(P, indices=None):
+    """The triples (i, j, k), in order, with (b_i b_j) b_k != b_i (b_j b_k),
+    for i in ``indices`` (ascending; every index by default).
 
     Both sides are compared on packed rows of the integer structure
     constants over D: slot l of the int P_mk = sum_l c_mkl 2^(s l) is the
@@ -775,7 +811,7 @@ def _associativity_triples(P):
             for m, c in e:
                 column[m].append((j * dim + k, c))
     triples = []
-    for i in range(dim):
+    for i in range(dim) if indices is None else indices:
         left = {}
         for j, e in rows[i].items():
             for m, c in e:
@@ -790,8 +826,9 @@ def _associativity_triples(P):
     return triples
 
 
-def _involution_law_pairs(P):
-    """The pairs (i, j), in order, with (b_i b_j)* != b_j* b_i*.
+def _involution_law_pairs(P, indices=None):
+    """The pairs (i, j), in order, with (b_i b_j)* != b_j* b_i*, for i in
+    ``indices`` (ascending; every index by default).
 
     On the integer table over D and the integer involution over S, both
     sides are compared over D S^2 on rows packed into t-bit slots, slot l
@@ -813,7 +850,9 @@ def _involution_law_pairs(P):
     ``from_ints`` leaves a digit nonzero: over F_p (S = 1) the raw sums of
     residues may differ by multiples of p. The packed table rows are built
     here, at width t, and not kept: ``mul``'s per-width cache holds only
-    the widths that products and the associativity check read.
+    the widths that products and the associativity check read. Only the
+    columns b the right side reads are packed, those in the supports of
+    the b_i* visited.
     """
     F = P.field
     dim = P.dim
@@ -823,17 +862,20 @@ def _involution_law_pairs(P):
     v = max(map(len, star))
     u = max((abs(c) for row in star for _, c in row), default=0)
     t = (2 * (S * width * top * u + v * v * u * u * top)).bit_length()
+    indices = range(dim) if indices is None else indices
     packed_star = [_pack(row, t) for row in star]
+    read = {b for i in indices for b, _ in star[i]}
     by_right = [[] for _ in range(dim)]  # b -> (a, P_ab)
     for a, row in enumerate(rows):
         for b, e in row.items():
-            by_right[b].append((a, _pack(e, t)))
+            if b in read:
+                by_right[b].append((a, _pack(e, t)))
     star_column = [[] for _ in range(dim)]  # a -> (j, s_ja)
     for j, row in enumerate(star):
         for a, c in row:
             star_column[a].append((j, c))
     pairs = []
-    for i in range(dim):
+    for i in indices:
         left = {
             j: S * sum(c * packed_star[m] for m, c in e) for j, e in rows[i].items()
         }
@@ -912,15 +954,44 @@ def axiom_violations(P):
     """The violated algebra axioms, as a tuple of Violations: associativity
     (on packed rows, see ``_associativity_triples``), the involution laws,
     the unit law, then e^2 = e for every declared idempotent in name
-    order."""
+    order.
+
+    Associativity and the involution law are checked first only on the
+    rows of a left generating set G (``_left_generators``). By the
+    Teichmueller identity, which holds in every nonassociative algebra,
+
+        (wx, y, z) - (w, xy, z) + (w, x, yz) = w (x, y, z) + (w, x, y) z
+
+    for the associator (x, y, z) = (xy)z - x(yz): if (g, y, z) = 0 for
+    every g in G and (x, y, z) = 0, for all y and z, then (gx, y, z) = 0,
+    and the right-nested products of G reach every basis element. Once
+    associativity holds, the involution law reduces the same way: if
+    (gb)* = b* g* for every g in G and every b, and x satisfies the law,
+    then ((gx) b)* = (g (xb))* = (xb)* g* = b* x* g* = b* (gx)*. So a
+    check that finds nothing on G proves its law on every index. When it
+    finds a violation and G is not every index, it is rerun on every index
+    (the involution law is checked on every index outright once
+    associativity fails), so the violations, their order and their
+    messages are those of the checks on every row. A dense table has no
+    single-term products, so there G is every index and nothing is
+    checked twice.
+    """
+    gens = _left_generators(P)
+
+    def on_generators(check):
+        found = check(P, gens)
+        return check(P) if found and len(gens) < P.dim else found
+
+    triples = on_generators(_associativity_triples)
     violations = [
         Violation("associativity", (i, j, k), f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
-        for i, j, k in _associativity_triples(P)
+        for i, j, k in triples
     ]
     if P.has_involution:
         for i in _order2_failures(P):
             violations.append(Violation("involution-order2", (i,), f"b{i}** != b{i}"))
-        for i, j in _involution_law_pairs(P):
+        pairs = _involution_law_pairs(P) if triples else on_generators(_involution_law_pairs)
+        for i, j in pairs:
             violations.append(
                 Violation(
                     "involution-antiautomorphism",

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import algcert as ac
 from algcert import algebra, certificates as cc
 from algcert.algebra import AlgebraPresentation, Element, axiom_violations
+from algcert.errors import DimensionError
 from algcert.linalg import PrimeField
 from helpers import dense_change_of_basis, m2, m3
 
@@ -210,6 +211,23 @@ def test_packed_mul_at_the_slot_edge(field):
         assert P.mul(a, b).coords == _fraction_mul(P, a, b)
 
 
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_mul_rejects_an_operand_of_another_dimension(name):
+    """``mul`` compares each operand's dimension with the presentation's,
+    on supports and on dense coordinates, on either side."""
+    P = PRESENTATIONS[name]
+    F = P.field
+    b = P.basis_element(P.dim - 2)
+    for short in (
+        Element._of(F, P.dim - 1, (1, ((0, 1),))),
+        Element._of(F, P.dim - 1, (1, ())),
+        Element((F.one,) * (P.dim - 1)),
+    ):
+        for left, right in ((short, b), (b, short), (short, short)):
+            with pytest.raises(DimensionError):
+                P.mul(left, right)
+
+
 def test_wide_slots_keep_the_loop(monkeypatch):
     """Past 256-bit slots a packed multiply-add costs more than the loop's
     small ones: a dense product at s = 256 reads packed rows, one at
@@ -242,10 +260,10 @@ def test_sparse_tables_keep_the_loop(monkeypatch):
     gate = algebra._associativity_triples
     packed_rows = AlgebraPresentation._packed_rows
 
-    def gated(P):
+    def gated(P, *args):
         in_gate.append(P)
         try:
-            return gate(P)
+            return gate(P, *args)
         finally:
             in_gate.pop()
 
