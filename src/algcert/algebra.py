@@ -16,10 +16,14 @@ of a (``_reach``), the indices j with b_i * b_j != 0 for some i in its
 support, tells which products a * b can be nonzero, and callers skip the
 others.
 
-The presentation is treated as immutable once built; every operation is a
-pure function of its inputs. The axiom checks and the named generation
-hypotheses (``HYPOTHESES``) are therefore memoised on the presentation, and
-the integer tables are derived on first use.
+The constructor checks each row of the table and of the involution once,
+in one loop per table, and builds the integer tables that every product,
+the involution and the axiom gate read (``_int_mul``, ``_int_star`` and
+the bounds ``_table_bounds``) in the same loop. The presentation is treated
+as immutable once built; every operation is a pure function of its inputs.
+The axiom checks and the named generation hypotheses (``HYPOTHESES``) are
+therefore memoised on the presentation, and so are its packed rows and the
+table of field scalars that dumps read.
 """
 
 from __future__ import annotations
@@ -146,8 +150,8 @@ class AlgebraPresentation:
             raise FormatError("presentation needs at least one basis element")
         if len(set(self.basis_labels)) != self.dim:
             raise FormatError("basis labels must be unique")
-        self._mul = self._normalize_mul(mul)
-        self._star = self._normalize_involution(involution)
+        self._set_mul_tables(mul)
+        self._set_star_tables(involution)
         self.idempotents = {
             str(k): self.element(v) for k, v in dict(idempotents or {}).items()
         }
@@ -170,46 +174,129 @@ class AlgebraPresentation:
 
     # -- construction helpers -------------------------------------------
 
-    def _checked_entries(self, rows, kind, shape):
-        """(indices, c) for each row (*indices, scalar) of a ``kind`` table
-        whose scalar is nonzero, checked in order: the row's arity (its
-        ``shape``), each index in range, no repeated indices; the scalar
-        is parsed or coerced once."""
-        F = self.field
+    def _scalar(self, c):
+        """A table or vector scalar as a field value: strings are parsed,
+        anything else coerced."""
+        return self.field.parse(c) if isinstance(c, str) else self.field.coerce(c)
+
+    def _set_mul_tables(self, mul):
+        """The multiplication table, checked and converted in one loop over
+        its rows (i, j, k, scalar), or over the entries of a dict
+        {(i, j): ((k, scalar), ...)}: each row's arity, each index in range,
+        no (i, j, k) twice (a zero scalar still counts as an entry), and
+        the scalar parsed or coerced once; zero scalars are dropped.
+
+        Sets ``_entries``, the checked nonzero entries (i, j, k, c), from
+        which the table ``_mul`` of field scalars is built on first read;
+        ``_int_mul``, the integer table (D, rows) with
+        rows[i][j] = ((k, c D), ...) over the lcm D of the denominators; and
+        ``_table_bounds`` (w, T), the most terms of any b_i b_j and the
+        largest |c D|. The loop collects the denominators and appends each
+        constant's numerator to its integer row, which is the row over D
+        unless D > 1 or some b_i b_j lists its terms out of index order;
+        only then are the rows rebuilt, from ``_mul``.
+        """
         dim = self.dim
-        arity = shape.count(",") + 1
-        seen = set()
-        for row in rows:
-            if len(row) != arity:
-                raise FormatError(f"{kind} entry must be [{shape}]: {row!r}")
-            idx, c = tuple(row[:-1]), row[-1]
-            for x in idx:
-                if not isinstance(x, int) or not 0 <= x < dim:
-                    raise FormatError(f"{kind} index out of range: {row!r}")
-            if idx in seen:
-                raise FormatError(f"duplicate {kind} entry for ({','.join(map(str, idx))})")
-            seen.add(idx)
-            c = F.parse(c) if isinstance(c, str) else F.coerce(c)
-            if c:
-                yield idx, c
-
-    def _normalize_mul(self, mul):
+        scalar = self._scalar
         if hasattr(mul, "items"):
-            rows = [(i, j, k, c) for (i, j), entries in mul.items() for k, c in entries]
-        else:
-            rows = [tuple(row) for row in mul]
-        table = {}
-        for (i, j, k), c in self._checked_entries(rows, "mul", "i, j, k, scalar"):
-            table.setdefault((i, j), []).append((k, c))
-        return {key: tuple(sorted(entries)) for key, entries in table.items()}
+            mul = [(i, j, k, c) for (i, j), entries in mul.items() for k, c in entries]
+        checked = []
+        rows = [{} for _ in range(dim)]
+        seen = set()
+        dens = {1}
+        w = top = 0
+        in_order = True
+        for row in mul:
+            if type(row) is not tuple:
+                row = tuple(row)
+            if len(row) != 4:
+                raise FormatError(f"mul entry must be [i, j, k, scalar]: {row!r}")
+            i, j, k, s = row
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(k, int)
+                    and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise FormatError(f"mul index out of range: {row!r}")
+            key = (i * dim + j) * dim + k
+            if key in seen:
+                raise FormatError(f"duplicate mul entry for ({i},{j},{k})")
+            seen.add(key)
+            c = scalar(s)
+            if not c:
+                continue
+            # A row whose scalar is already a field value is its own entry,
+            # with no copy.
+            checked.append(row if c is s else (i, j, k, c))
+            n = c.numerator
+            dens.add(c.denominator)
+            if n > top or -n > top:
+                top = abs(n)
+            entries = rows[i].get(j)
+            if entries is None:
+                rows[i][j] = ((k, n),)
+            else:
+                in_order = in_order and entries[-1][0] < k
+                rows[i][j] = entries = entries + ((k, n),)
+                w = max(w, len(entries))
+        self._entries = checked
+        D = lcm(*dens)
+        if D > 1 or not in_order:
+            rows = [{} for _ in range(dim)]
+            for (i, j), entries in self._mul.items():
+                rows[i][j] = _over(D, entries)
+            top = max(abs(c) for row in rows for e in row.values() for _, c in e)
+        self._int_mul = D, rows
+        self._table_bounds = max(w, 1 if checked else 0), top
 
-    def _normalize_involution(self, involution):
+    @functools.cached_property
+    def _mul(self):
+        """The table {(i, j): ((k, c), ...)} of field scalars, each
+        b_i b_j's terms in index order, built on first read from the
+        checked entries; dumps, the unital hull and ``mul_basis`` read it."""
+        table = {}
+        for i, j, k, c in self._entries:
+            table.setdefault((i, j), []).append((k, c))
+        return {key: tuple(sorted(terms)) for key, terms in table.items()}
+
+    def _set_star_tables(self, involution):
+        """The involution, checked and converted in one loop over its rows
+        (i, j, scalar) as ``_set_mul_tables`` checks the table. Sets
+        ``_star``, the rows ((j, s_ij), ...) of field scalars of the b_i*,
+        and ``_int_star``, the integer rows (S, rows) with
+        rows[i] = ((j, s_ij S), ...) over the lcm S of the denominators,
+        built like the integer table; both None without an involution."""
+        self._star = self._int_star = None
         if involution is None:
-            return None
-        rows = [[] for _ in range(self.dim)]
-        for (i, j), c in self._checked_entries(involution, "involution", "i, j, scalar"):
-            rows[i].append((j, c))
-        return tuple(tuple(sorted(r)) for r in rows)
+            return
+        dim = self.dim
+        scalar = self._scalar
+        star = [[] for _ in range(dim)]
+        ints = [[] for _ in range(dim)]
+        seen = set()
+        dens = {1}
+        in_order = True
+        for row in involution:
+            if len(row) != 3:
+                raise FormatError(f"involution entry must be [i, j, scalar]: {row!r}")
+            i, j, c = row
+            if not (isinstance(i, int) and isinstance(j, int)
+                    and 0 <= i < dim and 0 <= j < dim):
+                raise FormatError(f"involution index out of range: {row!r}")
+            key = i * dim + j
+            if key in seen:
+                raise FormatError(f"duplicate involution entry for ({i},{j})")
+            seen.add(key)
+            c = scalar(c)
+            if c:
+                dens.add(c.denominator)
+                entries = star[i]
+                in_order = in_order and not (entries and entries[-1][0] > j)
+                entries.append((j, c))
+                ints[i].append((j, c.numerator))
+        S = lcm(*dens)
+        if S > 1 or not in_order:
+            star = list(map(sorted, star))
+            ints = [_over(S, r) for r in star]
+        self._star = tuple(map(tuple, star))
+        self._int_star = S, list(map(tuple, ints))
 
     # -- element helpers -------------------------------------------------
 
@@ -219,22 +306,17 @@ class AlgebraPresentation:
         dense coordinates wait for their first read."""
         if isinstance(coords, Element):
             coords = coords.coords
-        coords = list(coords)
+        elif type(coords) is not list:
+            coords = list(coords)
         if len(coords) != self.dim:
             raise DimensionError(
                 f"element has {len(coords)} coords, expected {self.dim}"
             )
-        F = self.field
-        zero = F.zero  # what ``parse`` returns for "0"
-        nonzero = []
-        for i, x in enumerate(coords):
-            if x is zero:
-                continue
-            c = F.parse(x) if isinstance(x, str) else F.coerce(x)
-            if c:
-                nonzero.append((i, c))
+        zero = self.field.zero  # what ``parse`` returns for "0"
+        scalar = self._scalar
+        nonzero = [(i, c) for i, x in enumerate(coords) if x is not zero and (c := scalar(x))]
         d = _common_denominator(c for _, c in nonzero)
-        return Element._of(F, self.dim, (d, _over(d, nonzero)))
+        return Element._of(self.field, self.dim, (d, _over(d, nonzero)))
 
     def _from_ints(self, nums, d):
         """The element with coordinates n / d for the ints n in the dict
@@ -298,39 +380,11 @@ class AlgebraPresentation:
 
     # -- products ---------------------------------------------------------
 
-    @functools.cached_property
-    def _int_mul(self):
-        """(D, rows): the structure constants as ints over their common
-        denominator D, rows[i][j] = ((k, c_ijk * D), ...)."""
-        D = _common_denominator(
-            c for entries in self._mul.values() for _, c in entries
-        )
-        rows = [{} for _ in range(self.dim)]
-        for (i, j), entries in self._mul.items():
-            rows[i][j] = _over(D, entries)
-        return D, rows
-
     def _reach(self, a):
         """The indices j with b_i * b_j != 0 for some i in the support of a:
         a * b is zero whenever the support of b misses them."""
         _, rows = self._int_mul
         return set().union(*(rows[i] for i, _ in a.support[1]))
-
-    @functools.cached_property
-    def _int_star(self):
-        """(D, rows): the involution as ints over their common denominator
-        D, rows[i] = ((j, s_ij * D), ...)."""
-        D = _common_denominator(c for row in self._star for _, c in row)
-        return D, [_over(D, row) for row in self._star]
-
-    @functools.cached_property
-    def _table_bounds(self):
-        """(w, T): the most terms of any b_i * b_j and the largest |c| of
-        the integer structure constants over D."""
-        _, rows = self._int_mul
-        entries = [e for row in rows for e in row.values()]
-        top = max((abs(c) for e in entries for _, c in e), default=0)
-        return max(map(len, entries), default=0), top
 
     def _packed_rows(self, s):
         """rows[i][j] = sum_k c_ijk * D * 2^(s k): the integer row of

@@ -99,44 +99,49 @@ def presentation_from_dict(d):
     # Each distinct scalar string is parsed once per file: a file repeats a
     # few strings many times (example2's tables hold nothing but "1"). A
     # string that fails to parse raises at its first occurrence, so it is
-    # never stored, and non-strings are always handed to ``parse``.
+    # never stored, and non-strings always go to ``field.parse``, since
+    # only strings are stored. Pointers are built only to raise.
     parsed = {}
 
-    def parse(s):
-        if type(s) is not str:
-            return field.parse(s)
-        c = parsed.get(s)
-        if c is None:
-            c = parsed[s] = field.parse(s)
+    def parse(s, where, *at):
+        """The scalar s parsed, and stored when it is a string; ``where``
+        and the indices ``at`` give the pointer of an error."""
+        try:
+            c = field.parse(s)
+        except FormatError as exc:
+            raise FormatError(str(exc), where + "".join(f"[{n}]" for n in at)) from None
+        if type(s) is str:
+            parsed[s] = c
         return c
 
-    def scalar(s, pointer):
-        try:
-            return parse(s)
-        except FormatError as exc:
-            raise FormatError(str(exc), pointer) from None
-
     def vector(v, pointer):
-        _expect(isinstance(v, list), "vector must be a list", pointer)
-        _expect(len(v) == dim, f"vector length {len(v)} != dim {dim}", pointer)
-        out = []
-        for x in v:
-            try:
-                out.append(parse(x))
-            except FormatError as exc:
-                raise FormatError(str(exc), f"{pointer}[{len(out)}]") from None
-        return out
+        if not isinstance(v, list):
+            raise FormatError("vector must be a list", pointer)
+        if len(v) != dim:
+            raise FormatError(f"vector length {len(v)} != dim {dim}", pointer)
+        try:
+            return list(map(parsed.__getitem__, v))
+        except (KeyError, TypeError):  # a string not yet parsed, or a non-string
+            return [
+                parsed[x] if type(x) is str and x in parsed else parse(x, pointer, n)
+                for n, x in enumerate(v)
+            ]
 
     mul = d["mul"]
     _expect(isinstance(mul, list), "mul must be a list", "$.mul")
     mul_rows = []
     for t, row in enumerate(mul):
-        ptr = f"$.mul[{t}]"
-        _expect(isinstance(row, list) and len(row) == 4, "entry must be [i,j,k,scalar]", ptr)
+        if not isinstance(row, list) or len(row) != 4:
+            raise FormatError("entry must be [i,j,k,scalar]", f"$.mul[{t}]")
         i, j, k, c = row
-        for x in (i, j, k):
-            _expect(type(x) is int and 0 <= x < dim, "index out of range", ptr)
-        mul_rows.append((i, j, k, scalar(c, f"{ptr}[3]")))
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise FormatError("index out of range", f"$.mul[{t}]")
+        try:
+            c = parsed[c]
+        except (KeyError, TypeError):
+            c = parse(c, "$.mul", t, 3)
+        mul_rows.append((i, j, k, c))
 
     involution = None
     if "involution" in d:
@@ -144,20 +149,21 @@ def presentation_from_dict(d):
         _expect(isinstance(inv, list), "involution must be a list", "$.involution")
         involution = []
         for t, row in enumerate(inv):
-            ptr = f"$.involution[{t}]"
-            _expect(isinstance(row, list) and len(row) == 3, "entry must be [i,j,scalar]", ptr)
+            if not isinstance(row, list) or len(row) != 3:
+                raise FormatError("entry must be [i,j,scalar]", f"$.involution[{t}]")
             i, j, c = row
-            for x in (i, j):
-                _expect(type(x) is int and 0 <= x < dim, "index out of range", ptr)
-            involution.append((i, j, scalar(c, f"{ptr}[2]")))
+            if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
+                raise FormatError("index out of range", f"$.involution[{t}]")
+            try:
+                c = parsed[c]
+            except (KeyError, TypeError):
+                c = parse(c, "$.involution", t, 2)
+            involution.append((i, j, c))
 
     def named_vectors(key):
         obj = d[key]
         _expect(isinstance(obj, dict), f"{key} must be an object", f"$.{key}")
-        out = {}
-        for k, v in obj.items():
-            out[k] = vector(v, f"$.{key}.{k}")
-        return out
+        return {k: vector(v, f"$.{key}.{k}") for k, v in obj.items()}
 
     idempotents = named_vectors("idempotents")
     generators = named_vectors("generators")

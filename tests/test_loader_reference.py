@@ -11,6 +11,12 @@ the same value or the same FormatError message and pointer. The loader
 parses each distinct scalar string once per file: one string put in all
 three places gives the reference's values, or its error at the first
 occurrence.
+
+The reference also checks each table row's shape and indices and each
+vector's type and length as the replaced loader did. A row that is not a
+list or has the wrong arity, an index that is true, 1.0, -1 or dim, and a
+vector that is not a list or has the wrong length must give its message and
+pointer, and of several bad rows the first one the loader meets.
 """
 
 import json
@@ -59,13 +65,48 @@ def _reference_scalar(F, s, pointer):
     return _reference_coerce(F, c)
 
 
+def _reference_row(row, dim, pointer):
+    """The replaced loader's checks of a table row's shape and indices."""
+    shape = "[i,j,k,scalar]" if pointer.startswith("$.mul") else "[i,j,scalar]"
+    arity = shape.count(",") + 1
+    if not (isinstance(row, list) and len(row) == arity):
+        raise FormatError(f"entry must be {shape}", pointer)
+    for x in row[:-1]:
+        if not (type(x) is int and 0 <= x < dim):
+            raise FormatError("index out of range", pointer)
+    return row
+
+
+def _reference_vector(F, v, dim, pointer):
+    if not isinstance(v, list):
+        raise FormatError("vector must be a list", pointer)
+    if len(v) != dim:
+        raise FormatError(f"vector length {len(v)} != dim {dim}", pointer)
+    return tuple(_reference_scalar(F, x, f"{pointer}[{n}]") for n, x in enumerate(v))
+
+
+def _reference_duplicate(rows, kind):
+    """The constructor's error for the first repeated index tuple, which
+    the loader passes on with no pointer."""
+    seen = set()
+    for row in rows:
+        idx = tuple(row[:-1])
+        if idx in seen:
+            raise FormatError(f"duplicate {kind} entry for ({','.join(map(str, idx))})")
+        seen.add(idx)
+
+
 def _reference_load(d):
-    """(mul table, involution rows, named coordinate tuples) of the
-    structurally valid file d, as the replaced loader built them."""
+    """(mul table, involution rows, named coordinate tuples) of the file d,
+    whose top-level fields are well formed, as the replaced loader built
+    them: its rows in order, each checked for shape, indices and scalar,
+    then the named vectors and the unit, then the constructor's check for
+    repeated entries."""
     F = ac.field_from_name(d["field"])
     dim = d["dim"]
     table = {}
-    for t, (i, j, k, c) in enumerate(d["mul"]):
+    for t, row in enumerate(d["mul"]):
+        i, j, k, c = _reference_row(row, dim, f"$.mul[{t}]")
         c = _reference_scalar(F, c, f"$.mul[{t}][3]")
         if c:
             table.setdefault((i, j), []).append((k, c))
@@ -73,7 +114,8 @@ def _reference_load(d):
     star = None
     if "involution" in d:
         rows = [[] for _ in range(dim)]
-        for t, (i, j, c) in enumerate(d["involution"]):
+        for t, row in enumerate(d["involution"]):
+            i, j, c = _reference_row(row, dim, f"$.involution[{t}]")
             c = _reference_scalar(F, c, f"$.involution[{t}][2]")
             if c:
                 rows[i].append((j, c))
@@ -81,13 +123,11 @@ def _reference_load(d):
     vectors = {}
     for key in ("idempotents", "generators"):
         for name, v in d[key].items():
-            vectors[key, name] = tuple(
-                _reference_scalar(F, x, f"$.{key}.{name}[{n}]") for n, x in enumerate(v)
-            )
+            vectors[key, name] = _reference_vector(F, v, dim, f"$.{key}.{name}")
     if d["unital"]:
-        vectors["unit", None] = tuple(
-            _reference_scalar(F, x, f"$.unit[{n}]") for n, x in enumerate(d["unit"])
-        )
+        vectors["unit", None] = _reference_vector(F, d["unit"], dim, "$.unit")
+    _reference_duplicate(d["mul"], "mul")
+    _reference_duplicate(d.get("involution", ()), "involution")
     return F, mul, star, vectors
 
 
@@ -260,3 +300,98 @@ def test_each_distinct_string_is_parsed_once(monkeypatch, name):
     P = formats.loads_presentation(TEXTS[name])
     assert sorted(calls) == sorted(set(strings)) and len(strings) > len(calls)
     assert formats.dumps_presentation(P) == TEXTS[name]
+
+
+# Structural defects of a table row: (name, edit of the row list, dim).
+ROW_DEFECTS = {
+    "string": lambda row, dim: "0,0,0,1",
+    "object": lambda row, dim: {"i": row[0]},
+    "null": lambda row, dim: None,
+    "short": lambda row, dim: row[:-1],
+    "long": lambda row, dim: row + ["1"],
+    "empty": lambda row, dim: [],
+    "first-index-true": lambda row, dim: [True] + row[1:],
+    "first-index-float": lambda row, dim: [float(row[0])] + row[1:],
+    "last-index-true": lambda row, dim: row[:-2] + [True, row[-1]],
+    "last-index-float": lambda row, dim: row[:-2] + [1.0, row[-1]],
+    "last-index-negative": lambda row, dim: row[:-2] + [-1, row[-1]],
+    "last-index-dim": lambda row, dim: row[:-2] + [dim, row[-1]],
+    "index-string": lambda row, dim: ["0"] + row[1:],
+}
+
+
+def _bad_row(d, table, t, defect):
+    d[table][t] = ROW_DEFECTS[defect](list(d[table][t]), d["dim"])
+
+
+@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
+@pytest.mark.parametrize("table", ["mul", "involution"])
+@pytest.mark.parametrize("field", ["Q", "Fp101"])
+def test_one_bad_row_like_the_reference(field, table, defect):
+    d = json.loads(TEXTS[f"m3-flip-{field}"])
+    _bad_row(d, table, 3, defect)
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    assert got[0] == "error" and got[2] == f"$.{table}[3]"
+
+
+@pytest.mark.parametrize("defects, pointer", [
+    # (table, row, defect or a bad scalar), in the order the loader meets them
+    ((("mul", 2, "last-index-dim"), ("mul", 5, "short")), "$.mul[2]"),
+    ((("mul", 2, "abc"), ("mul", 5, "string")), "$.mul[2][3]"),
+    ((("mul", 4, "first-index-true"), ("mul", 7, "long")), "$.mul[4]"),
+    ((("involution", 1, "null"), ("involution", 6, "last-index-negative")), "$.involution[1]"),
+    ((("involution", 2, "1/0"), ("involution", 3, "first-index-float")), "$.involution[2][2]"),
+    ((("mul", 8, "last-index-float"), ("involution", 0, "short")), "$.mul[8]"),
+    ((("mul", 8, "0/0"), ("generators", 0, "short")), "$.mul[8][3]"),
+    ((("involution", 8, "object"), ("generators", 0, "string")), "$.involution[8]"),
+    ((("generators", 0, "long"), ("mul", 0, "duplicate")), "$.generators.E12"),
+    ((("mul", 6, "abc"), ("mul", 0, "duplicate")), "$.mul[6][3]"),
+    ((("mul", 0, "duplicate"), ("involution", 0, "duplicate")), None),
+])
+@pytest.mark.parametrize("field", ["Q", "Fp101"])
+def test_the_first_bad_row_wins(field, defects, pointer):
+    """A file with several bad rows fails at the first one the loader
+    meets: a table's rows in order, the table's rows before the
+    involution's, both before the named vectors, and the constructor's
+    check for repeated entries (the copy of a row appended to its table)
+    last, as in the reference."""
+    d = json.loads(TEXTS[f"m3-flip-{field}"])
+    for table, t, defect in defects:
+        if table == "generators":
+            d["generators"]["E12"] = VECTOR_DEFECTS[defect](d["generators"]["E12"])
+        elif defect == "duplicate":
+            d[table].append(list(d[table][t]))
+        elif defect in ROW_DEFECTS:
+            _bad_row(d, table, t, defect)
+        else:
+            d[table][t][-1] = defect
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    assert got[0] == "error" and got[2] == pointer
+    if pointer is None:
+        assert got[1] == "duplicate mul entry for (0,0,0)"
+
+
+VECTOR_DEFECTS = {
+    "string": lambda v: "0" * len(v),
+    "object": lambda v: dict(enumerate(v)),
+    "number": lambda v: 0,
+    "null": lambda v: None,
+    "short": lambda v: v[:-1],
+    "long": lambda v: v + ["0"],
+    "empty": lambda v: [],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(VECTOR_DEFECTS))
+@pytest.mark.parametrize("where", ["idempotents.e", "generators.E12", "unit"])
+@pytest.mark.parametrize("field", ["Q", "Fp101"])
+def test_one_bad_vector_like_the_reference(field, where, defect):
+    d = json.loads(TEXTS[f"m3-flip-{field}"])
+    parent, _, name = where.rpartition(".")
+    holder = d[parent] if parent else d
+    holder[name] = VECTOR_DEFECTS[defect](holder[name])
+    got, expected = _outcome(json.dumps(d))
+    assert got == expected
+    assert got[0] == "error" and got[2] == f"$.{where}"
