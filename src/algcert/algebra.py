@@ -40,7 +40,7 @@ from .errors import (
     MissingInvolutionError,
     UnitalityError,
 )
-from .linalg import echelonize
+from .linalg import SpanBuilder, echelonize
 
 
 def _common_denominator(scalars):
@@ -194,7 +194,8 @@ class AlgebraPresentation:
         largest |c D|. The loop collects the denominators and appends each
         constant's numerator to its integer row, which is the row over D
         unless D > 1 or some b_i b_j lists its terms out of index order;
-        only then are the rows rebuilt, from ``_mul``.
+        only then are the rows rebuilt, in a second pass over the checked
+        entries, and the table of field scalars is still not built.
         """
         dim = self.dim
         scalar = self._scalar
@@ -240,8 +241,11 @@ class AlgebraPresentation:
         D = lcm(*dens)
         if D > 1 or not in_order:
             rows = [{} for _ in range(dim)]
-            for (i, j), entries in self._mul.items():
-                rows[i][j] = _over(D, entries)
+            for i, j, k, c in checked:
+                rows[i].setdefault(j, []).append((k, c.numerator * (D // c.denominator)))
+            for row in rows:
+                for j, entries in row.items():
+                    row[j] = tuple(sorted(entries))
             top = max(abs(c) for row in rows for e in row.values() for _, c in e)
         self._int_mul = D, rows
         self._table_bounds = max(w, 1 if checked else 0), top
@@ -786,15 +790,17 @@ def _unequal_keys(F, left, right, s):
 
 def _left_generators(P):
     """The indices of a left generating set G of the basis, in order: the
-    right-nested products b_g1 (b_g2 (... b_gr)) of its elements reach
-    every b_l up to a nonzero scalar.
+    right-nested products b_g1 (b_g2 (... b_gr)) of its elements span R.
 
     A worklist closure over the integer table, walking the basis indices
-    in order: an index joins G when no earlier step has reached it, and
-    b_l is reached when b_g b_x = c b_l is a single nonzero term for g in
-    G and x already reached. Each pair (g, x) is tried once, so the
-    closure costs O(|G| dim) dict reads. A dense table has no single-term
-    products, and there G is every index.
+    in order: an index i joins G when b_i is not in the span V of the
+    vectors found so far, each of which is b_g or b_g v for g in G and v
+    found before it. Each pair (g, v) is tried once. While every product
+    met has one term, the vectors found are basis elements up to a scalar
+    and V is the set of indices reached: b_l is reached when
+    b_g b_x = c b_l for g in G and x reached, and the closure costs
+    O(|G| dim) dict reads. The first product with more than one term hands
+    the walk to ``_span_generators``, which keeps V in a ``SpanBuilder``.
     """
     _, rows = P._int_mul
     reached = [False] * P.dim
@@ -808,15 +814,66 @@ def _left_generators(P):
         products = [rows[i].get(x) for x in tried]
         while True:
             for e in products:
-                if e and len(e) == 1 and not reached[e[0][0]]:
-                    reached[e[0][0]] = True
-                    todo.append(e[0][0])
+                if e:
+                    if len(e) > 1:
+                        return _span_generators(P, gens, reached, i + 1)
+                    if not reached[e[0][0]]:
+                        reached[e[0][0]] = True
+                        todo.append(e[0][0])
             if not todo:
                 break
             x = todo.pop()
             products = [rows[g].get(x) for g in gens]
             tried.append(x)
     return gens
+
+
+def _span_generators(P, gens, reached, start):
+    """``_left_generators`` from index start on, for the generators gens
+    found so far, once a product has more than one term: V, the span of
+    the basis elements reached (every index below start among them), is
+    kept in a ``SpanBuilder`` and closed under x -> b_g x for g in G, and
+    an index joins G when b_i is not in V. The vectors found are integer
+    supports, each known only up to a scalar, which V does not see. The
+    walk stops when V is R."""
+    F, dim = P.field, P.dim
+    _, rows = P._int_mul
+    span = SpanBuilder(F, dim)
+    todo = []
+
+    def found(pairs):
+        """Whether the vector with support pairs grew V; a vector that did
+        waits in todo."""
+        if span.add(Element._of(F, dim, (1, pairs))):
+            todo.append(pairs)
+            return True
+        return False
+
+    def times(g, pairs):
+        """The support of b_g v, for the support pairs of v, up to a scalar."""
+        row = rows[g]
+        acc = {}
+        for j, n in pairs:
+            for k, c in row.get(j, ()):
+                acc[k] = acc.get(k, 0) + n * c
+        return F.from_ints(acc, 1)[1]
+
+    for x in compress(range(dim), reached):
+        found(((x, 1),))
+    tried = []  # the vectors already tried with every g in gens
+    indices = iter(range(start, dim))
+    while True:
+        while todo and not span.is_full:
+            v = todo.pop()
+            for g in gens:
+                found(times(g, v))
+            tried.append(v)
+        if span.is_full:
+            return gens
+        g = next(i for i in indices if found(((i, 1),)))
+        gens.append(g)
+        for v in tried:
+            found(times(g, v))
 
 
 def _associativity_triples(P, indices=None):
@@ -953,9 +1010,10 @@ def _differs_from_basis(F, nums, i, scale):
     return any(nums.values()) and bool(F.from_ints(nums, 1)[1])
 
 
-def _unit_failures(P):
+def _unit_failures(P, indices=None):
     """The indices i, in order, with u b_i != b_i or b_i u != b_i for the
-    declared unit u.
+    declared unit u, for i in ``indices`` (ascending; every index by
+    default).
 
     For u = sum n_m b_m / d and the integer structure constants over D, the
     coordinates of u b_i and b_i u over d D are sum_m n_m c_mik and
@@ -966,12 +1024,11 @@ def _unit_failures(P):
     it nonzero.
     """
     F = P.field
-    dim = P.dim
     D, rows = P._int_mul
     d, unit = P.unit.support
     one = d * D
     failures = []
-    for i in range(dim):
+    for i in range(P.dim) if indices is None else indices:
         left, right = {}, {}
         for m, n in unit:
             for k, c in rows[m].get(i, ()):
@@ -983,8 +1040,9 @@ def _unit_failures(P):
     return failures
 
 
-def _order2_failures(P):
-    """The indices i, in order, with b_i** != b_i.
+def _order2_failures(P, indices=None):
+    """The indices i, in order, with b_i** != b_i, for i in ``indices``
+    (ascending; every index by default).
 
     For the integer involution over S, the coordinates of b_i** over S^2
     are sum_j s_ij s_jk, and a nonzero difference from b_i is decided by
@@ -993,9 +1051,9 @@ def _order2_failures(P):
     F = P.field
     S, star = P._int_star
     failures = []
-    for i, row in enumerate(star):
+    for i in range(P.dim) if indices is None else indices:
         acc = {}
-        for j, s in row:
+        for j, s in star[i]:
             for k, t in star[j]:
                 acc[k] = acc.get(k, 0) + s * t
         if _differs_from_basis(F, acc, i, S * S):
@@ -1010,29 +1068,40 @@ def axiom_violations(P):
     the unit law, then e^2 = e for every declared idempotent in name
     order.
 
-    Associativity and the involution law are checked first only on the
-    rows of a left generating set G (``_left_generators``). By the
-    Teichmueller identity, which holds in every nonassociative algebra,
+    Associativity, the involution laws and the unit law are checked first
+    only on the rows of a left generating set G (``_left_generators``),
+    whose right-nested products span R. A law that holds on G holds on R
+    when the elements x that satisfy it form a subspace A closed under
+    x -> b_g x for every g in G: A contains each b_g, hence every
+    right-nested product of G, so A = R. By the Teichmueller identity,
+    which holds in every nonassociative algebra,
 
         (wx, y, z) - (w, xy, z) + (w, x, yz) = w (x, y, z) + (w, x, y) z
 
     for the associator (x, y, z) = (xy)z - x(yz): if (g, y, z) = 0 for
-    every g in G and (x, y, z) = 0, for all y and z, then (gx, y, z) = 0,
-    and the right-nested products of G reach every basis element. Once
-    associativity holds, the involution law reduces the same way: if
+    every g in G and (x, y, z) = 0, for all y and z, then (gx, y, z) = 0.
+    Once associativity holds, the involution law reduces the same way: if
     (gb)* = b* g* for every g in G and every b, and x satisfies the law,
-    then ((gx) b)* = (g (xb))* = (xb)* g* = b* x* g* = b* (gx)*. So a
-    check that finds nothing on G proves its law on every index. When it
-    finds a violation and G is not every index, it is rerun on every index
-    (the involution law is checked on every index outright once
-    associativity fails), so the violations, their order and their
-    messages are those of the checks on every row. A dense table has no
-    single-term products, so there G is every index and nothing is
-    checked twice.
+    then ((gx) b)* = (g (xb))* = (xb)* g* = b* x* g* = b* (gx)*; and so
+    does the unit law, since u (gx) = (ug) x = gx and (gx) u = g (xu) = gx.
+    Once the involution law holds, ** is an automorphism,
+    (xy)** = (y* x*)* = x** y**, so (gx)** = g** x** = gx whenever
+    g** = g and x** = x.
+
+    So a check that finds nothing on G proves its law on every index. A
+    check that finds a violation on G, when G is not every index, is rerun
+    on every index, and a check whose premises failed (the involution and
+    unit laws once associativity fails, the order-2 law once the
+    involution law fails) runs on every index outright. The violations,
+    their order and their messages are therefore those of the checks on
+    every row. On a dense table G is found through the span of products,
+    and is two indices on the dense changes of basis of M3, M4 and M5.
     """
     gens = _left_generators(P)
 
-    def on_generators(check):
+    def on_generators(check, premises=True):
+        if not premises:
+            return check(P)
         found = check(P, gens)
         return check(P) if found and len(gens) < P.dim else found
 
@@ -1042,9 +1111,9 @@ def axiom_violations(P):
         for i, j, k in triples
     ]
     if P.has_involution:
-        for i in _order2_failures(P):
+        pairs = on_generators(_involution_law_pairs, not triples)
+        for i in on_generators(_order2_failures, not pairs):
             violations.append(Violation("involution-order2", (i,), f"b{i}** != b{i}"))
-        pairs = _involution_law_pairs(P) if triples else on_generators(_involution_law_pairs)
         for i, j in pairs:
             violations.append(
                 Violation(
@@ -1055,7 +1124,7 @@ def axiom_violations(P):
             )
 
     if P.unital:
-        for i in _unit_failures(P):
+        for i in on_generators(_unit_failures, not triples):
             violations.append(Violation("unit", (i,), f"declared unit does not fix b{i}"))
 
     for name, e in sorted(P.idempotents.items()):

@@ -70,6 +70,19 @@ def _expect(cond, message, pointer):
         raise FormatError(message, pointer)
 
 
+def _repeated_row(mul, involution):
+    """The pointer of the first row that repeats the indices of an earlier
+    row of its table, the table rows before the involution's, as the
+    constructor checks them; None when no row does."""
+    for name, rows in (("mul", mul), ("involution", involution or ())):
+        seen = set()
+        for t, row in enumerate(rows):
+            if row[:-1] in seen:
+                return f"$.{name}[{t}]"
+            seen.add(row[:-1])
+    return None
+
+
 def presentation_from_dict(d):
     _expect(isinstance(d, dict), "algebra file must be a JSON object", "$")
     keys = set(d)
@@ -189,8 +202,10 @@ def presentation_from_dict(d):
             unital=unital,
             unit=unit,
         )
-    except FormatError:
-        raise
+    except FormatError as exc:
+        # The rows were checked above, so what the constructor refuses here
+        # is a repeated entry; its row is looked up only now.
+        raise FormatError(str(exc), _repeated_row(mul_rows, involution)) from None
     except Exception as exc:  # structural ctor errors become format errors
         raise FormatError(str(exc), "$") from None
 

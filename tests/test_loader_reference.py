@@ -87,12 +87,14 @@ def _reference_vector(F, v, dim, pointer):
 
 def _reference_duplicate(rows, kind):
     """The constructor's error for the first repeated index tuple, which
-    the loader passes on with no pointer."""
+    the loader passes on with the pointer of the repeating row."""
     seen = set()
-    for row in rows:
+    for t, row in enumerate(rows):
         idx = tuple(row[:-1])
         if idx in seen:
-            raise FormatError(f"duplicate {kind} entry for ({','.join(map(str, idx))})")
+            raise FormatError(
+                f"duplicate {kind} entry for ({','.join(map(str, idx))})", f"$.{kind}[{t}]"
+            )
         seen.add(idx)
 
 
@@ -347,7 +349,8 @@ def test_one_bad_row_like_the_reference(field, table, defect):
     ((("involution", 8, "object"), ("generators", 0, "string")), "$.involution[8]"),
     ((("generators", 0, "long"), ("mul", 0, "duplicate")), "$.generators.E12"),
     ((("mul", 6, "abc"), ("mul", 0, "duplicate")), "$.mul[6][3]"),
-    ((("mul", 0, "duplicate"), ("involution", 0, "duplicate")), None),
+    ((("mul", 0, "duplicate"), ("involution", 0, "duplicate")), "$.mul[27]"),
+    ((("involution", 4, "duplicate"),), "$.involution[9]"),
 ])
 @pytest.mark.parametrize("field", ["Q", "Fp101"])
 def test_the_first_bad_row_wins(field, defects, pointer):
@@ -369,8 +372,8 @@ def test_the_first_bad_row_wins(field, defects, pointer):
     got, expected = _outcome(json.dumps(d))
     assert got == expected
     assert got[0] == "error" and got[2] == pointer
-    if pointer is None:
-        assert got[1] == "duplicate mul entry for (0,0,0)"
+    if pointer == "$.mul[27]":
+        assert got[1] == "$.mul[27]: duplicate mul entry for (0,0,0)"
 
 
 VECTOR_DEFECTS = {
