@@ -251,8 +251,8 @@ def _edited(P, edit):
 
 
 def _unit_scaled(d, F):
-    # The coefficient of b_4 (E22 on matrix units) doubled, or a nonzero
-    # coefficient set to 1 on the dense table, whose b_4 coefficient may be 0.
+    # The coefficient of b_4 (E22 on matrix units) doubled, or set to 1
+    # where it is 0, as it may be on a dense table.
     unit = d["unit"]
     unit[4] = F.format(F.add(F.parse(unit[4]), F.parse(unit[4]) or F.one))
 
@@ -262,7 +262,6 @@ def _twisted(P):
     anti-automorphism of the associative table, but x** = t' x t'^-1 for
     t' = diag(2, 1, 1/2), so b** = b fails on every off-diagonal E_ab."""
     t = (2, 1, 1)
-    F = P.field
 
     def edit(d, F):
         for row in d["involution"]:

@@ -16,7 +16,9 @@ The reference also checks each table row's shape and indices and each
 vector's type and length as the replaced loader did. A row that is not a
 list or has the wrong arity, an index that is true, 1.0, -1 or dim, and a
 vector that is not a list or has the wrong length must give its message and
-pointer, and of several bad rows the first one the loader meets.
+pointer, and of several bad rows the first one the loader meets. A
+repeated table or involution entry gives the pointer of its second
+occurrence.
 """
 
 import json
