@@ -17,13 +17,19 @@ support, tells which products a * b can be nonzero, and callers skip the
 others.
 
 The constructor checks each row of the table and of the involution once,
-in one loop per table, and builds the integer tables that every product,
-the involution and the axiom gate read (``_int_mul``, ``_int_star`` and
-the bounds ``_table_bounds``) in the same loop. The presentation is treated
-as immutable once built; every operation is a pure function of its inputs.
+in one loop per table that takes each scalar to its numerator and
+denominator. The loader hands every scalar over as its pair (n, d) in
+lowest terms (``parse_pair``), which is taken as it is, so a loaded file
+builds no Fraction on its way to the tables. Once the lcm of the
+denominators is known, the constructor builds the integer tables that
+every product, the involution and the axiom gate read (``_int_mul``,
+``_int_star`` and the bounds ``_table_bounds``). The tables of field
+scalars, ``_mul`` and ``_star``, are built on first read; only dumps, the
+unital hull and ``mul_basis`` read them. The presentation is treated as
+immutable once built; every operation is a pure function of its inputs.
 The axiom checks and the named generation hypotheses (``HYPOTHESES``) are
-therefore memoised on the presentation, and so are its packed rows and the
-table of field scalars that dumps read.
+therefore memoised on the presentation, and so are its packed rows and its
+tables of field scalars.
 """
 
 from __future__ import annotations
@@ -40,7 +46,31 @@ from .errors import (
     MissingInvolutionError,
     UnitalityError,
 )
-from .linalg import SpanBuilder, echelonize
+from .linalg import ZERO_PAIR, SpanBuilder, echelonize
+
+
+def _numerator_denominator(F, s):
+    """(x, n, d) for a table or vector scalar s that is not a pair: its
+    numerator n and denominator d > 0 in lowest terms, and x, what a table
+    keeps of it: a string's pair (n, d) (``parse_pair``), and the field
+    value that anything else coerces to, which is s itself when s is one."""
+    if isinstance(s, str):
+        x = F.parse_pair(s)
+        return (x, *x)
+    c = F.coerce(s)
+    return c, c.numerator, c.denominator
+
+
+class _PairValues(dict):
+    """The field values of pairs (n, d), each built on its first lookup."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, pair):
+        c = self[pair] = self.field.from_pair(*pair)
+        return c
 
 
 def _common_denominator(scalars):
@@ -174,140 +204,153 @@ class AlgebraPresentation:
 
     # -- construction helpers -------------------------------------------
 
-    def _scalar(self, c):
-        """A table or vector scalar as a field value: strings are parsed,
-        anything else coerced."""
-        return self.field.parse(c) if isinstance(c, str) else self.field.coerce(c)
-
     def _set_mul_tables(self, mul):
         """The multiplication table, checked and converted in one loop over
         its rows (i, j, k, scalar), or over the entries of a dict
         {(i, j): ((k, scalar), ...)}: each row's arity, each index in range,
         no (i, j, k) twice (a zero scalar still counts as an entry), and
-        the scalar parsed or coerced once; zero scalars are dropped.
+        the scalar taken to its numerator and denominator once
+        (``_numerator_denominator``); zero scalars are dropped.
 
-        Sets ``_entries``, the checked nonzero entries (i, j, k, c), from
-        which the table ``_mul`` of field scalars is built on first read;
-        ``_int_mul``, the integer table (D, rows) with
+        Sets ``_entries``, the checked nonzero entries (i, j, k, x) with x
+        the scalar as given when it is a field value and its pair (n, d)
+        otherwise, from which the table ``_mul`` of field scalars is built
+        on first read; ``_int_mul``, the integer table (D, rows) with
         rows[i][j] = ((k, c D), ...) over the lcm D of the denominators; and
         ``_table_bounds`` (w, T), the most terms of any b_i b_j and the
-        largest |c D|. The loop collects the denominators and appends each
-        constant's numerator to its integer row, which is the row over D
-        unless D > 1 or some b_i b_j lists its terms out of index order;
-        only then are the rows rebuilt, in a second pass over the checked
-        entries, and the table of field scalars is still not built.
+        largest |c D|. The integer rows are built once D is known, from the
+        numerators and denominators the loop collected.
         """
         dim = self.dim
-        scalar = self._scalar
+        F = self.field
         if hasattr(mul, "items"):
             mul = [(i, j, k, c) for (i, j), entries in mul.items() for k, c in entries]
-        checked = []
-        rows = [{} for _ in range(dim)]
+        checked, nums, dens = [], [], []
         seen = set()
-        dens = {1}
-        w = top = 0
-        in_order = True
         for row in mul:
             if type(row) is not tuple:
                 row = tuple(row)
             if len(row) != 4:
                 raise FormatError(f"mul entry must be [i, j, k, scalar]: {row!r}")
             i, j, k, s = row
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(k, int)
+            # type(...) is int: a bool is an int to isinstance.
+            if not (type(i) is int and type(j) is int and type(k) is int
                     and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise FormatError(f"mul index out of range: {row!r}")
             key = (i * dim + j) * dim + k
             if key in seen:
                 raise FormatError(f"duplicate mul entry for ({i},{j},{k})")
             seen.add(key)
-            c = scalar(s)
-            if not c:
-                continue
-            # A row whose scalar is already a field value is its own entry,
-            # with no copy.
-            checked.append(row if c is s else (i, j, k, c))
-            n = c.numerator
-            dens.add(c.denominator)
-            if n > top or -n > top:
-                top = abs(n)
-            entries = rows[i].get(j)
-            if entries is None:
-                rows[i][j] = ((k, n),)
+            if type(s) is tuple:  # the loader's pair
+                x = s
+                n, d = s
             else:
-                in_order = in_order and entries[-1][0] < k
-                rows[i][j] = entries = entries + ((k, n),)
-                w = max(w, len(entries))
+                x, n, d = _numerator_denominator(F, s)
+            if n:
+                # A row whose scalar is kept as given is its own entry.
+                checked.append(row if x is s else (i, j, k, x))
+                nums.append(n)
+                dens.append(d)
         self._entries = checked
-        D = lcm(*dens)
-        if D > 1 or not in_order:
-            rows = [{} for _ in range(dim)]
-            for i, j, k, c in checked:
-                rows[i].setdefault(j, []).append((k, c.numerator * (D // c.denominator)))
-            for row in rows:
-                for j, entries in row.items():
-                    row[j] = tuple(sorted(entries))
-            top = max(abs(c) for row in rows for e in row.values() for _, c in e)
+        D = lcm(*set(dens))
+        if D > 1:
+            nums = [n * (D // d) for n, d in zip(nums, dens)]
+        # A product's first term makes a tuple, which most tables keep; its
+        # second makes a list, which is sorted and frozen at the end.
+        rows = [{} for _ in range(dim)]
+        longer = []
+        for (i, j, k, _), n in zip(checked, nums):
+            r = rows[i]
+            e = r.get(j)
+            if e is None:
+                r[j] = ((k, n),)
+            elif type(e) is tuple:
+                r[j] = [*e, (k, n)]
+                longer.append((r, j))
+            else:
+                e.append((k, n))
+        w = 1 if checked else 0
+        for r, j in longer:
+            e = r[j]
+            e.sort()
+            w = max(w, len(e))
+            r[j] = tuple(e)
         self._int_mul = D, rows
-        self._table_bounds = max(w, 1 if checked else 0), top
+        self._table_bounds = w, max(map(abs, nums), default=0)
 
     @functools.cached_property
     def _mul(self):
         """The table {(i, j): ((k, c), ...)} of field scalars, each
         b_i b_j's terms in index order, built on first read from the
-        checked entries; dumps, the unital hull and ``mul_basis`` read it."""
+        checked entries, with one field value per distinct pair; dumps, the
+        unital hull and ``mul_basis`` read it."""
+        values = _PairValues(self.field)
         table = {}
-        for i, j, k, c in self._entries:
-            table.setdefault((i, j), []).append((k, c))
+        for i, j, k, x in self._entries:
+            table.setdefault((i, j), []).append((k, values[x] if type(x) is tuple else x))
         return {key: tuple(sorted(terms)) for key, terms in table.items()}
 
     def _set_star_tables(self, involution):
         """The involution, checked and converted in one loop over its rows
         (i, j, scalar) as ``_set_mul_tables`` checks the table. Sets
-        ``_star``, the rows ((j, s_ij), ...) of field scalars of the b_i*,
-        and ``_int_star``, the integer rows (S, rows) with
-        rows[i] = ((j, s_ij S), ...) over the lcm S of the denominators,
-        built like the integer table; both None without an involution."""
-        self._star = self._int_star = None
+        ``_star_entries``, the checked nonzero entries (i, j, x) kept as
+        ``_entries`` keeps them, from which the rows ``_star`` of field
+        scalars are built on first read, and ``_int_star``, the integer rows
+        (S, rows) with rows[i] = ((j, s_ij S), ...) over the lcm S of the
+        denominators; ``_int_star`` is None without an involution."""
+        self._star_entries = self._int_star = None
         if involution is None:
             return
         dim = self.dim
-        scalar = self._scalar
-        star = [[] for _ in range(dim)]
-        ints = [[] for _ in range(dim)]
+        F = self.field
+        checked, nums, dens = [], [], []
         seen = set()
-        dens = {1}
-        in_order = True
         for row in involution:
             if len(row) != 3:
                 raise FormatError(f"involution entry must be [i, j, scalar]: {row!r}")
-            i, j, c = row
-            if not (isinstance(i, int) and isinstance(j, int)
-                    and 0 <= i < dim and 0 <= j < dim):
+            i, j, s = row
+            if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
                 raise FormatError(f"involution index out of range: {row!r}")
             key = i * dim + j
             if key in seen:
                 raise FormatError(f"duplicate involution entry for ({i},{j})")
             seen.add(key)
-            c = scalar(c)
-            if c:
-                dens.add(c.denominator)
-                entries = star[i]
-                in_order = in_order and not (entries and entries[-1][0] > j)
-                entries.append((j, c))
-                ints[i].append((j, c.numerator))
-        S = lcm(*dens)
-        if S > 1 or not in_order:
-            star = list(map(sorted, star))
-            ints = [_over(S, r) for r in star]
-        self._star = tuple(map(tuple, star))
-        self._int_star = S, list(map(tuple, ints))
+            if type(s) is tuple:  # the loader's pair
+                x = s
+                n, d = s
+            else:
+                x, n, d = _numerator_denominator(F, s)
+            if n:
+                checked.append(row if x is s and type(row) is tuple else (i, j, x))
+                nums.append(n)
+                dens.append(d)
+        self._star_entries = checked
+        S = lcm(*set(dens))
+        rows = [[] for _ in range(dim)]
+        for (i, j, _), n, d in zip(checked, nums, dens):
+            rows[i].append((j, n * (S // d)))
+        self._int_star = S, [tuple(sorted(r)) for r in rows]
+
+    @functools.cached_property
+    def _star(self):
+        """The rows ((j, s_ij), ...) of field scalars of the b_i*, in index
+        order, built on first read from the checked entries; None without
+        an involution. Dumps and the unital hull read them."""
+        if self._star_entries is None:
+            return None
+        values = _PairValues(self.field)
+        rows = [[] for _ in range(self.dim)]
+        for i, j, x in self._star_entries:
+            rows[i].append((j, values[x] if type(x) is tuple else x))
+        return tuple(tuple(sorted(r)) for r in rows)
 
     # -- element helpers -------------------------------------------------
 
     def element(self, coords):
-        """Coerce a sequence of scalars / ints / scalar strings to an Element,
-        built from its support: each scalar is converted once, and the
-        dense coordinates wait for their first read."""
+        """Coerce a sequence of scalars / ints / scalar strings / pairs
+        (n, d) to an Element, built from its support: each scalar is
+        converted once, and the dense coordinates wait for their first
+        read."""
         if isinstance(coords, Element):
             coords = coords.coords
         elif type(coords) is not list:
@@ -316,11 +359,13 @@ class AlgebraPresentation:
             raise DimensionError(
                 f"element has {len(coords)} coords, expected {self.dim}"
             )
-        zero = self.field.zero  # what ``parse`` returns for "0"
-        scalar = self._scalar
-        nonzero = [(i, c) for i, x in enumerate(coords) if x is not zero and (c := scalar(x))]
-        d = _common_denominator(c for _, c in nonzero)
-        return Element._of(self.field, self.dim, (d, _over(d, nonzero)))
+        F = self.field
+        zero = F.zero
+        # The loader spells "0" as ZERO_PAIR, builders as the field's zero.
+        nonzero = [(i, x if type(x) is tuple else _numerator_denominator(F, x)[1:])
+                   for i, x in enumerate(coords) if x is not ZERO_PAIR and x is not zero]
+        D = lcm(*{d for _, (n, d) in nonzero if n})
+        return Element._of(F, self.dim, (D, tuple((i, n * (D // d)) for i, (n, d) in nonzero if n)))
 
     def _from_ints(self, nums, d):
         """The element with coordinates n / d for the ints n in the dict
@@ -475,10 +520,10 @@ class AlgebraPresentation:
 
     @property
     def has_involution(self):
-        return self._star is not None
+        return self._int_star is not None
 
     def involve(self, a):
-        if self._star is None:
+        if self._int_star is None:
             raise MissingInvolutionError(f"{self.name} has no involution")
         D, rows = self._int_star
         da, sa = a.support

@@ -109,18 +109,20 @@ def presentation_from_dict(d):
     _expect(len(basis) == dim, "dim does not match basis length", "$.basis")
     _expect(len(set(basis)) == dim, "basis labels must be unique", "$.basis")
 
-    # Each distinct scalar string is parsed once per file: a file repeats a
-    # few strings many times (example2's tables hold nothing but "1"). A
-    # string that fails to parse raises at its first occurrence, so it is
-    # never stored, and non-strings always go to ``field.parse``, since
-    # only strings are stored. Pointers are built only to raise.
+    # Each distinct scalar string is parsed once per file, to its pair
+    # (n, d) in lowest terms, which the constructor takes as it is: a file
+    # repeats a few strings many times (example2's tables hold nothing but
+    # "1"), and no Fraction is built. A string that fails to parse raises at
+    # its first occurrence, so it is never stored, and non-strings always go
+    # to ``field.parse_pair``, since only strings are stored. Pointers are
+    # built only to raise.
     parsed = {}
 
     def parse(s, where, *at):
-        """The scalar s parsed, and stored when it is a string; ``where``
+        """The pair of the scalar s, stored when s is a string; ``where``
         and the indices ``at`` give the pointer of an error."""
         try:
-            c = field.parse(s)
+            c = field.parse_pair(s)
         except FormatError as exc:
             raise FormatError(str(exc), where + "".join(f"[{n}]" for n in at)) from None
         if type(s) is str:

@@ -32,8 +32,10 @@ the solver), never eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
 the canonical support of the vector nums / d for a dict nums {index: int}
-(an Element's form, see ``algebra``), and ``to_coords`` the dense tuple of
-a support.
+(an Element's form, see ``algebra``), ``to_coords`` the dense tuple of
+a support and ``from_pair(n, d)`` the scalar n / d. ``parse_pair`` reads a
+scalar string as its pair (n, d) in lowest terms, d > 0, with no Fraction
+built; ``parse`` is the field value of that pair.
 
 Everything here is immutable after construction except :class:`SpanBuilder`,
 the mutable accumulator used while a span is still growing.
@@ -52,6 +54,8 @@ from .errors import DimensionError, FieldMismatchError, FormatError
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
+# The pair (n, d) of the scalar "0", which ``parse_pair`` returns for it.
+ZERO_PAIR = (0, 1)
 
 
 def _digits(s):
@@ -114,18 +118,33 @@ class RationalField:
             out[k] = Fraction(n, d)
         return tuple(out)
 
-    def parse(self, s):
+    def parse_pair(self, s):
+        """The scalar string s as its pair (n, d) in lowest terms, d > 0,
+        with no Fraction built; a FormatError if s is not one."""
         # The exact string "0", most entries of a dense file, needs no
         # conversion; "-0", "00" and the rest take the checked path.
         if s == "0":
-            return self.zero
+            return ZERO_PAIR
         if not isinstance(s, str) or not _RAT_RE.match(s):
             raise FormatError(f"not a rational scalar: {s!r}")
         num, _, den = s.partition("/")
-        try:
-            return Fraction(_digits(num), _digits(den) if den else 1)
-        except ZeroDivisionError:
-            raise FormatError(f"zero denominator in rational scalar: {s!r}") from None
+        n = _digits(num)
+        if not den:
+            return n, 1
+        d = _digits(den)
+        if not d:
+            raise FormatError(f"zero denominator in rational scalar: {s!r}")
+        g = gcd(n, d)
+        return (n, d) if g == 1 else (n // g, d // g)
+
+    def from_pair(self, n, d):
+        """The field value n / d."""
+        return Fraction(n, d)
+
+    def parse(self, s):
+        if s == "0":
+            return self.zero
+        return Fraction(*self.parse_pair(s))
 
     def format(self, a):
         return str(a)
@@ -189,12 +208,21 @@ class PrimeField:
             out[k] = r
         return tuple(out)
 
-    def parse(self, s):
+    def parse_pair(self, s):
+        """The scalar string s as its pair (residue, 1); a FormatError if s
+        is not one."""
         if s == "0":
-            return self.zero
+            return ZERO_PAIR
         if not isinstance(s, str) or not _INT_RE.match(s):
             raise FormatError(f"not a prime-field scalar: {s!r}")
-        return _digits(s) % self.p
+        return _digits(s) % self.p, 1
+
+    def from_pair(self, n, d):
+        """The residue of n / d."""
+        return n if d == 1 else n * pow(d, -1, self.p) % self.p
+
+    def parse(self, s):
+        return self.parse_pair(s)[0]
 
     def format(self, a):
         return str(a % self.p)

@@ -284,10 +284,17 @@ def test_ideal_span_equals_fixed_point_saturation(monkeypatch, build):
     ({"mul": [], "involution": [[0, 0, 1], [0, 2, 1]]}, "involution index out of range: [0, 2, 1]"),
     ({"mul": [], "involution": [[1, 1, 0], [1, 1, 1]]}, "duplicate involution entry for (1,1)"),
     ({"mul": [], "involution": [[1, 1, "1/0"]]}, "zero denominator in rational scalar: '1/0'"),
+    ({"mul": [(True, True, 1, 1)]}, "mul index out of range: (True, True, 1, 1)"),
+    ({"mul": [(0, 0, 0, 1), (1, 0, False, 1)]}, "mul index out of range: (1, 0, False, 1)"),
+    ({"mul": {(0, True): [(0, 1)]}}, "mul index out of range: (0, True, 0, 1)"),
+    ({"mul": [], "involution": [[True, 1, 1]]}, "involution index out of range: [True, 1, 1]"),
+    ({"mul": [], "involution": [(0, 0, 1), (1, False, 1)]},
+     "involution index out of range: (1, False, 1)"),
 ])
 def test_constructor_checks_table_rows(tables, message):
     """Both tables go through one row check, in the order arity, index
-    range, duplicates, scalar; a zero scalar still counts as an entry."""
+    range, duplicates, scalar; a zero scalar still counts as an entry, and
+    an index that is a bool is out of range, as it is in a file."""
     with pytest.raises(FormatError) as err:
         AlgebraPresentation("t", QQ, ["a", "b"], **tables)
     assert str(err.value) == message

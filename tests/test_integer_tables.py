@@ -9,6 +9,13 @@ Built matrix algebras, example1 and example2 over Q and F_101, dense changes
 of basis, the same tables dumped and loaded again, hand-written files whose
 scalars are spelled "2/4", "6/3", "-0" or "0/7" with mixed denominators, and
 seeded random tables whose terms come out of index order.
+
+The loader hands each table scalar to the constructor as its pair (n, d),
+so the tables of field scalars ``_mul`` and ``_star`` are built only when
+something reads them: ``validate``, ``certify --claim thm1`` and
+``certify --claim thm2`` on a dense file never do, and read afterwards they
+equal the tables of the same presentation built from field values, with one
+value per distinct scalar.
 """
 
 import json
@@ -19,9 +26,9 @@ from math import lcm
 import pytest
 
 import algcert as ac
-from algcert import formats
-from algcert.algebra import AlgebraPresentation
-from algcert.linalg import QQ, PrimeField
+from algcert import cli, formats
+from algcert.algebra import AlgebraPresentation, axiom_violations
+from algcert.linalg import QQ, PrimeField, field_from_name
 from helpers import dense_change_of_basis
 
 FIELDS = {"Q": QQ, "Fp101": PrimeField(101)}
@@ -220,3 +227,71 @@ def test_random_tables(field, seed):
     Q = AlgebraPresentation("dict", F, P.basis_labels, table, involution=involution)
     assert (Q._mul, Q._int_mul, Q._table_bounds, Q._int_star) == (
         P._mul, P._int_mul, P._table_bounds, P._int_star)
+
+
+def _from_field_values(text):
+    """The tables of the file text, built by the constructor from field
+    values rather than from the loader's pairs."""
+    d = json.loads(text)
+    F = field_from_name(d["field"])
+    return AlgebraPresentation(
+        d["name"], F, d["basis"], [(i, j, k, F.parse(c)) for i, j, k, c in d["mul"]],
+        involution=[(i, j, F.parse(c)) for i, j, c in d["involution"]])
+
+
+def _check_fraction_tables(P, text):
+    """P's tables of field scalars, read now, equal those built from field
+    values, hold field values, and each holds one object per distinct
+    value."""
+    Q = _from_field_values(text)
+    assert (P._mul, P._star) == (Q._mul, Q._star)
+    for values in ([c for e in P._mul.values() for _, c in e],
+                   [c for r in P._star for _, c in r]):
+        assert {type(c) for c in values} == {type(P.field.one)}
+        assert len({id(c) for c in values}) == len(set(values))
+
+
+CLI_JOBS = (["validate"], ["certify", "--claim", "thm1"], ["certify", "--claim", "thm2"])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_the_cli_builds_no_fraction_tables(monkeypatch, tmp_path, capsys, field):
+    path = tmp_path / "dense.json"
+    formats.dump_presentation(INSTANCES[f"m3-flip-dense1-{field}"], str(path))
+    loaded = []
+    load = cli.loads_presentation
+
+    def capture(data):
+        loaded.append(load(data))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "loads_presentation", capture)
+    for command, *rest in CLI_JOBS:
+        assert cli.run_cli([command, str(path), *rest]) == 0
+    assert '"verdict":"pass"' in capsys.readouterr().out
+    assert len(loaded) == len(CLI_JOBS)
+    for P in loaded:
+        assert "_mul" not in vars(P) and "_star" not in vars(P)
+        assert axiom_violations.__wrapped__ in P._memo  # the gate ran
+    _check_fraction_tables(loaded[-1], path.read_text())
+
+
+def test_hand_written_fraction_tables_are_built_on_first_read():
+    text = json.dumps(HAND_WRITTEN)
+    P = formats.loads_presentation(text)
+    assert "_mul" not in vars(P) and "_star" not in vars(P)
+    _check_fraction_tables(P, text)
+    # "-0" and "0/7" are dropped; "2/4" and "6/3" are read as 1/2 and 2.
+    assert P._mul[(0, 0)] == ((0, Fraction(1, 2)),) and (1, 0) not in P._mul
+    assert P._mul[(0, 1)] == ((2, Fraction(2)),) and P._star[1] == ((1, Fraction(-1, 3)),)
+
+
+def test_field_values_given_are_kept():
+    # A scalar given as a field value is the table's own; one given as an
+    # int or a string is built once per distinct value.
+    half = Fraction(1, 2)
+    P = AlgebraPresentation("kept", QQ, ["a", "b"],
+                            [(0, 0, 0, half), (0, 1, 1, 3), (1, 0, 1, "3"), (1, 1, 0, "6/2")],
+                            involution=[(0, 0, half), (1, 1, "1/2")])
+    assert P._mul[(0, 0)][0][1] is half and P._star[0][0][1] is half
+    assert P._mul[(1, 0)][0][1] is P._mul[(1, 1)][0][1] == 3

@@ -271,12 +271,22 @@ def test_rational_parse_equals_fraction(s):
     got = QQ.parse(s)
     assert type(got) is Fraction
     assert (got.numerator, got.denominator) == (Fraction(s).numerator, Fraction(s).denominator)
+    assert QQ.parse_pair(s) == (got.numerator, got.denominator)
+    assert QQ.from_pair(*QQ.parse_pair(s)) == got
+
+
+@pytest.mark.parametrize("s", ["0", "-0", "7", "-7", "0007", "-1", "-203", "12345678901234567890"])
+def test_prime_parse_pair_is_the_residue_over_one(s):
+    Fp = PrimeField(101)
+    assert Fp.parse_pair(s) == (Fp.parse(s), 1) == (int(s) % 101, 1)
+    assert Fp.from_pair(*Fp.parse_pair(s)) == Fp.parse(s)
 
 
 @pytest.mark.parametrize("s", ["1/0", "-5/000", "0/0"])
 def test_rational_parse_zero_denominator(s):
-    with pytest.raises(FormatError, match="zero denominator"):
-        QQ.parse(s)
+    for parse in (QQ.parse, QQ.parse_pair):
+        with pytest.raises(FormatError, match="zero denominator"):
+            parse(s)
 
 
 def test_fp_closure_consistency():

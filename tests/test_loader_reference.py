@@ -287,16 +287,18 @@ def test_one_string_in_several_places(scalar, field, places):
         assert got[0] == "ok"
 
 
-@pytest.mark.parametrize("name", ["example2-D2-Q", "m3-flip-dense-Q"])
+@pytest.mark.parametrize("name", ["example2-D2-Q", "m3-flip-dense-Q", "m3-flip-dense-Fp101"])
 def test_each_distinct_string_is_parsed_once(monkeypatch, name):
+    """The loader takes every scalar string, in the tables and the named
+    vectors, to its pair with the field's ``parse_pair``, once per distinct
+    string."""
     calls = []
-    parse = RationalField.parse
+    for field in (RationalField, PrimeField):
+        def counted(self, s, parse_pair=field.parse_pair):
+            calls.append(s)
+            return parse_pair(self, s)
 
-    def counted(self, s):
-        calls.append(s)
-        return parse(self, s)
-
-    monkeypatch.setattr(RationalField, "parse", counted)
+        monkeypatch.setattr(field, "parse_pair", counted)
     d = json.loads(TEXTS[name])
     strings = [row[-1] for key in ("mul", "involution") for row in d.get(key, ())]
     strings += [x for key in ("idempotents", "generators") for v in d[key].values() for x in v]

@@ -11,7 +11,9 @@ checkouts can be compared case by case.
 Usage: python3 tools/scale.py [--runs K] [-o OUT.json] [CASE ...]
 
 With no CASE, every case in CASES runs. Imports ``algcert`` from the
-``src`` directory next to this script.
+``src`` directory next to this script, and the dense change of basis that
+the ``-dense`` cases apply (``dense_change_of_basis``, seed 5) from
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -28,18 +30,24 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
 from algcert import instances  # noqa: E402
 from algcert.cli import run_cli  # noqa: E402
 from algcert.formats import dump_presentation  # noqa: E402
 from algcert.linalg import field_from_name  # noqa: E402
+from helpers import dense_change_of_basis  # noqa: E402
 
 _WALL_TIME = re.compile(r'"wall_time_s":[^,}]*')
 
 
 def _flip(n, field):
     return lambda: instances.build_matrix_algebra(n, field_from_name(field), "flip")
+
+
+def _dense_flip(n, field):
+    return lambda: dense_change_of_basis(_flip(n, field)(), 5)
 
 
 def _example2(D, field):
@@ -51,6 +59,8 @@ INSTANCES = {
     "M24-flip-Q": _flip(24, "Q"),
     "M32-flip-Q": _flip(32, "Q"),
     "M16-flip-Fp10007": _flip(16, "Fp:10007"),
+    "M4-flip-Q-dense": _dense_flip(4, "Q"),
+    "M5-flip-Q-dense": _dense_flip(5, "Q"),
     "example2-D12-Q": _example2(12, "Q"),
     "example2-D24-Q": _example2(24, "Q"),
 }
