@@ -17,25 +17,24 @@ support, tells which products a * b can be nonzero, and callers skip the
 others.
 
 The constructor checks each row of the table and of the involution once,
-in one loop per table that takes each scalar to its numerator and
-denominator. The loader hands every scalar over as its pair (n, d) in
+in one loop per table that takes each scalar to its exact pair (n, d)
+(``_exact_pair``). The loader hands every scalar over as its pair in
 lowest terms (``parse_pair``), which is taken as it is, so a loaded file
 builds no Fraction on its way to the tables. Once the lcm of the
-denominators is known, the constructor builds the integer tables that
-every product, the involution and the axiom gate read (``_int_mul``,
-``_int_star`` and the bounds ``_table_bounds``). The tables of field
-scalars, ``_mul`` and ``_star``, are built on first read; only dumps, the
-unital hull and ``mul_basis`` read them. The presentation is treated as
+denominators is known, the constructor builds the integer tables
+(``_int_mul``, ``_int_star`` and the bounds ``_table_bounds``), the only
+stored form of the table and the involution: every product, the axiom
+gate, dumps and the unital hull read them. The presentation is treated as
 immutable once built; every operation is a pure function of its inputs.
 The axiom checks and the named generation hypotheses (``HYPOTHESES``) are
-therefore memoised on the presentation, and so are its packed rows and its
-tables of field scalars.
+therefore memoised on the presentation, and so are its packed rows.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from math import lcm
 
@@ -46,31 +45,25 @@ from .errors import (
     MissingInvolutionError,
     UnitalityError,
 )
-from .linalg import ZERO_PAIR, SpanBuilder, echelonize
+from .linalg import ZERO_PAIR, PrimeField, SpanBuilder, echelonize
 
 
-def _numerator_denominator(F, s):
-    """(x, n, d) for a table or vector scalar s that is not a pair: its
-    numerator n and denominator d > 0 in lowest terms, and x, what a table
-    keeps of it: a string's pair (n, d) (``parse_pair``), and the field
-    value that anything else coerces to, which is s itself when s is one."""
-    if isinstance(s, str):
-        x = F.parse_pair(s)
-        return (x, *x)
-    c = F.coerce(s)
-    return c, c.numerator, c.denominator
-
-
-class _PairValues(dict):
-    """The field values of pairs (n, d), each built on its first lookup."""
-
-    def __init__(self, field):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, pair):
-        c = self[pair] = self.field.from_pair(*pair)
-        return c
+def _exact_pair(F, s):
+    """The pair (n, d), d > 0, of a table or vector scalar s over F that is
+    not already a pair: a string's through ``parse_pair``, and an int or a
+    Fraction taken exactly, which over F_p is the residue (n d^-1, 1).
+    Anything else (a float, a bool), and over F_p a denominator divisible by
+    p, is a FormatError."""
+    if type(s) is str:
+        return F.parse_pair(s)
+    if type(s) is not int and not isinstance(s, Fraction):
+        raise FormatError(f"not an exact scalar: {s!r}")
+    n, d = s.numerator, s.denominator
+    if isinstance(F, PrimeField):
+        if d % F.p == 0:
+            raise FormatError(f"denominator divisible by {F.p}: {s!r}")
+        return F.from_pair(n, d), 1
+    return n, d
 
 
 def _common_denominator(scalars):
@@ -209,17 +202,14 @@ class AlgebraPresentation:
         its rows (i, j, k, scalar), or over the entries of a dict
         {(i, j): ((k, scalar), ...)}: each row's arity, each index in range,
         no (i, j, k) twice (a zero scalar still counts as an entry), and
-        the scalar taken to its numerator and denominator once
-        (``_numerator_denominator``); zero scalars are dropped.
+        the scalar taken to its exact pair (n, d) once (``_exact_pair``);
+        zero scalars are dropped.
 
-        Sets ``_entries``, the checked nonzero entries (i, j, k, x) with x
-        the scalar as given when it is a field value and its pair (n, d)
-        otherwise, from which the table ``_mul`` of field scalars is built
-        on first read; ``_int_mul``, the integer table (D, rows) with
-        rows[i][j] = ((k, c D), ...) over the lcm D of the denominators; and
+        Sets ``_int_mul``, the integer table (D, rows) with
+        rows[i][j] = ((k, c D), ...) over the lcm D of the denominators, and
         ``_table_bounds`` (w, T), the most terms of any b_i b_j and the
         largest |c D|. The integer rows are built once D is known, from the
-        numerators and denominators the loop collected.
+        indices and pairs of the nonzero entries the loop kept.
         """
         dim = self.dim
         F = self.field
@@ -241,17 +231,12 @@ class AlgebraPresentation:
             if key in seen:
                 raise FormatError(f"duplicate mul entry for ({i},{j},{k})")
             seen.add(key)
-            if type(s) is tuple:  # the loader's pair
-                x = s
-                n, d = s
-            else:
-                x, n, d = _numerator_denominator(F, s)
+            # A tuple is the loader's pair, taken as it is.
+            n, d = s if type(s) is tuple else _exact_pair(F, s)
             if n:
-                # A row whose scalar is kept as given is its own entry.
-                checked.append(row if x is s else (i, j, k, x))
+                checked.append((i, j, k))
                 nums.append(n)
                 dens.append(d)
-        self._entries = checked
         D = lcm(*set(dens))
         if D > 1:
             nums = [n * (D // d) for n, d in zip(nums, dens)]
@@ -259,7 +244,7 @@ class AlgebraPresentation:
         # second makes a list, which is sorted and frozen at the end.
         rows = [{} for _ in range(dim)]
         longer = []
-        for (i, j, k, _), n in zip(checked, nums):
+        for (i, j, k), n in zip(checked, nums):
             r = rows[i]
             e = r.get(j)
             if e is None:
@@ -278,27 +263,13 @@ class AlgebraPresentation:
         self._int_mul = D, rows
         self._table_bounds = w, max(map(abs, nums), default=0)
 
-    @functools.cached_property
-    def _mul(self):
-        """The table {(i, j): ((k, c), ...)} of field scalars, each
-        b_i b_j's terms in index order, built on first read from the
-        checked entries, with one field value per distinct pair; dumps, the
-        unital hull and ``mul_basis`` read it."""
-        values = _PairValues(self.field)
-        table = {}
-        for i, j, k, x in self._entries:
-            table.setdefault((i, j), []).append((k, values[x] if type(x) is tuple else x))
-        return {key: tuple(sorted(terms)) for key, terms in table.items()}
-
     def _set_star_tables(self, involution):
         """The involution, checked and converted in one loop over its rows
         (i, j, scalar) as ``_set_mul_tables`` checks the table. Sets
-        ``_star_entries``, the checked nonzero entries (i, j, x) kept as
-        ``_entries`` keeps them, from which the rows ``_star`` of field
-        scalars are built on first read, and ``_int_star``, the integer rows
-        (S, rows) with rows[i] = ((j, s_ij S), ...) over the lcm S of the
-        denominators; ``_int_star`` is None without an involution."""
-        self._star_entries = self._int_star = None
+        ``_int_star``, the integer rows (S, rows) with
+        rows[i] = ((j, s_ij S), ...) over the lcm S of the denominators;
+        ``_int_star`` is None without an involution."""
+        self._int_star = None
         if involution is None:
             return
         dim = self.dim
@@ -315,34 +286,17 @@ class AlgebraPresentation:
             if key in seen:
                 raise FormatError(f"duplicate involution entry for ({i},{j})")
             seen.add(key)
-            if type(s) is tuple:  # the loader's pair
-                x = s
-                n, d = s
-            else:
-                x, n, d = _numerator_denominator(F, s)
+            # A tuple is the loader's pair, taken as it is.
+            n, d = s if type(s) is tuple else _exact_pair(F, s)
             if n:
-                checked.append(row if x is s and type(row) is tuple else (i, j, x))
+                checked.append((i, j))
                 nums.append(n)
                 dens.append(d)
-        self._star_entries = checked
         S = lcm(*set(dens))
         rows = [[] for _ in range(dim)]
-        for (i, j, _), n, d in zip(checked, nums, dens):
+        for (i, j), n, d in zip(checked, nums, dens):
             rows[i].append((j, n * (S // d)))
         self._int_star = S, [tuple(sorted(r)) for r in rows]
-
-    @functools.cached_property
-    def _star(self):
-        """The rows ((j, s_ij), ...) of field scalars of the b_i*, in index
-        order, built on first read from the checked entries; None without
-        an involution. Dumps and the unital hull read them."""
-        if self._star_entries is None:
-            return None
-        values = _PairValues(self.field)
-        rows = [[] for _ in range(self.dim)]
-        for i, j, x in self._star_entries:
-            rows[i].append((j, values[x] if type(x) is tuple else x))
-        return tuple(tuple(sorted(r)) for r in rows)
 
     # -- element helpers -------------------------------------------------
 
@@ -362,7 +316,7 @@ class AlgebraPresentation:
         F = self.field
         zero = F.zero
         # The loader spells "0" as ZERO_PAIR, builders as the field's zero.
-        nonzero = [(i, x if type(x) is tuple else _numerator_denominator(F, x)[1:])
+        nonzero = [(i, x if type(x) is tuple else _exact_pair(F, x))
                    for i, x in enumerate(coords) if x is not ZERO_PAIR and x is not zero]
         D = lcm(*{d for _, (n, d) in nonzero if n})
         return Element._of(F, self.dim, (D, tuple((i, n * (D // d)) for i, (n, d) in nonzero if n)))
@@ -512,11 +466,8 @@ class AlgebraPresentation:
 
     def mul_basis(self, i, j):
         """Product of two basis elements, as an Element."""
-        F = self.field
-        acc = [F.zero] * self.dim
-        for k, c in self._mul.get((i, j), ()):
-            acc[k] = c
-        return Element(tuple(acc))
+        D, rows = self._int_mul
+        return self._from_ints(dict(rows[i].get(j, ())), D)
 
     @property
     def has_involution(self):
@@ -598,26 +549,25 @@ def _product_or_zero(P, a, b):
 
 
 def unital_hull(P):
-    """Adjoin a unit as a new last basis element; the input embeds as an ideal."""
+    """Adjoin a unit as a new last basis element; the input embeds as an
+    ideal. P's integer rows go to the constructor as pairs, (c, D) for the
+    table over D and (c, S) for the involution over S."""
     if P.unital:
         raise UnitalityError(f"{P.name} is already unital")
     F = P.field
     dim = P.dim
     label = "1" if "1" not in P.basis_labels else "@unit"
-    mul = []
-    for (i, j), entries in sorted(P._mul.items()):
-        for k, c in entries:
-            mul.append((i, j, k, c))
+    D, rows = P._int_mul
+    mul = [(i, j, k, (c, D))
+           for i, row in enumerate(rows) for j, e in row.items() for k, c in e]
     for i in range(dim):
         mul.append((i, dim, i, F.one))
         mul.append((dim, i, i, F.one))
     mul.append((dim, dim, dim, F.one))
     involution = None
     if P.has_involution:
-        involution = []
-        for i, row in enumerate(P._star):
-            for j, c in row:
-                involution.append((i, j, c))
+        S, star = P._int_star
+        involution = [(i, j, (c, S)) for i, row in enumerate(star) for j, c in row]
         involution.append((dim, dim, F.one))
     embed = lambda el: tuple(el.coords) + (F.zero,)
     return AlgebraPresentation(

@@ -27,11 +27,13 @@ OPTIONAL_FIELDS = ("involution", "unit")
 
 
 def presentation_to_dict(P):
+    """The file form of P: each table scalar is its integer entry c over the
+    table's denominator, formatted as the field value c / D, in index order
+    (i, then j, then k)."""
     F = P.field
-    mul = []
-    for (i, j), entries in sorted(P._mul.items()):
-        for k, c in entries:
-            mul.append([i, j, k, F.format(c)])
+    D, rows = P._int_mul
+    mul = [[i, j, k, F.format(F.from_pair(c, D))]
+           for i, row in enumerate(rows) for j in sorted(row) for k, c in row[j]]
     d = {
         "name": P.name,
         "field": F.name,
@@ -47,11 +49,9 @@ def presentation_to_dict(P):
         "unital": P.unital,
     }
     if P.has_involution:
-        inv = []
-        for i, row in enumerate(P._star):
-            for j, c in row:
-                inv.append([i, j, F.format(c)])
-        d["involution"] = inv
+        S, star = P._int_star
+        d["involution"] = [[i, j, F.format(F.from_pair(c, S))]
+                           for i, row in enumerate(star) for j, c in row]
     if P.unital:
         d["unit"] = [F.format(x) for x in P.unit.coords]
     return d

@@ -219,7 +219,7 @@ class PrimeField:
 
     def from_pair(self, n, d):
         """The residue of n / d."""
-        return n if d == 1 else n * pow(d, -1, self.p) % self.p
+        return n % self.p if d == 1 else n * pow(d, -1, self.p) % self.p
 
     def parse(self, s):
         return self.parse_pair(s)[0]

@@ -2,16 +2,18 @@
 Gauss-Jordan reduction used as an oracle against the library's echelon
 routine, subspace sums, intersections, linear combinations and the
 stagnating word oracle as test references built on the library's public
-span API, a seeded dense change of basis, and element construction
-helpers."""
+span API, a seeded dense change of basis, a presentation's table and
+involution as field scalars, the integer tables the constructor should
+build from the rows it is handed, and element construction helpers."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import algcert as ac
 from algcert.algebra import AlgebraPresentation
 from algcert.closure import PAIR_STRUCTURES, word_oracle
-from algcert.linalg import CombinationSolver, SpanBuilder, echelonize
+from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder, echelonize
 
 
 def naive_rref(rows):
@@ -109,6 +111,72 @@ def _inverse(F, T):
             if r != col and c:
                 rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def scalar_table(P):
+    """P's table {(i, j): ((k, c), ...)} of field scalars, each b_i b_j's
+    terms in index order, read from its integer table ``_int_mul``."""
+    F = P.field
+    D, rows = P._int_mul
+    return {
+        (i, j): tuple((k, F.from_pair(c, D)) for k, c in row[j])
+        for i, row in enumerate(rows)
+        for j in sorted(row)
+    }
+
+
+def scalar_star(P):
+    """P's involution rows ((j, s_ij), ...) of field scalars, in index
+    order, read from its integer rows ``_int_star``; None without one."""
+    if P._int_star is None:
+        return None
+    F = P.field
+    S, rows = P._int_star
+    return tuple(tuple((j, F.from_pair(c, S)) for j, c in row) for row in rows)
+
+
+def _field_value(F, c):
+    """The field value of a scalar as the constructor is handed it: a pair
+    (n, d), a scalar string, an int or a Fraction, computed here with
+    Fraction and ``pow``, independently of the library's fields."""
+    c = Fraction(*c) if isinstance(c, tuple) else Fraction(c)
+    if isinstance(F, PrimeField):
+        return c.numerator * pow(c.denominator, -1, F.p) % F.p
+    return c
+
+
+def _over_lcm(entries):
+    """The lcm d of the denominators of the (index, scalar) pairs of the
+    lists in entries, and each list as (index, int) pairs over d."""
+    d = lcm(*(c.denominator for e in entries for _, c in e))
+    return d, [tuple((k, c.numerator * (d // c.denominator)) for k, c in sorted(e))
+               for e in entries]
+
+
+def reference_tables(F, dim, mul, involution=None):
+    """(int_mul, table_bounds, int_star) as the constructor should build
+    them from the table rows (i, j, k, scalar) and the involution rows
+    (i, j, scalar) it is handed: the nonzero scalars over the lcm of their
+    denominators, each product's terms in index order, the most terms of
+    any product and the largest integer constant."""
+    table = {}
+    for i, j, k, c in mul:
+        if c := _field_value(F, c):
+            table.setdefault((i, j), []).append((k, c))
+    D, products = _over_lcm(list(table.values()))
+    rows = [{} for _ in range(dim)]
+    for (i, j), e in zip(table, products):
+        rows[i][j] = e
+    bounds = (max(map(len, products), default=0),
+              max((abs(c) for e in products for _, c in e), default=0))
+    star = None
+    if involution is not None:
+        star_rows = [[] for _ in range(dim)]
+        for i, j, c in involution:
+            if c := _field_value(F, c):
+                star_rows[i].append((j, c))
+        star = _over_lcm(star_rows)
+    return (D, rows), bounds, star
 
 
 def dense_change_of_basis(P, seed):

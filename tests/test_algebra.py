@@ -7,10 +7,17 @@ import pytest
 
 import algcert as ac
 from algcert import formats
-from algcert.algebra import AlgebraPresentation, ideal_span
+from algcert.algebra import (
+    AlgebraPresentation, embed_in_hull, ideal_span, restrict_from_hull,
+)
 from algcert.errors import FormatError, MissingInvolutionError, UnitalityError
-from algcert.linalg import QQ
-from helpers import count_muls, elem, m2, m3, unit_elem
+from algcert.linalg import QQ, PrimeField
+from helpers import (
+    count_muls, dense_change_of_basis, elem, m2, m3, reference_tables, scalar_star,
+    scalar_table, unit_elem,
+)
+
+FP = PrimeField(101)
 
 
 def test_matrix_unit_products():
@@ -120,31 +127,67 @@ def _nilpotent_line():
     )
 
 
-def test_unital_hull_products():
-    P = _nilpotent_line()
+def _non_unital_files():
+    """Files of non-unital algebras: the nilpotent line, and dense M3 flip
+    (a table with a common denominator D > 1 over Q) and example2 D=2, each
+    over Q and F_101, declared without their unit."""
+    out = {"nil1": formats.presentation_to_dict(_nilpotent_line())}
+    for field, F in (("Q", QQ), ("Fp101", FP)):
+        for name, P in ((f"m3-flip-dense-{field}",
+                         dense_change_of_basis(ac.build_matrix_algebra(3, F, "flip"), 1)),
+                        (f"example2-D2-{field}", ac.build_example2(2, F))):
+            d = formats.presentation_to_dict(P)
+            d["unital"] = False
+            del d["unit"]
+            out[name] = d
+    return out
+
+
+NON_UNITAL = _non_unital_files()
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNITAL))
+def test_unital_hull_products(name):
+    d = NON_UNITAL[name]
+    P = formats.presentation_from_dict(d)
     H = ac.unital_hull(P)
-    assert H.dim == 2 and H.unital
-    one, b = H.unit, H.basis_element(0)
-    # (a*1 + c*b)(a'*1 + c'*b) = aa'*1 + (ac' + ca')*b
-    x = H.add(H.scale(2, one), H.scale(3, b))
-    y = H.add(H.scale(5, one), H.scale(7, b))
-    assert H.mul(x, y) == H.add(H.scale(10, one), H.scale(29, b))
-    rep = ac.validate_presentation(H)
-    assert rep.ok
+    n = P.dim
+    assert H.dim == n + 1 and H.unital and H.unit == H.basis_element(n)
+    # The hull's tables are P's rows and the unit's: 1 b = b 1 = b, 1* = 1.
+    involution = d.get("involution")
+    unit_rows = [(i, n, i, 1) for i in range(n)] + [(n, i, i, 1) for i in range(n + 1)]
+    assert (H._int_mul, H._table_bounds, H._int_star) == reference_tables(
+        P.field, n + 1, d["mul"] + unit_rows,
+        None if involution is None else involution + [(n, n, 1)])
+    if name == "m3-flip-dense-Q":
+        assert H._int_mul[0] > 1
+    # (a 1 + x)(c 1 + y) = ac 1 + a y + c x + x y
+    rng = random.Random(7)
+    for _ in range(5):
+        x, y = (P.element([rng.randint(-3, 3) for _ in range(n)]) for _ in range(2))
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        lx, ly = embed_in_hull(H, x), embed_in_hull(H, y)
+        left = H.mul(H.add(H.scale(a, H.unit), lx), H.add(H.scale(c, H.unit), ly))
+        right = H.add(H.add(H.scale(a * c, H.unit), H.scale(a, ly)),
+                      H.add(H.scale(c, lx), embed_in_hull(H, P.mul(x, y))))
+        assert left == right
+    assert ac.validate_presentation(H).ok
 
 
-def test_unital_hull_embedding_multiplicative():
+@pytest.mark.parametrize("name", sorted(NON_UNITAL))
+def test_unital_hull_embedding_multiplicative(name):
     P = m2()  # unital, so hull must refuse
     with pytest.raises(UnitalityError):
         ac.unital_hull(P)
-    Q = _nilpotent_line()
+    Q = formats.presentation_from_dict(NON_UNITAL[name])
     H = ac.unital_hull(Q)
     rng = random.Random(3)
     for _ in range(10):
-        a = Q.element([Fraction(rng.randint(-3, 3))])
-        b = Q.element([Fraction(rng.randint(-3, 3))])
+        a = Q.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(Q.dim)])
+        b = Q.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(Q.dim)])
         lifted = H.mul(H.element(list(a.coords) + [0]), H.element(list(b.coords) + [0]))
         assert lifted.coords[:-1] == Q.mul(a, b).coords and lifted.coords[-1] == 0
+        assert restrict_from_hull(Q, lifted) == Q.mul(a, b)
 
 
 def test_validate_clean_m2():
@@ -290,18 +333,48 @@ def test_ideal_span_equals_fixed_point_saturation(monkeypatch, build):
     ({"mul": [], "involution": [[True, 1, 1]]}, "involution index out of range: [True, 1, 1]"),
     ({"mul": [], "involution": [(0, 0, 1), (1, False, 1)]},
      "involution index out of range: (1, False, 1)"),
+    ({"mul": [(0, 0, 0, 2.7)]}, "not an exact scalar: 2.7"),
+    ({"mul": [(0, 0, 0, 0.1)]}, "not an exact scalar: 0.1"),
+    ({"mul": [(0, 0, 0, True)]}, "not an exact scalar: True"),
+    ({"mul": [], "involution": [(0, 0, 0.5)]}, "not an exact scalar: 0.5"),
+    ({"mul": [], "generators": {"g": [1, 0.5]}}, "not an exact scalar: 0.5"),
+    ({"mul": [(0, 0, 0, 2.7)], "field": FP}, "not an exact scalar: 2.7"),
+    ({"mul": [(0, 0, 0, Fraction(1, 101))], "field": FP},
+     "denominator divisible by 101: Fraction(1, 101)"),
+    ({"mul": [], "involution": [(0, 0, Fraction(3, 202))], "field": FP},
+     "denominator divisible by 101: Fraction(3, 202)"),
+    ({"mul": [], "idempotents": {"e": [Fraction(1, 101), 0]}, "field": FP},
+     "denominator divisible by 101: Fraction(1, 101)"),
 ])
 def test_constructor_checks_table_rows(tables, message):
     """Both tables go through one row check, in the order arity, index
     range, duplicates, scalar; a zero scalar still counts as an entry, and
-    an index that is a bool is out of range, as it is in a file."""
+    an index that is a bool is out of range, as it is in a file. A scalar
+    is taken exactly or refused: floats and bools are refused, in the
+    tables and in named vectors, and so is a denominator divisible by p
+    over F_p."""
+    tables = dict(tables)
     with pytest.raises(FormatError) as err:
-        AlgebraPresentation("t", QQ, ["a", "b"], **tables)
+        AlgebraPresentation("t", tables.pop("field", QQ), ["a", "b"], **tables)
     assert str(err.value) == message
+
+
+def test_constructor_takes_fractions_exactly():
+    # Over F_101, 1/2 is 51 and -3/4 is 75, and 205 and -3 are reduced, in
+    # the table, the involution and a named vector alike.
+    P = AlgebraPresentation(
+        "t", FP, ["a", "b"],
+        [(0, 0, 0, Fraction(1, 2)), (0, 1, 1, Fraction(-3, 4)), (1, 1, 1, 205)],
+        involution=[(0, 0, Fraction(1, 2)), (1, 1, -3)],
+        generators={"g": [Fraction(1, 2), 0]},
+    )
+    assert P._int_mul == (1, [{0: ((0, 51),), 1: ((1, 75),)}, {1: ((1, 3),)}])
+    assert P._int_star == (1, [((0, 51),), ((1, 98),)])
+    assert P.generators["g"].support == (1, ((0, 51),))
 
 
 def test_constructor_drops_zero_entries():
     P = AlgebraPresentation("t", QQ, ["a", "b"], mul={(0, 0): [(0, "1"), (1, "0")]},
                             involution=[(0, 0, 1), (1, 1, "-1"), (0, 1, 0)])
-    assert P._mul == {(0, 0): ((0, Fraction(1)),)}
-    assert P._star == (((0, Fraction(1)),), ((1, Fraction(-1)),))
+    assert scalar_table(P) == {(0, 0): ((0, Fraction(1)),)}
+    assert scalar_star(P) == (((0, Fraction(1)),), ((1, Fraction(-1)),))

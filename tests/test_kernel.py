@@ -14,7 +14,7 @@ from algcert import algebra, certificates as cc
 from algcert.algebra import AlgebraPresentation, Element, axiom_violations
 from algcert.errors import DimensionError
 from algcert.linalg import PrimeField
-from helpers import dense_change_of_basis, m2, m3
+from helpers import dense_change_of_basis, m2, m3, scalar_star, scalar_table
 
 FP = PrimeField(101)
 
@@ -49,6 +49,7 @@ def _elements(P):
 def _fraction_mul(P, a, b):
     """The scalar loop ``mul`` ran before the integer kernel."""
     F = P.field
+    table = scalar_table(P)
     acc = [F.zero] * P.dim
     for i, ca in enumerate(a.coords):
         if not ca:
@@ -57,17 +58,18 @@ def _fraction_mul(P, a, b):
             if not cb:
                 continue
             cab = F.mul(ca, cb)
-            for k, c in P._mul.get((i, j), ()):
+            for k, c in table.get((i, j), ()):
                 acc[k] = F.add(acc[k], F.mul(cab, c))
     return tuple(acc)
 
 
 def _fraction_involve(P, a):
     F = P.field
+    star = scalar_star(P)
     acc = [F.zero] * P.dim
     for i, ci in enumerate(a.coords):
         if ci:
-            for j, sij in P._star[i]:
+            for j, sij in star[i]:
                 acc[j] = F.add(acc[j], F.mul(ci, sij))
     return tuple(acc)
 
@@ -76,15 +78,16 @@ def _fraction_associativity(P):
     """(i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), by the scalar
     convolution the associativity check ran before the integer kernel."""
     F = P.field
+    table = scalar_table(P)
     left, right = {}, {}
-    for (i, j), entries in P._mul.items():
+    for (i, j), entries in table.items():
         for m, c1 in entries:
             for k in range(P.dim):
-                for l, c2 in P._mul.get((m, k), ()):
+                for l, c2 in table.get((m, k), ()):
                     key = (i, j, k, l)
                     left[key] = F.add(left.get(key, F.zero), F.mul(c1, c2))
             for h in range(P.dim):
-                for l, c2 in P._mul.get((h, m), ()):
+                for l, c2 in table.get((h, m), ()):
                     key = (h, i, j, l)
                     right[key] = F.add(right.get(key, F.zero), F.mul(c1, c2))
     return {
@@ -307,7 +310,7 @@ def _perturbed(P, i, j, k, delta):
     """P with the structure constant c_ijk shifted by delta."""
     F = P.field
     table = {
-        (a, b, c): x for (a, b), entries in P._mul.items() for c, x in entries
+        (a, b, c): x for (a, b), entries in scalar_table(P).items() for c, x in entries
     }
     table[(i, j, k)] = F.add(table.get((i, j, k), F.zero), F.coerce(delta))
     return AlgebraPresentation(
@@ -411,8 +414,8 @@ def _rebuilt(P, mul_shift=None, star_shift=None):
     """P with c_ijk shifted by delta for mul_shift = (i, j, k, delta) or the
     involution entry s_ij shifted for star_shift = (i, j, delta)."""
     F = P.field
-    mul = {(a, b, c): x for (a, b), entries in P._mul.items() for c, x in entries}
-    star = {(a, b): x for a, row in enumerate(P._star) for b, x in row}
+    mul = {(a, b, c): x for (a, b), entries in scalar_table(P).items() for c, x in entries}
+    star = {(a, b): x for a, row in enumerate(scalar_star(P)) for b, x in row}
     for table, shift in ((mul, mul_shift), (star, star_shift)):
         if shift is not None:
             *key, delta = shift

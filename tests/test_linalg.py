@@ -280,6 +280,8 @@ def test_prime_parse_pair_is_the_residue_over_one(s):
     Fp = PrimeField(101)
     assert Fp.parse_pair(s) == (Fp.parse(s), 1) == (int(s) % 101, 1)
     assert Fp.from_pair(*Fp.parse_pair(s)) == Fp.parse(s)
+    # An unreduced numerator over 1 comes back as its residue too.
+    assert Fp.from_pair(int(s), 1) == int(s) % 101
 
 
 @pytest.mark.parametrize("s", ["1/0", "-5/000", "0/0"])

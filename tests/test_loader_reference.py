@@ -32,7 +32,7 @@ import algcert as ac
 from algcert import formats
 from algcert.errors import FormatError
 from algcert.linalg import QQ, PrimeField, RationalField
-from helpers import dense_change_of_basis
+from helpers import dense_change_of_basis, scalar_star, scalar_table
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
@@ -179,8 +179,8 @@ def _outcome(text):
         expected = ("error", str(exc), exc.pointer)
     try:
         P = formats.loads_presentation(text)
-        got = ("ok", (P._mul, P._star, {k: _named(P, *k).support for k in vectors}),
-               formats.dumps_presentation(P))
+        parts = (scalar_table(P), scalar_star(P), {k: _named(P, *k).support for k in vectors})
+        got = ("ok", parts, formats.dumps_presentation(P))
         for (key, name), coords in vectors.items():
             assert _named(P, key, name).coords == coords
     except FormatError as exc:

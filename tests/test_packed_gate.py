@@ -14,7 +14,7 @@ import algcert as ac
 from algcert import formats
 from algcert.algebra import AlgebraPresentation, axiom_violations
 from algcert.linalg import QQ, PrimeField
-from helpers import dense_change_of_basis
+from helpers import dense_change_of_basis, scalar_table
 
 FIELDS = {"Q": QQ, "Fp101": PrimeField(101), "Fp1000000007": PrimeField(1000000007)}
 
@@ -149,7 +149,7 @@ def test_negative_constants_at_the_slot_bound(n):
     signs = [(-1) ** a for a in range(n * n)]
     P = _signed_matrix_units(n, QQ, signs, scale=T)
     assert axiom_violations(P) == ()
-    mul = [(i, j, k, c) for (i, j), entries in P._mul.items() for k, c in entries]
+    mul = [(i, j, k, c) for (i, j), entries in scalar_table(P).items() for k, c in entries]
     flipped = [(i, j, k, -c if (i, j) == (0, 0) else c) for i, j, k, c in mul]
     bad = AlgebraPresentation("signed-bad", QQ, P.basis_labels, flipped)
     assert _largest_slot_difference(bad) == 2 * T * T

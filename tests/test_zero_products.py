@@ -17,7 +17,7 @@ from algcert import certificates as cc
 from algcert.certificates import commutator_span
 from algcert.errors import DimensionError
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder
-from helpers import count_muls, dense_change_of_basis, m3, m4
+from helpers import count_muls, dense_change_of_basis, m3, m4, scalar_table
 
 FP = PrimeField(101)
 
@@ -218,7 +218,7 @@ def _without_unit(P):
         P.name + "-no-unit",
         P.field,
         P.basis_labels,
-        [(i, j, k, c) for (i, j), entries in P._mul.items() for k, c in entries],
+        [(i, j, k, c) for (i, j), entries in scalar_table(P).items() for k, c in entries],
     )
 
 
