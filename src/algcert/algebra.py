@@ -66,17 +66,6 @@ def _exact_pair(F, s):
     return n, d
 
 
-def _common_denominator(scalars):
-    """The lcm of the denominators; 1 over F_p, whose scalars are ints."""
-    return lcm(*(c.denominator for c in scalars))
-
-
-def _over(d, entries):
-    """(index, scalar) pairs as (index, int) pairs scaled by the common
-    denominator d of their scalars."""
-    return tuple((k, c.numerator * (d // c.denominator)) for k, c in entries)
-
-
 # The widest slot, in bits, at which ``mul`` sums on packed rows. A packed
 # multiply-add costs about dim times the limbs of the small ones it replaces:
 # on dense M3 and M4 flip over Q the packed product is 1.5-7x faster than the
@@ -98,24 +87,17 @@ class Element:
     (d = 1 over F_p), in index order. The support is canonical, so elements
     compare and hash by it. Products, sums and the involution hand theirs
     over (``AlgebraPresentation._from_ints``), and ``coords``, the dense
-    tuple of field scalars, is built on first read. ``Element(coords)``
-    builds the support on first use instead.
+    tuple of field scalars, is built on first read.
     """
 
-    __slots__ = ("_coords", "_support", "_dim", "_field")
-
-    def __init__(self, coords):
-        self._coords = tuple(coords)
-        self._support = None
-        self._dim = len(self._coords)
-        self._field = None
+    __slots__ = ("_coords", "support", "_dim", "_field")
 
     @classmethod
     def _of(cls, field, dim, support):
         """The element of the field's dim-space with the given support."""
         el = cls.__new__(cls)
         el._coords = None
-        el._support = support
+        el.support = support
         el._dim = dim
         el._field = field
         return el
@@ -127,18 +109,8 @@ class Element:
     def coords(self):
         """The dense tuple of field scalars, built on first read."""
         if self._coords is None:
-            self._coords = self._field.to_coords(self._support, self._dim)
+            self._coords = self._field.to_coords(self.support, self._dim)
         return self._coords
-
-    @property
-    def support(self):
-        """The canonical support, built from ``coords`` on first use."""
-        if self._support is None:
-            coords = self._coords
-            nonzero = [(i, coords[i]) for i in compress(range(len(coords)), coords)]
-            d = _common_denominator(c for _, c in nonzero)
-            self._support = (d, _over(d, nonzero))
-        return self._support
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -302,9 +274,10 @@ class AlgebraPresentation:
 
     def element(self, coords):
         """Coerce a sequence of scalars / ints / scalar strings / pairs
-        (n, d) to an Element, built from its support: each scalar is
-        converted once, and the dense coordinates wait for their first
-        read."""
+        (n, d) to an Element, built from its canonical support
+        (``_from_ints``, so a pair need not be in lowest terms): each
+        scalar is converted once, and the dense coordinates wait for their
+        first read."""
         if isinstance(coords, Element):
             coords = coords.coords
         elif type(coords) is not list:
@@ -319,7 +292,7 @@ class AlgebraPresentation:
         nonzero = [(i, x if type(x) is tuple else _exact_pair(F, x))
                    for i, x in enumerate(coords) if x is not ZERO_PAIR and x is not zero]
         D = lcm(*{d for _, (n, d) in nonzero if n})
-        return Element._of(F, self.dim, (D, tuple((i, n * (D // d)) for i, (n, d) in nonzero if n)))
+        return self._from_ints({i: n * (D // d) for i, (n, d) in nonzero if n}, D)
 
     def _from_ints(self, nums, d):
         """The element with coordinates n / d for the ints n in the dict
@@ -376,10 +349,10 @@ class AlgebraPresentation:
         return self.scale(-1, a)
 
     def scale(self, c, a):
-        c = self.field.coerce(c)
+        """c * a for an exact scalar c or a pair (n, d) (``_exact_pair``)."""
+        n, dc = c if type(c) is tuple else _exact_pair(self.field, c)
         d, sa = a.support
-        n = c.numerator
-        return self._from_ints({i: x * n for i, x in sa}, d * c.denominator)
+        return self._from_ints({i: x * n for i, x in sa}, d * dc)
 
     # -- products ---------------------------------------------------------
 
@@ -625,7 +598,7 @@ def ideal_span(P, x, unit_coeff=0):
     the b_j in the reach of the left factor, in index order; the others are
     zero, and a zero left factor yields none.
     """
-    coeff = P.field.coerce(unit_coeff)
+    coeff = _exact_pair(P.field, unit_coeff)
 
     def products():
         for i in range(P.dim):
@@ -633,7 +606,7 @@ def ideal_span(P, x, unit_coeff=0):
             # unless b_j lies in the reach of the left factor.
             b_i = P.basis_element(i)
             left = P.mul(b_i, x)
-            if coeff:
+            if coeff[0]:
                 left = P.add(left, P.scale(coeff, b_i))
             for j in sorted(P._reach(left)):
                 yield P.mul(left, P.basis_element(j))

@@ -432,27 +432,19 @@ def lemma1_certificate(P, e=None):
 # -- lemma2 ---------------------------------------------------------------
 
 
-def _lemma2_impl(P, search):
-    """The bounded sandwich-word generating set over a ``_witness_search``.
+def _lemma2_impl(P, search, components):
+    """The bounded sandwich-word generating set over a ``_witness_search``
+    for the pair components (eRf, fRe) the caller read from its corners:
+    Peirce's for f = 1 - e, the grading's (R_{-2}, R_2) for f = e*.
 
     Decomposes every declared generator over the search's e and f; d, the
     larger of the lengths the two searches grew to, is the least length
     that decomposes them all.
-    Returns (GeneratorSet, info) where info carries d, the word bound 3d + 1
-    and the pair components (eRf-span, fRe-span).
+    Returns (GeneratorSet, info) where info carries d and the bound 3d + 1.
     """
-    Pw, lift, lower, words = search.Pw, search.lift, search.lower, search.words
+    Pw, lower, words = search.Pw, search.lower, search.words
     e_w, f_w = search.wit_e.mid, search.wit_f.mid
-
-    # Pair components over the original algebra's basis.
-    comp_minus_b = SpanBuilder(P.field, P.dim)
-    comp_plus_b = SpanBuilder(P.field, P.dim)
-    for i in range(P.dim):
-        b = lift(P.basis_element(i))
-        comp_minus_b.add(lower(_sandwich(Pw, e_w, b, f_w)))
-        comp_plus_b.add(lower(_sandwich(Pw, f_w, b, e_w)))
-    comp_minus = comp_minus_b.subspace()
-    comp_plus = comp_plus_b.subspace()
+    comp_minus, comp_plus = components
 
     for name, el in search.gens:
         search.wit_e.decompose(el, f"{name} over e")
@@ -487,7 +479,7 @@ def _lemma2_impl(P, search):
                 break
 
     gens_out = generator_set("assoc-pair", items, sides)
-    return gens_out, {"d": d, "word_bound": bound, "components": (comp_minus, comp_plus)}
+    return gens_out, {"d": d, "word_bound": bound}
 
 
 def lemma2_generating_set(P, e=None, cap=6, budget=None):
@@ -498,8 +490,8 @@ def lemma2_generating_set(P, e=None, cap=6, budget=None):
     minimal decompositions of the declared generators over e and over f.
     """
     e = _resolve_idempotent(P, e)
-    gens_out, _ = _lemma2_impl(P, _witness_search(P, e, None, cap, budget))
-    return gens_out
+    pd = peirce_decompose(P, e)
+    return _lemma2_impl(P, _witness_search(P, e, None, cap, budget), (pd.eRf, pd.fRe))[0]
 
 
 def lemma2_certificate(P, e=None, cap=6, budget=None):
@@ -509,8 +501,9 @@ def lemma2_certificate(P, e=None, cap=6, budget=None):
     hyp = hypotheses_for(P, e, ("e^2=e", "R=alg<gens>", "ReR=R", "R(1-e)R=R"))
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma2", hyp)
-    gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap, budget))
-    target = info["components"]
+    pd = peirce_decompose(P, e)
+    target = (pd.eRf, pd.fRe)
+    gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap, budget), target)
     # eRf.fRe.eRf lies in eRf (and symmetrically) by associativity, so the
     # components are closed behind the gate.
     trace = _pair_closure(P, gens, "assoc-pair", target, closed=True)
@@ -673,8 +666,10 @@ def theorem1_certify(P, e=None, seed=0, cap=6, budget=None):
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "theorem1", hyp, seed=seed)
 
-    pair_gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap, budget))
-    comp_minus, comp_plus = info["components"]
+    pd = peirce_decompose(P, e)
+    comp_minus, comp_plus = pd.eRf, pd.fRe
+    search = _witness_search(P, e, None, cap, budget)
+    pair_gens, info = _lemma2_impl(P, search, (comp_minus, comp_plus))
 
     # eRf.fRe.eRf lies in eRf (and symmetrically), so every monomial lies in
     # its side's component.
@@ -721,14 +716,14 @@ _THEOREM2_HYPS = ("involution", "e^2=e", "ee*=0", "e*e=0", "ReR=R", "R(1-e-e*)R=
 _THEOREM2_FULL_HYPS = _THEOREM2_HYPS + ("R=alg<gens>",)
 
 
-def _graded_split(P, e, grading=None):
+def _graded_split(P, e):
     """(grading, kh_split(P, grading)) for the idempotent e, computed once
     per presentation and idempotent and memoised on P: z_grading is a
     function of (P, e). K and H do not depend on the grading, so the split
     also serves as P's ungraded one (``_skew_part``)."""
     key = ("kh_split", e.support)
     if key not in P._memo:
-        grading = grading if grading is not None else z_grading(P, e)
+        grading = z_grading(P, e)
         P._memo[key] = grading, kh_split(P, grading)
         P._memo.setdefault(("kh_split", None), P._memo[key])
     return P._memo[key]
@@ -756,14 +751,14 @@ def _squares_family(P, K1):
     return family
 
 
-def lemma4_check(P, grading=None, e=None):
+def lemma4_check(P, e=None):
     """K_{±2} = [K_{±1}, K_{±1}] and H_{±2} = span{k^2 : k in K_{±1}}."""
     require_axioms(P)
-    e = grading.e if grading is not None else _resolve_idempotent(P, e)
+    e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, _THEOREM2_HYPS)
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma4", hyp)
-    grading, kh = _graded_split(P, e, grading)
+    _, kh = _graded_split(P, e)
     checks = {}
     ok = True
     for sigma in (1, -1):
@@ -840,26 +835,26 @@ def _lemma5_impl(P, grading, search):
     return generator_set("lie", minus_items), generator_set("lie", plus_items), info
 
 
-def lemma5_sets(P, grading=None, e=None, cap=6, budget=None):
+def lemma5_sets(P, e=None, cap=6, budget=None):
     """Finite skew sets M_{-1}, M_1 with R_1 = M_{-1}R_2 + R_2M_{-1} and the
     mirror equality, built from braces over decomposition witnesses.
 
     Returns (M_minus, M_plus, info); info["spans_ok"] records whether the
     two spanning equalities hold.
     """
-    e = grading.e if grading is not None else _resolve_idempotent(P, e)
-    grading = grading if grading is not None else z_grading(P, e)
+    e = _resolve_idempotent(P, e)
+    grading, _ = _graded_split(P, e)
     return _lemma5_impl(P, grading, _witness_search(P, e, grading.estar, cap, budget))
 
 
-def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
+def lemma5_certificate(P, e=None, cap=6, budget=None):
     """Certificate form of the odd-component spanning equalities."""
     require_axioms(P)
-    e = grading.e if grading is not None else _resolve_idempotent(P, e)
+    e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, ("involution", "e^2=e", "ee*=0", "e*e=0", "ReR=R"))
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma5", hyp)
-    M_minus, M_plus, info = lemma5_sets(P, grading, e, cap=cap, budget=budget)
+    M_minus, M_plus, info = lemma5_sets(P, e, cap=cap, budget=budget)
     merged = generator_set(
         "lie", tuple(M_minus.elements) + tuple(M_plus.elements)
     )
@@ -879,14 +874,14 @@ def lemma5_certificate(P, grading=None, e=None, cap=6, budget=None):
 # -- lemma6 ---------------------------------------------------------------
 
 
-def lemma6_check(P, grading=None, e=None):
+def lemma6_check(P, e=None):
     """K_{±1} and K_{±2} lie inside [K,K], and K_{-1} + K_1 Lie-generates it."""
     require_axioms(P)
-    e = grading.e if grading is not None else _resolve_idempotent(P, e)
+    e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, _THEOREM2_HYPS)
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma6", hyp)
-    grading, kh = _graded_split(P, e, grading)
+    _, kh = _graded_split(P, e)
     target = derived_K_subspace(P)
     membership_ok = all(target.contains_subspace(kh.graded[i][0]) for i in (-2, -1, 1, 2))
     items = []
@@ -985,7 +980,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     # The gate proves the grading multiplicative (``z_grading``).
     stage = {"grading_dims": grading.dims(), "grading_multiplicative": True}
 
-    l4 = lemma4_check(P, grading)
+    l4 = lemma4_check(P, e)
     stage["lemma4"] = l4.verdict
     if l4.verdict != PASS:
         return Certificate(
@@ -1004,7 +999,8 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 
     # Generators of the corner pair (R_{-2}, R_2), split into skew/symmetric
     # parts.
-    pair_gens, pair_info = _lemma2_impl(P, search)
+    corner_minus, corner_plus = grading.parts[-2], grading.parts[2]
+    pair_gens, pair_info = _lemma2_impl(P, search, (corner_minus, corner_plus))
     half = P.field.inv(P.field.coerce(2))
     split_sides = {"-": [], "+": []}
     for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
@@ -1022,7 +1018,6 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     stage["pair_generator_count"] = n
 
     # P2 lies in the + corner component and Pm2 in the - one.
-    corner_minus, corner_plus = pair_info["components"]
     P2 = _alternating_products(
         P, split_sides["+"], split_sides["-"], n + 2, budget_n, corner_plus.rank
     )
@@ -1114,7 +1109,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 # -- lemma7 ---------------------------------------------------------------
 
 
-def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0):
+def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
     """Alternating corner products with a repeated middle factor reduce.
 
     For random a's in K_2 ∪ H_2 and b's in K_{-2} ∪ H_{-2} with fewer than n
@@ -1124,11 +1119,11 @@ def lemma7_reduction_check(P, grading=None, e=None, n_bound=2, trials=12, seed=0
     require_axioms(P)
     if n_bound < 2:
         raise ValueError("n_bound must be >= 2")
-    e = grading.e if grading is not None else _resolve_idempotent(P, e)
+    e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, ("involution", "e^2=e", "ee*=0", "e*e=0"))
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma7", hyp, seed=seed)
-    grading, kh = _graded_split(P, e, grading)
+    _, kh = _graded_split(P, e)
     K2, H2 = kh.graded[2]
     Km2, Hm2 = kh.graded[-2]
 
@@ -1210,7 +1205,7 @@ def lemma8_check(P, e=None):
     )
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma8", hyp)
-    grading, kh = _graded_split(P, e)
+    _, kh = _graded_split(P, e)
     items = []
     for i in (-2, 2):
         for k, el in enumerate(P.elements(kh.graded[i][0])):

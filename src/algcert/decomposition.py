@@ -1,8 +1,9 @@
 """Peirce decomposition, the five-part grading by orthogonal idempotents,
 and the skew/symmetric split under an involution.
 
-All components are computed by sandwich projection of each basis element
-(a -> e*a*e and friends) followed by echelonization, so the results are
+The Peirce components, the grading and with them lemma 2's pair
+components come from one routine, ``_corners``: the span of x*b*y over the
+basis for orthogonal idempotents x, y, echelonized, so the results are
 exact canonical subspaces. Complements like 1-e never require a unit:
 (1-e)*a is just a - e*a. The grading runs behind the axiom gate
 (``algebra.require_axioms``), and what the axioms prove about it is not
@@ -11,9 +12,11 @@ re-computed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 
-from .algebra import require_axioms
+from .algebra import hypotheses_for, require_axioms
 from .errors import IdempotentError, MissingInvolutionError
 from .linalg import SpanBuilder
 
@@ -57,34 +60,43 @@ class KHSplit:
 
 
 def _check_idempotent(P, e):
-    if not P.equal(P.mul(e, e), e):
+    # Memoised on P: the axiom gate has read it for each declared idempotent.
+    if not hypotheses_for(P, e, ("e^2=e",))["e^2=e"]:
         raise IdempotentError("supplied element is not idempotent")
+
+
+def _corners(P, idempotents, grade):
+    """{grade(a, c): span of x_a·b·x_c over the basis}, for the orthogonal
+    idempotents x_0..x_{m-1} given and x_m = 1 - their sum; corners of one
+    grade share a span. No unit is needed: for a, c < m the element is
+    (x_a·b)·x_c, and a corner of x_m is what the rest of its row leaves of
+    x_a·b, of its column of b·x_c, or, for x_m·b·x_m, of b. That is m² + 2m
+    products per basis element."""
+    m = len(idempotents)
+    spans = defaultdict(lambda: SpanBuilder(P.field, P.dim))
+    for i in range(P.dim):
+        b = P.basis_element(i)
+        left = [P.mul(x, b) for x in idempotents]
+        grid = [[P.mul(xb, y) for y in idempotents] for xb in left]
+        for xb, row in zip(left, grid):
+            row.append(reduce(P.sub, row, xb))
+        grid.append([reduce(P.sub, [row[c] for row in grid], P.mul(b, y))
+                     for c, y in enumerate(idempotents)])
+        grid[m].append(reduce(P.sub, left + grid[m], b))
+        for a, row in enumerate(grid):
+            for c, x in enumerate(row):
+                spans[grade(a, c)].add(x)
+    return {k: span.subspace() for k, span in spans.items()}
 
 
 def peirce_decompose(P, e):
     """Split R into the four Peirce components of the idempotent e."""
     _check_idempotent(P, e)
-    builders = [SpanBuilder(P.field, P.dim) for _ in range(4)]
-    for i in range(P.dim):
-        b = P.basis_element(i)
-        eb = P.mul(e, b)
-        be = P.mul(b, e)
-        ebe = P.mul(eb, e)
-        builders[0].add(ebe)                               # eRe
-        builders[1].add(P.sub(eb, ebe))                    # eR(1-e)
-        builders[2].add(P.sub(be, ebe))                    # (1-e)Re
-        rest = P.add(P.sub(P.sub(b, eb), be), ebe)
-        builders[3].add(rest)                              # (1-e)R(1-e)
-    pd = PeirceDecomposition(*(b.subspace() for b in builders))
+    corners = _corners(P, (e,), lambda a, c: 2 * a + c)  # eRe, eRf, fRe, fRf
+    pd = PeirceDecomposition(*(corners[k] for k in range(4)))
     if sum(pd.dims()) != P.dim:
         raise IdempotentError("Peirce components do not add up to R")
     return pd
-
-
-def _sandwich(P, left, b, right):
-    """left*b*right where left/right is an Element or one of 's'-style maps."""
-    x = left(b) if callable(left) else P.mul(left, b)
-    return right(x) if callable(right) else P.mul(x, right)
 
 
 def z_grading(P, e):
@@ -104,33 +116,11 @@ def z_grading(P, e):
     if not P.has_involution:
         raise MissingInvolutionError(f"{P.name} has no involution")
     _check_idempotent(P, e)
-    estar = P.involve(e)
-    if not (P.is_zero(P.mul(e, estar)) and P.is_zero(P.mul(estar, e))):
+    if not all(hypotheses_for(P, e, ("ee*=0", "e*e=0")).values()):
         raise IdempotentError("need ee* = e*e = 0 for the grading")
-    ee = P.add(e, estar)
-
-    def s_left(x):
-        return P.sub(x, P.mul(ee, x))
-
-    def s_right(x):
-        return P.sub(x, P.mul(x, ee))
-
-    sandwiches = {
-        -2: ((e, estar),),
-        -1: ((e, s_right), (s_left, estar)),
-        0: ((e, e), (estar, estar), (s_left, s_right)),
-        1: ((estar, s_right), (s_left, e)),
-        2: ((estar, e),),
-    }
-    parts = {}
-    for grade, pairs in sandwiches.items():
-        b = SpanBuilder(P.field, P.dim)
-        for i in range(P.dim):
-            base = P.basis_element(i)
-            for left, right in pairs:
-                b.add(_sandwich(P, left, base, right))
-        parts[grade] = b.subspace()
-
+    estar = P.involve(e)
+    weight = (-1, 1, 0)  # e, e*, s
+    parts = _corners(P, (e, estar), lambda a, c: weight[a] - weight[c])
     if sum(v.rank for v in parts.values()) != P.dim:
         raise IdempotentError("grading components do not add up to R")
     return ZGrading(parts, e, estar)

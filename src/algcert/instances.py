@@ -11,6 +11,7 @@ commutator space is bracket-abelian so no small generator set can span it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import AlgebraPresentation
 from .errors import FormatError
@@ -25,6 +26,15 @@ KINDS = (
     "m2_example2",
     "custom_file",
 )
+
+
+def _vec(dim, zero, entries):
+    """The coordinate list of length dim with the (index, scalar) entries
+    and zero elsewhere."""
+    coords = [zero] * dim
+    for k, c in entries:
+        coords[k] = c
+    return coords
 
 
 @dataclass(frozen=True)
@@ -103,13 +113,7 @@ def build_matrix_algebra(n, field=QQ, involution="none"):
         ]
 
     dim = n * n
-    zero = field.zero
-
-    def vec(entries):
-        coords = [zero] * dim
-        for k, c in entries:
-            coords[k] = c
-        return coords
+    vec = partial(_vec, dim, field.zero)
 
     e_vec = vec([(idx(1, 1), one)])
     unit = vec([(idx(i, i), one) for i in range(1, n + 1)])
@@ -172,14 +176,8 @@ def build_example1(D, field=QQ):
             for (t, u), r in prods.items():
                 mul.append((idx(a, t), idx(b, u), idx(a + b, r), one))
 
-    zero = field.zero
     dim = 3 * D
-
-    def vec(entries):
-        coords = [zero] * dim
-        for k, c in entries:
-            coords[k] = c
-        return coords
+    vec = partial(_vec, dim, field.zero)
 
     unit = vec([(idx(0, "E11"), one), (idx(0, "E22"), one)])
     gens = {
@@ -255,14 +253,8 @@ def build_example2(D, field=QQ):
                 si, sj = swap[(i, j)]
                 star.append((idx(eps, b, i, j), idx(eps, b, si, sj), sign))
 
-    zero = field.zero
     dim = 8 * D
-
-    def vec(entries):
-        coords = [zero] * dim
-        for k, c in entries:
-            coords[k] = c
-        return coords
+    vec = partial(_vec, dim, field.zero)
 
     unit = vec([(idx(0, 0, 1, 1), one), (idx(0, 0, 2, 2), one)])
     gens = {

@@ -4,14 +4,17 @@ routine, subspace sums, intersections, linear combinations and the
 stagnating word oracle as test references built on the library's public
 span API, a seeded dense change of basis, a presentation's table and
 involution as field scalars, the integer tables the constructor should
-build from the rows it is handed, and element construction helpers."""
+build from the rows it is handed, element construction helpers (an
+Element from dense coordinates among them) and lemma 2's generating set
+with the pair components the claims pass it."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
 import algcert as ac
-from algcert.algebra import AlgebraPresentation
+from algcert import certificates as cc
+from algcert.algebra import AlgebraPresentation, Element
 from algcert.closure import PAIR_STRUCTURES, word_oracle
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder, echelonize
 
@@ -282,6 +285,34 @@ def elem(P, combo):
     for label, c in combo.items():
         acc = P.add(acc, P.scale(c, unit_elem(P, label)))
     return acc
+
+
+def coords_element(coords):
+    """The Element with the dense coordinates coords (Fractions or ints over
+    Q, residues over F_p) and the support they give: the nonzero
+    coordinates as ints over the lcm of their denominators. A reference for
+    the supports the library builds without reading coordinates."""
+    coords = tuple(coords)
+    nonzero = [(i, c) for i, c in enumerate(coords) if c]
+    d = lcm(*(c.denominator for _, c in nonzero))
+    support = (d, tuple((i, c.numerator * (d // c.denominator)) for i, c in nonzero))
+    el = Element._of(None, len(coords), support)
+    el._coords = coords
+    return el
+
+
+def lemma2_parts(P, e, f):
+    """(pair generators, info, components) of lemma 2's word set over e and
+    f, with the components the claims pass: Peirce's (eR(1-e), (1-e)Re) for
+    f None, standing for 1 - e, and the grading's (R_-2, R_2) for f = e*."""
+    if f is None:
+        pd = ac.peirce_decompose(P, e)
+        components = (pd.eRf, pd.fRe)
+    else:
+        parts = ac.z_grading(P, e).parts
+        components = (parts[-2], parts[2])
+    gens, info = cc._lemma2_impl(P, cc._witness_search(P, e, f, 6, None), components)
+    return gens, info, components
 
 
 def lie_gens(P, labels):

@@ -378,3 +378,40 @@ def test_constructor_drops_zero_entries():
                             involution=[(0, 0, 1), (1, 1, "-1"), (0, 1, 0)])
     assert scalar_table(P) == {(0, 0): ((0, Fraction(1)),)}
     assert scalar_star(P) == (((0, Fraction(1)),), ((1, Fraction(-1)),))
+
+
+def test_scale_takes_its_scalar_exactly():
+    # Over F_101, 1/2 is 51 (not 1/2 truncated to 0), and a float is refused
+    # as in the constructor; over Q, 1/2 stays 1/2.
+    P = ac.build_matrix_algebra(2, FP)
+    b0 = P.basis_element(0)
+    assert P.scale(Fraction(1, 2), b0).support == (1, ((0, 51),))
+    assert P.scale(Fraction(1, 2), b0) == P.element([51, 0, 0, 0])
+    Q = m2()
+    assert Q.scale(Fraction(1, 2), Q.basis_element(0)).support == (2, ((0, 1),))
+    for M in (P, Q):
+        with pytest.raises(FormatError, match="not an exact scalar"):
+            M.scale(2.7, M.basis_element(0))
+
+
+def test_ideal_span_unit_coeff_is_exact():
+    # R (1/2 + 0) R is R; a unit coefficient truncated to 0 gave the zero span.
+    P = ac.build_matrix_algebra(2, FP)
+    assert ideal_span(P, P.zero(), unit_coeff=Fraction(1, 2)).is_full
+    assert ideal_span(P, P.zero(), unit_coeff=Fraction(1, 2)) == ideal_span(
+        P, P.zero(), unit_coeff=51
+    )
+    with pytest.raises(FormatError, match="not an exact scalar"):
+        ideal_span(P, P.zero(), unit_coeff=0.5)
+
+
+def test_element_reduces_its_pairs():
+    # A pair not in lowest terms gives the canonical support: over Q (2, 4)
+    # is 1/2, and over F_101 (1, 2) is the residue 51.
+    Q = m2()
+    half = Q.element([(2, 4), (0, 1), (0, 1), (0, 1)])
+    assert half.support == (2, ((0, 1),))
+    assert half == Q.element([Fraction(1, 2), 0, 0, 0])
+    P = ac.build_matrix_algebra(2, FP)
+    assert P.element([(1, 2), (0, 1), (0, 1), (0, 1)]).support == (1, ((0, 51),))
+    assert P.element([(1, 2), (0, 1), (0, 1), (0, 1)]) == P.element([51, 0, 0, 0])

@@ -17,6 +17,7 @@ from helpers import (
     count_muls,
     dense_change_of_basis,
     elem,
+    lemma2_parts,
     m2,
     m3,
     m4,
@@ -226,7 +227,7 @@ def test_d_is_the_largest_minimal_witness_length(name):
     P = _WITNESS_INSTANCES[name]()
     e = P.idempotents["e"]
     for f in (None, P.involve(e)):
-        _, info = cc._lemma2_impl(P, cc._witness_search(P, e, f, 6, None))
+        _, info, _ = lemma2_parts(P, e, f)
         minimal = []
         for gen in sorted(P.generators):
             for side in ("wit_e", "wit_f"):
@@ -557,11 +558,9 @@ def _same_generators(a, b):
                                            (4, "flip"), (4, "transpose")])
 def test_capped_monomials_equal_full_enumeration_theorem1(monkeypatch, n, involution):
     P = ac.build_matrix_algebra(n, involution=involution)
-    pair_gens, info = cc._lemma2_impl(
-        P, cc._witness_search(P, P.idempotents["e"], None, 6, None)
-    )
+    pair_gens, _, components = lemma2_parts(P, P.idempotents["e"], None)
     muls = count_muls(monkeypatch)
-    capped = cc._distinct_index_monomials(P, pair_gens, info["components"])
+    capped = cc._distinct_index_monomials(P, pair_gens, components)
     capped_muls = muls[0]
     full = _uncapped_monomials(P, pair_gens)
     assert _same_generators(capped, full)
@@ -642,12 +641,12 @@ def test_capped_alternating_products_equal_full_enumeration(n):
     # The corner pair of theorem 2 on M_n flip: sandwich words of e and e*.
     P = ac.build_matrix_algebra(n, involution="flip")
     e = P.idempotents["e"]
-    pair_gens, info = cc._lemma2_impl(P, cc._witness_search(P, e, P.involve(e), 6, None))
+    pair_gens, _, components = lemma2_parts(P, e, P.involve(e))
     sides = {"-": [], "+": []}
     for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
         sides[side].append((label, el))
     for (outer, inner), comp in zip(((sides["-"], sides["+"]), (sides["+"], sides["-"])),
-                                    info["components"]):
+                                    components):
         capped = cc._alternating_products(P, outer, inner, 5, 10**6, comp.rank)
         full = _uncapped_alternating_products(P, outer, inner, 5)
         assert [(lab, el.coords) for lab, el in capped] == [

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import algcert as ac
 from algcert import linalg
-from algcert.algebra import Element
 from algcert.linalg import (
     QQ,
     CombinationSolver,
@@ -20,7 +19,9 @@ from algcert.linalg import (
     SpanBuilder,
     echelonize,
 )
-from helpers import dense_change_of_basis, intersect, linear_combination, subspace_sum
+from helpers import (
+    coords_element, dense_change_of_basis, intersect, linear_combination, subspace_sum,
+)
 
 FIELDS = {"Q": QQ, "Fp101": PrimeField(101)}
 
@@ -206,7 +207,7 @@ def test_span_builder_equals_fraction_span(field, data):
     for v in vectors:
         grew = old.add(v)
         assert new.add(v) == grew
-        assert by_element.add(Element(v)) == grew
+        assert by_element.add(coords_element(v)) == grew
         assert new.rank == len(old.rows)
     sub = new.subspace()
     assert sub.basis == old.basis()
@@ -217,7 +218,7 @@ def test_span_builder_equals_fraction_span(field, data):
     # denominators, as its nonzero entries in column order.
     assert sub.rows == tuple(_integer_row(r) for r in sub.basis)
     assert echelonize(F, vectors, n) == sub
-    assert echelonize(F, [Element(v) for v in vectors], n) == sub
+    assert echelonize(F, [coords_element(v) for v in vectors], n) == sub
     # Remainders and membership, for the snapshot and for the builder, of
     # random vectors and of combinations of the inputs.
     probes = [data.draw(_vectors(F, n, False)) for _ in range(3)]
@@ -226,11 +227,11 @@ def test_span_builder_equals_fraction_span(field, data):
     for t in probes:
         expected = old.reduce(t)
         assert sub.reduce(t) == expected
-        assert sub.reduce(Element(t)) == expected
+        assert sub.reduce(coords_element(t)) == expected
         assert tuple(new.reduce(t)) == expected
         inside = _first_nonzero(expected) is None
         assert sub.contains(t) == inside
-        assert new.contains(Element(t)) == inside
+        assert new.contains(coords_element(t)) == inside
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -275,10 +276,10 @@ def test_contains_reads_the_integer_remainder(field, data):
         probes.append(_combination(F, vectors, coeffs))
     for t in probes:
         for span in (sub, builder):
-            for probe in (t, Element(t)):
+            for probe in (t, coords_element(t)):
                 assert span.contains(probe) == (not any(span.reduce(probe)))
     if vectors:
-        assert sub.contains(probes[-1]) and builder.contains(Element(probes[-1]))
+        assert sub.contains(probes[-1]) and builder.contains(coords_element(probes[-1]))
 
 
 def test_mixed_denominators_and_signs():
@@ -335,9 +336,9 @@ def test_combination_solver_equals_fraction_solver(field, data):
     # give the same answers.
     by_element = CombinationSolver(F, n)
     for v in stream:
-        by_element.add(Element(v))
+        by_element.add(coords_element(v))
     for t in targets:
-        assert by_element.solve(Element(t)) == old.solve(t)
+        assert by_element.solve(coords_element(t)) == old.solve(t)
 
 
 def _combinations(solver):
@@ -397,7 +398,7 @@ def test_combination_solver_on_dense_products(dense_products):
         # A combination of every input so far lies in the span.
         inside = _combination(F, [y.coords for y in products[: k + 1]], range(k + 1, 0, -1))
         assert old.solve(inside) is not None
-        assert new.solve(inside) == new.solve(Element(inside)) == old.solve(inside)
+        assert new.solve(inside) == new.solve(coords_element(inside)) == old.solve(inside)
         for b in basis:
             expected = old.solve(b.coords)
             outside += expected is None

@@ -14,7 +14,7 @@ from algcert import algebra, certificates as cc
 from algcert.algebra import AlgebraPresentation, Element, axiom_violations
 from algcert.errors import DimensionError
 from algcert.linalg import PrimeField
-from helpers import dense_change_of_basis, m2, m3, scalar_star, scalar_table
+from helpers import coords_element, dense_change_of_basis, m2, m3, scalar_star, scalar_table
 
 FP = PrimeField(101)
 
@@ -109,7 +109,7 @@ def test_mul_and_involve_equal_the_scalar_loop(name, data):
     assert P.involve(a).coords == _fraction_involve(P, a)
     # A product carries its support; it equals the one built from coords.
     for el in (P.mul(a, b), P.involve(a)):
-        assert el.support == Element(el.coords).support
+        assert el.support == coords_element(el.coords).support
 
 
 # -- packed products -----------------------------------------------------------
@@ -224,7 +224,7 @@ def test_mul_rejects_an_operand_of_another_dimension(name):
     for short in (
         Element._of(F, P.dim - 1, (1, ((0, 1),))),
         Element._of(F, P.dim - 1, (1, ())),
-        Element((F.one,) * (P.dim - 1)),
+        coords_element((F.one,) * (P.dim - 1)),
     ):
         for left, right in ((short, b), (b, short), (short, short)):
             with pytest.raises(DimensionError):
@@ -390,7 +390,7 @@ def test_element_sums_equal_the_scalar_loop(name, data):
     for op, (got, expected) in results.items():
         assert got.coords == expected, op
         # The result carries its support; it equals the one built from coords.
-        assert got.support == Element(got.coords).support, op
+        assert got.support == coords_element(got.coords).support, op
 
 
 # -- involution law -----------------------------------------------------------

@@ -22,7 +22,7 @@ from algcert.certificates import (
 )
 from algcert.errors import CapExceededError
 from algcert.linalg import QQ, PrimeField
-from helpers import count_muls, dense_change_of_basis, m3
+from helpers import coords_element, count_muls, dense_change_of_basis, m3
 
 FP = PrimeField(101)
 FIELDS = {"Q": QQ, "Fp101": FP}
@@ -74,13 +74,13 @@ def test_elements_from_coords_and_from_supports_are_equal(name, data):
     F = FIELDS[name]
     nums, d = data.draw(_int_vectors(F))
     from_support = Element._of(F, len(nums), F.from_ints(dict(enumerate(nums)), d))
-    from_coords = Element(_eager_from_ints(F, nums, d))
+    from_coords = coords_element(_eager_from_ints(F, nums, d))
     assert from_coords == from_support
     assert hash(from_coords) == hash(from_support)
     assert from_coords.support == from_support.support
     assert {from_coords: 1}[from_support] == 1
     # A longer vector with the same nonzero coordinates is another element.
-    assert Element(from_coords.coords + (F.zero,)) != from_support
+    assert coords_element(from_coords.coords + (F.zero,)) != from_support
 
 
 PRESENTATIONS = {

@@ -33,9 +33,8 @@ INSTANCES = _instances()
 def _old_transfer_checks(P, seed=0, samples=100):
     """The old sample loop: (violated, checks) with both sides of
     {a,b,c} = [[a,b],c] computed in full for every sample."""
-    e = P.idempotents["e"]
-    _, info = cc._lemma2_impl(P, cc._witness_search(P, e, None, 6, None))
-    comp_minus, comp_plus = info["components"]
+    pd = ac.peirce_decompose(P, P.idempotents["e"])
+    comp_minus, comp_plus = pd.eRf, pd.fRe
     rng = random.Random(seed)
     checks = 0
     for _ in range(samples):
@@ -61,10 +60,12 @@ def test_transfer_checks_equal_the_old_sample_loop(name):
 
 def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # The transfer identity costs no product, and neither does the gate's
-    # unit law, which sums integer rows.
+    # unit law, which sums integer rows. The pair components are Peirce's,
+    # three products per basis element (e^2 = e is read from the gate's
+    # memo), not four hull products each.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 171
+    assert muls[0] == 162
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])
