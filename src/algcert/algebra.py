@@ -16,6 +16,15 @@ of a (``_reach``), the indices j with b_i * b_j != 0 for some i in its
 support, tells which products a * b can be nonzero, and callers skip the
 others.
 
+On a table with a product of more than one term, a product is summed on
+the table's rows packed into slots of one big int each (Kronecker
+substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
+section 8.4) and unpacked once. ``mul`` sums the packed rows of each pair
+of the supports, and a caller that multiplies one factor by many holds
+its operator instead (``left``, or ``right`` for a right factor), which
+packs that factor once per slot width, so each product costs one
+multiply-add per term of the other factor.
+
 The constructor checks each row of the table and of the involution once,
 in one loop per table that takes each scalar to its exact pair (n, d)
 (``_exact_pair``). The loader hands every scalar over as its pair in
@@ -49,16 +58,18 @@ from .linalg import ZERO_PAIR, PrimeField, SpanBuilder, echelonize
 
 
 def _exact_pair(F, s):
-    """The pair (n, d), d > 0, of a table or vector scalar s over F that is
-    not already a pair: a string's through ``parse_pair``, and an int or a
-    Fraction taken exactly, which over F_p is the residue (n d^-1, 1).
-    Anything else (a float, a bool), and over F_p a denominator divisible by
-    p, is a FormatError."""
+    """The pair (n, d), d > 0, of a scalar s over F: a string's through
+    ``parse_pair``, and a pair (n, d), an int or a Fraction taken exactly,
+    which over F_p is the residue (n d^-1, 1). Anything else (a float, a
+    bool), and over F_p a denominator divisible by p, is a FormatError."""
     if type(s) is str:
         return F.parse_pair(s)
-    if type(s) is not int and not isinstance(s, Fraction):
+    if type(s) is tuple:
+        n, d = s
+    elif type(s) is not int and not isinstance(s, Fraction):
         raise FormatError(f"not an exact scalar: {s!r}")
-    n, d = s.numerator, s.denominator
+    else:
+        n, d = s.numerator, s.denominator
     if isinstance(F, PrimeField):
         if d % F.p == 0:
             raise FormatError(f"denominator divisible by {F.p}: {s!r}")
@@ -66,12 +77,21 @@ def _exact_pair(F, s):
     return n, d
 
 
-# The widest slot, in bits, at which ``mul`` sums on packed rows. A packed
-# multiply-add costs about dim times the limbs of the small ones it replaces:
-# on dense M3 and M4 flip over Q the packed product is 1.5-7x faster than the
-# loop up to 256-bit slots, about as fast or slower at 512 and about half as
-# fast at 1024.
-_PACKED_WIDTH_MAX = 256
+# The widest slot, in bits, at which ``mul`` sums on packed rows; wider
+# one-shot products take the loop over the supports. Its packed sum makes
+# |sa| |sb| multiply-adds of dim-slot ints, and past 512-bit slots these cost
+# more than the loop's small ones. One-shot products of full operands on the
+# dense flip M_n over Q with both numerators near 2^(s/2), ms per product,
+# packed against the loop (Python 3.11, 2-core x86_64):
+#   s = 512:  M3 0.17 / 0.19, M5 2.55 / 3.58, M7 21.4 / 36.7;
+#   s = 1024: M3 0.61 / 0.24, M5 6.60 / 4.19, M7 59.7 / 51.6;
+#   s = 2048: M3 2.40 / 0.42, M5 73.9 / 8.48, M7 188 / 63.3.
+# On dense M7, 431 of theorem 1's one-shot products and 977 of theorem 2's
+# need 512-bit slots, and the loop would take 3.3 s and 9.8 s of them
+# where the packed sum takes 2.1 s and 3.4 s; no one-shot product needs 1024
+# bits there. The operators (``left``, ``right``) pack once per width and
+# have no cap.
+_PACKED_WIDTH_MAX = 512
 
 
 def _slot_width(bound):
@@ -289,7 +309,7 @@ class AlgebraPresentation:
         F = self.field
         zero = F.zero
         # The loader spells "0" as ZERO_PAIR, builders as the field's zero.
-        nonzero = [(i, x if type(x) is tuple else _exact_pair(F, x))
+        nonzero = [(i, _exact_pair(F, x))
                    for i, x in enumerate(coords) if x is not ZERO_PAIR and x is not zero]
         D = lcm(*{d for _, (n, d) in nonzero if n})
         return self._from_ints({i: n * (D // d) for i, (n, d) in nonzero if n}, D)
@@ -350,7 +370,7 @@ class AlgebraPresentation:
 
     def scale(self, c, a):
         """c * a for an exact scalar c or a pair (n, d) (``_exact_pair``)."""
-        n, dc = c if type(c) is tuple else _exact_pair(self.field, c)
+        n, dc = _exact_pair(self.field, c)
         d, sa = a.support
         return self._from_ints({i: x * n for i, x in sa}, d * dc)
 
@@ -374,9 +394,8 @@ class AlgebraPresentation:
         return packed
 
     def _packed_product(self, sa, sb, s):
-        """The nonzero integer coordinates {k: sum_ij x_i y_j c_ijk} of a * b
-        for the supports sa and sb, as sum_i x_i sum_j y_j P_ij on the
-        packed rows of width s, unpacked into balanced digits."""
+        """The packed sum sum_i x_i sum_j y_j P_ij of a * b for the
+        supports sa and sb, on the packed rows of width s."""
         packed = self._packed_rows(s)
         total = 0
         for i, x in sa:
@@ -389,53 +408,132 @@ class AlgebraPresentation:
                 if p:
                     inner += y * p
             total += x * inner
-        return _balanced_digits(total, s)
+        return total
+
+    def _unpacked(self, total, s, d):
+        """The element whose integer coordinates over d are the balanced
+        s-bit digits of the packed sum total."""
+        acc = _balanced_digits(total, s)
+        if not acc:
+            return self.zero()
+        return self._from_ints(acc, d)
 
     def mul(self, a, b):
         """Bilinear extension of the structure constants: integer products
         over the supports of a and b, summed into a dict keyed by output
-        index, one division per nonzero coordinate. A product whose terms
-        all vanish is the zero element, with no division.
+        index, one division per nonzero coordinate. A zero operand, or a
+        product whose terms all vanish, is the zero element, with no
+        division.
 
         When some b_i * b_j has more than one term, the products are summed
         on packed rows (``_packed_product``): one big-int multiply-add per
-        pair of the supports, then one balanced-digit unpack. Slot k of the
-        sum is sum x_i y_j c_ijk, within X Y T of zero for X = sum |x_i|,
-        Y = sum |y_j| and T the largest |c|; a width s with 2 X Y T < 2^s
-        keeps every slot strictly inside +-2^(s-1), so the balanced digits
-        are the slots exactly, over Q and over F_p alike. s is rounded up to
-        a power of two, so that few widths of packed rows are built. Tables
-        whose products have one term each keep the loop over the supports,
-        and so do slots wider than ``_PACKED_WIDTH_MAX`` bits, where the loop
-        is faster.
+        pair of the supports, then one balanced-digit unpack (Kronecker
+        substitution). Slot k of the sum is sum x_i y_j c_ijk, within X Y T
+        of zero for X = sum |x_i|, Y = sum |y_j| and T the largest |c|; a
+        width s with 2 X Y T < 2^s keeps every slot strictly inside
+        +-2^(s-1), so the balanced digits are the slots exactly, over Q and
+        over F_p alike. s is rounded up to a power of two, so that few
+        widths of packed rows are built. Tables whose products have one
+        term each keep the loop over the supports, and so do slots wider
+        than ``_PACKED_WIDTH_MAX`` bits, where the loop is faster.
+
+        ``mul`` is the one-shot product: its |sa| |sb| multiply-adds cost
+        less than packing a for one use. A caller that multiplies one left
+        factor by many right factors holds its operator (``left``; ``right``
+        for a right factor).
         """
         if a._dim != self.dim or b._dim != self.dim:
             raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
         da, sa = a.support
         db, sb = b.support
-        acc = None
+        if not sa or not sb:
+            return self.zero()
         w, top = self._table_bounds
         if w > 1:
             bound = 2 * sum(abs(x) for _, x in sa) * sum(abs(y) for _, y in sb) * top
             s = _slot_width(bound)
             if s <= _PACKED_WIDTH_MAX:
-                acc = self._packed_product(sa, sb, s)
-        if acc is None:
-            acc = {}
-            for i, x in sa:
-                row = rows[i]
-                if not row:
-                    continue
-                for j, y in sb:
-                    entries = row.get(j)
-                    if entries:
-                        xy = x * y
-                        for k, c in entries:
-                            acc[k] = acc.get(k, 0) + xy * c
+                return self._unpacked(self._packed_product(sa, sb, s), s, da * db * D)
+        acc = {}
+        for i, x in sa:
+            row = rows[i]
+            if not row:
+                continue
+            for j, y in sb:
+                entries = row.get(j)
+                if entries:
+                    xy = x * y
+                    for k, c in entries:
+                        acc[k] = acc.get(k, 0) + xy * c
         if not any(acc.values()):
             return self.zero()
         return self._from_ints(acc, da * db * D)
+
+    def left(self, a):
+        """The map x -> a * x, for a left factor a that multiplies many
+        right factors (``_operator``)."""
+        return self._operator(a, True)
+
+    def right(self, a):
+        """The map x -> x * a, for a right factor a that many left factors
+        multiply (``_operator``)."""
+        return self._operator(a, False)
+
+    def _operator(self, a, on_left):
+        """The map x -> a * x (on_left) or x -> x * a.
+
+        On a table with a product of more than one term, the map packs a
+        once per slot width s over the packed rows P_ij of b_i * b_j:
+        Q_j = sum_i x_i P_ij on the left, so that a * b = sum_j y_j Q_j, and
+        Q_j = sum_i x_i P_ji on the right, so that b * a = sum_j y_j Q_j.
+        A product is then one multiply-add per term of b in place of one
+        per pair of the supports, and the unpack ``mul`` does; s is
+        ``mul``'s width for the pair, and the Q_j of each width are built on
+        first use and live as long as the map. On a table whose products
+        have one term each the map is ``mul`` itself.
+        """
+        if a._dim != self.dim:
+            raise DimensionError("element dimension mismatch")
+        w, top = self._table_bounds
+        if w == 1:
+            return functools.partial(self.mul, a) if on_left else lambda x: self.mul(x, a)
+        D, _ = self._int_mul
+        da, sa = a.support
+        xt = 2 * sum(abs(x) for _, x in sa) * top
+        operators = {}  # s -> {j: Q_j}
+
+        def times(b):
+            if b._dim != self.dim:
+                raise DimensionError("element dimension mismatch")
+            db, sb = b.support
+            if not sa or not sb:
+                return self.zero()
+            s = _slot_width(xt * sum(abs(y) for _, y in sb))
+            op = operators.get(s)
+            if op is None:
+                op = operators[s] = {}
+                packed = self._packed_rows(s)
+                if on_left:
+                    for i, x in sa:
+                        for j, p in packed[i].items():
+                            op[j] = op.get(j, 0) + x * p
+                else:
+                    for j, row in enumerate(packed):
+                        q = 0
+                        for i, x in sa:
+                            p = row.get(i)
+                            if p:
+                                q += x * p
+                        op[j] = q
+            total = 0
+            for j, y in sb:
+                q = op.get(j)
+                if q:
+                    total += y * q
+            return self._unpacked(total, s, da * db * D)
+
+        return times
 
     def mul_basis(self, i, j):
         """Product of two basis elements, as an Element."""

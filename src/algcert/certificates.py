@@ -281,12 +281,6 @@ class _WordLevels:
         return out
 
 
-def _sandwich(Pw, u, mid, v):
-    """u * mid * v where u, v may be None (empty word)."""
-    left = mid if u is None else Pw.mul(u, mid)
-    return left if v is None else Pw.mul(left, v)
-
-
 class _SandwichWitnesses:
     """Finds decompositions target = sum alpha * u*mid*v.
 
@@ -303,18 +297,22 @@ class _SandwichWitnesses:
     its input i. A product (u*mid)*v is zero when v's support misses the
     reach of u*mid, so each u*mid is paired only with the empty word and
     the words that ``index`` (basis index -> positions of the words whose
-    support holds it) finds in its reach. Once the solver's span is full,
-    no later input can enter a solution, and none is added.
+    support holds it) finds in its reach. Each u*mid multiplies every word
+    it meets, now and at later lengths, so it is kept with its left
+    operator (``AlgebraPresentation.left``), and mid with its right one.
+    Once the solver's span is full, no later input can enter a solution,
+    and none is added.
     """
 
     def __init__(self, Pw, mid, words, cap):
         self.Pw = Pw
         self.mid = mid
+        self.times_mid = Pw.right(mid)
         self.words = words
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
         self.products = []  # (u_label, u_el, v_label, v_el) per solver input
-        self.lefts = []  # (u * mid, its reach) for each word u up to the length
+        self.lefts = []  # (u * mid, its operator, its reach) for each word u so far
         self.index = {}  # basis index -> positions in words_upto, ascending
         self.length = -1
 
@@ -344,17 +342,17 @@ class _SandwichWitnesses:
 
             def pairs():
                 for ul, u in new:
-                    left = mid if u is None else Pw.mul(u, mid)
-                    reach = Pw._reach(left)
-                    self.lefts.append((left, reach))
+                    left = mid if u is None else self.times_mid(u)
+                    times, reach = Pw.left(left), Pw._reach(left)
+                    self.lefts.append((left, times, reach))
                     for pos in [0] + self._meeting(reach, 1):
-                        yield ul, u, left, upto[pos]
-                for (ul, u), (left, reach) in zip(upto[:n_old], self.lefts):
+                        yield ul, u, left, times, upto[pos]
+                for (ul, u), (left, times, reach) in zip(upto[:n_old], self.lefts):
                     for pos in self._meeting(reach, n_old):
-                        yield ul, u, left, upto[pos]
+                        yield ul, u, left, times, upto[pos]
 
-            for ul, u, left, (vl, v) in pairs():
-                prod = left if v is None else Pw.mul(left, v)
+            for ul, u, left, times, (vl, v) in pairs():
+                prod = left if v is None else times(v)
                 if Pw.is_zero(prod):
                     continue
                 self.products.append((ul, u, vl, v))
@@ -444,6 +442,8 @@ def _lemma2_impl(P, search, components):
     """
     Pw, lower, words = search.Pw, search.lower, search.words
     e_w, f_w = search.wit_e.mid, search.wit_f.mid
+    e_times, f_times = Pw.left(e_w), Pw.left(f_w)
+    times_e, times_f = Pw.right(e_w), Pw.right(f_w)
     comp_minus, comp_plus = components
 
     for name, el in search.gens:
@@ -461,11 +461,11 @@ def _lemma2_impl(P, search, components):
         if done:
             break
         for lab, u in words.level(length):
-            gm = lower(_sandwich(Pw, e_w, u, f_w))
+            gm = lower(times_f(e_times(u)))
             if got_minus.add(gm):
                 items.append((f"e*{lab}*f", gm, f"word:{lab}"))
                 sides.append("-")
-            gp = lower(_sandwich(Pw, f_w, u, e_w))
+            gp = lower(times_e(f_times(u)))
             if got_plus.add(gp):
                 items.append((f"f*{lab}*e", gp, f"word:{lab}"))
                 sides.append("+")
@@ -795,9 +795,10 @@ def _brace_set(P, mid_name, mid, witnesses, lower, ee):
     decomposition right-words w (None is the empty word)."""
     out = []
     seen = SpanBuilder(P.field, P.dim)
+    mid_times, times_ee = P.left(mid), P.right(ee)
     for w_label, w in witnesses:
-        x = mid if w is None else P.mul(mid, lower(w))
-        br = P.brace(P.sub(x, P.mul(x, ee)))
+        x = mid if w is None else mid_times(lower(w))
+        br = P.brace(P.sub(x, times_ee(x)))
         if seen.add(br):
             out.append((f"{{{mid_name}*{w_label or '1'}*s}}", br, f"witness:{w_label or '1'}"))
     return out
@@ -821,10 +822,13 @@ def _lemma5_impl(P, grading, search):
     # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1.
     for items, sign in ((minus_items, 1), (plus_items, -1)):
         span = SpanBuilder(P.field, P.dim)
+        rs = P.elements(grading.parts[2 * sign])
+        r_times = [P.left(r) for r in rs]
         for _, m, _ in items:
-            for r in P.elements(grading.parts[2 * sign]):
-                span.add(P.mul(m, r))
-                span.add(P.mul(r, m))
+            m_times = P.left(m)
+            for r, times in zip(rs, r_times):
+                span.add(m_times(r))
+                span.add(times(m))
         spans_ok = spans_ok and span.subspace() == grading.parts[sign]
 
     info = {

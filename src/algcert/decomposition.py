@@ -74,14 +74,15 @@ def _corners(P, idempotents, grade):
     products per basis element."""
     m = len(idempotents)
     spans = defaultdict(lambda: SpanBuilder(P.field, P.dim))
+    times = [P.right(y) for y in idempotents]
     for i in range(P.dim):
         b = P.basis_element(i)
         left = [P.mul(x, b) for x in idempotents]
-        grid = [[P.mul(xb, y) for y in idempotents] for xb in left]
+        grid = [[by(xb) for by in times] for xb in left]
         for xb, row in zip(left, grid):
             row.append(reduce(P.sub, row, xb))
-        grid.append([reduce(P.sub, [row[c] for row in grid], P.mul(b, y))
-                     for c, y in enumerate(idempotents)])
+        grid.append([reduce(P.sub, [row[c] for row in grid], by(b))
+                     for c, by in enumerate(times)])
         grid[m].append(reduce(P.sub, left + grid[m], b))
         for a, row in enumerate(grid):
             for c, x in enumerate(row):

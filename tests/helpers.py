@@ -98,22 +98,27 @@ def oracle_until_stagnation(P, S, start_len=1, budget=None, max_rounds=12):
     return prev, length
 
 
-def _inverse(F, T):
-    """Gauss-Jordan inverse of a square matrix over the field F, or None."""
+def _adjugate(T):
+    """(det T, adj T) of a square integer matrix, by fraction-free
+    Gauss-Jordan elimination (Bareiss): every division is exact, and the
+    left block ends as det T times the identity. adj T is None when
+    det T = 0."""
     n = len(T)
-    rows = [list(T[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(T)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = F.inv(rows[col][col])
-        rows[col] = [F.mul(inv, x) for x in rows[col]]
-        for r in range(n):
-            c = rows[r][col]
-            if r != col and c:
-                rows[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+            return 0, None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        piv = top[k]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = piv
+    return prev, [row[n:] for row in rows]
 
 
 def scalar_table(P):
@@ -186,60 +191,66 @@ def dense_change_of_basis(P, seed):
     """P rewritten in the basis b'_i = sum_a T_ia b_a, for a seeded random
     matrix T with entries in [-2, 2] that is invertible over P's field.
 
-    The structure constants are read with ``mul_basis`` and transformed
-    with the field's scalar operations, not with ``P.mul``; the involution,
-    named vectors and the unit are re-expressed in the new basis.
+    The structure constants are read from P's integer tables, not with
+    ``P.mul``, and transformed as ints: T is invertible over the field
+    when its determinant delta is nonzero there, and then its inverse is
+    the integer matrix A = adj T over delta, so each new coordinate is one
+    integer sum over the table's denominator times delta, taken to a field
+    scalar once. The involution, named vectors and the unit are
+    re-expressed in the new basis.
     """
     F = P.field
     n = P.dim
     rng = random.Random(seed)
     while True:
-        T = [[F.coerce(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        Tinv = _inverse(F, T)
-        if Tinv is not None:
+        T = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        delta, A = _adjugate(T)
+        if F.from_pair(delta, 1):
             break
 
-    def to_new(v):
-        return [
-            _dot(F, (v[k] for k in range(n)), (Tinv[k][i] for k in range(n)))
-            for i in range(n)
-        ]
+    def to_new(v, d):
+        """The new coordinates, as field scalars, of the vector whose old
+        coordinates are the ints of the dict v {k: n} over d."""
+        out = [0] * n
+        for k, x in v.items():
+            if x:
+                out = [y + x * a for y, a in zip(out, A[k])]
+        return [F.from_pair(y, d * delta) for y in out]
 
-    def old_coords(i, vectors):
-        """sum_a T_ia vectors[a], in old coordinates."""
-        acc = [F.zero] * n
-        for a in range(n):
-            if T[i][a]:
-                acc = [F.add(x, F.mul(T[i][a], y)) for x, y in zip(acc, vectors[a])]
+    def combined(i, rows):
+        """sum_a T_ia rows[a] for dicts of ints {k: n}."""
+        acc = {}
+        for a, t in enumerate(T[i]):
+            if t:
+                for k, x in rows[a].items():
+                    acc[k] = acc.get(k, 0) + t * x
         return acc
 
-    basis_products = {
-        (a, b): [(k, c) for k, c in enumerate(P.mul_basis(a, b).coords) if c]
-        for a in range(n)
-        for b in range(n)
-    }
+    D, table = P._int_mul
+    # columns[b][a] = the integer row of b_a b_b over D.
+    columns = [[dict(table[a].get(b, ())) for a in range(n)] for b in range(n)]
     mul = []
     for i in range(n):
+        left = [combined(i, column) for column in columns]  # b'_i b_b over D
         for j in range(n):
-            acc = [F.zero] * n
-            for a in range(n):
-                for b in range(n):
-                    t = F.mul(T[i][a], T[j][b])
-                    for k, c in basis_products[(a, b)] if t else ():
-                        acc[k] = F.add(acc[k], F.mul(t, c))
-            mul.extend((i, j, k, c) for k, c in enumerate(to_new(acc)) if c)
+            mul.extend((i, j, k, c) for k, c in enumerate(to_new(combined(j, left), D)) if c)
     involution = None
     if P.has_involution:
-        stars = [P.involve(P.basis_element(a)).coords for a in range(n)]
+        S, star = P._int_star
+        star = [dict(row) for row in star]
         involution = [
             (i, j, c)
             for i in range(n)
-            for j, c in enumerate(to_new(old_coords(i, stars)))
+            for j, c in enumerate(to_new(combined(i, star), S))
             if c
         ]
 
+    def new_coords(v):
+        d, pairs = v.support
+        return to_new(dict(pairs), d)
+
     def named(vectors):
-        return {k: to_new(v.coords) for k, v in vectors.items()}
+        return {k: new_coords(v) for k, v in vectors.items()}
 
     return AlgebraPresentation(
         name=P.name + "_dense",
@@ -250,16 +261,8 @@ def dense_change_of_basis(P, seed):
         idempotents=named(P.idempotents),
         generators=named(P.generators),
         unital=P.unital,
-        unit=to_new(P.unit.coords) if P.unital else None,
+        unit=new_coords(P.unit) if P.unital else None,
     )
-
-
-def _dot(F, xs, ys):
-    acc = F.zero
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def m2(involution="none"):
@@ -353,13 +356,29 @@ def component_pair_gens(P, structure="assoc-pair"):
 
 
 def count_muls(monkeypatch):
-    """Count AlgebraPresentation.mul calls; returns a one-element list."""
+    """Count the products computed: ``AlgebraPresentation.mul`` calls and
+    the calls of the maps that ``left`` and ``right`` return from then on
+    (on a table whose products have one term each those maps call ``mul``
+    and are counted there). Returns a one-element list."""
     calls = [0]
     original = AlgebraPresentation.mul
+    operator = AlgebraPresentation._operator
 
     def counting(P, a, b):
         calls[0] += 1
         return original(P, a, b)
 
+    def counting_operator(P, a, on_left):
+        times = operator(P, a, on_left)
+        if P._table_bounds[0] == 1:
+            return times
+
+        def counted(b):
+            calls[0] += 1
+            return times(b)
+
+        return counted
+
     monkeypatch.setattr(AlgebraPresentation, "mul", counting)
+    monkeypatch.setattr(AlgebraPresentation, "_operator", counting_operator)
     return calls

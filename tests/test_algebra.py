@@ -415,3 +415,18 @@ def test_element_reduces_its_pairs():
     P = ac.build_matrix_algebra(2, FP)
     assert P.element([(1, 2), (0, 1), (0, 1), (0, 1)]).support == (1, ((0, 51),))
     assert P.element([(1, 2), (0, 1), (0, 1), (0, 1)]) == P.element([51, 0, 0, 0])
+
+
+def test_pair_with_a_denominator_divisible_by_p():
+    # Over F_101 the pair (1, 101) has no residue: element and scale refuse
+    # it as the constructor refuses such a scalar, not with pow's ValueError.
+    P = ac.build_matrix_algebra(2, FP)
+    with pytest.raises(FormatError, match="denominator divisible by 101"):
+        P.element([(1, 101), (0, 1), (0, 1), (0, 1)])
+
+
+def test_scale_by_a_pair_with_a_denominator_divisible_by_p():
+    P = ac.build_matrix_algebra(2, FP)
+    with pytest.raises(FormatError, match="denominator divisible by 101"):
+        P.scale((1, 101), P.basis_element(0))
+    assert P.scale((1, 2), P.basis_element(0)) == P.element([51, 0, 0, 0])

@@ -231,11 +231,8 @@ def test_mul_rejects_an_operand_of_another_dimension(name):
                 P.mul(left, right)
 
 
-def test_wide_slots_keep_the_loop(monkeypatch):
-    """Past 256-bit slots a packed multiply-add costs more than the loop's
-    small ones: a dense product at s = 256 reads packed rows, one at
-    s = 512 does not, and both equal the scalar loop."""
-    P = DENSE_M3["Q"]
+def _record_packed_widths(monkeypatch):
+    """The widths of the packed rows read from now on, in order."""
     widths = []
     packed_rows = AlgebraPresentation._packed_rows
 
@@ -244,12 +241,118 @@ def test_wide_slots_keep_the_loop(monkeypatch):
         return packed_rows(P, s)
 
     monkeypatch.setattr(AlgebraPresentation, "_packed_rows", counted)
+    return widths
+
+
+def test_wide_slots_are_packed(monkeypatch):
+    """A one-shot dense product at s = 256 and one at s = 512 sum on packed
+    rows of their width; one at s = 1024 takes the loop, and an operator
+    packs at that width. All equal the scalar loop."""
+    P = DENSE_M3["Q"]
+    widths = _record_packed_widths(monkeypatch)
     a, b, _ = [pair for pair in _edge_pairs(P) if _slot_width(P, *pair[:2]) == 256][0]
-    wide = P.scale(1 << 200, a)
-    assert _slot_width(P, wide, b) == 512
-    for x, y in ((a, b), (wide, b)):
+    wide, wider = P.scale(1 << 200, a), P.scale(1 << 500, a)
+    assert (_slot_width(P, wide, b), _slot_width(P, wider, b)) == (512, 1024)
+    for x, y in ((a, b), (wide, b), (wider, b)):
         assert P.mul(x, y).coords == _fraction_mul(P, x, y)
-    assert widths == [256]
+    assert widths == [256, 512]
+    assert P.left(wider)(b).coords == _fraction_mul(P, wider, b)
+    assert widths == [256, 512, 1024]
+
+
+def _operands(P):
+    """(zero, one-term, full) operands: 0, -7/3 b_4 and the element with
+    coordinates (3i - 11) / (i + 1), all nonzero, as pairs (residues over
+    F_p)."""
+    return (
+        P.zero(),
+        P.scale((-7, 3), P.basis_element(4)),
+        P.element([(3 * i - 11, i + 1) for i in range(P.dim)]),
+    )
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_M3))
+def test_operators_equal_the_scalar_loop_at_every_width(field):
+    """One left and one right operator per operand, each reused over right
+    (left) factors scaled by 2^k: over Q the products reach every slot
+    width from 32 to 2048 bits, over F_p the widths its residues reach.
+    Every product equals the scalar loop and ``mul``."""
+    P = DENSE_M3[field]
+    operands = _operands(P)
+    widths = set()
+    for a in operands:
+        left, right = P.left(a), P.right(a)
+        for b in operands:
+            for k in range(0, 1900, 23):
+                c = P.scale(1 << k, b)
+                widths.add(_slot_width(P, a, c))
+                assert left(c).coords == _fraction_mul(P, a, c) == P.mul(a, c).coords
+                assert right(c).coords == _fraction_mul(P, c, a) == P.mul(c, a).coords
+    if field == "Q":
+        assert {32, 64, 128, 256, 512, 1024, 2048} <= widths
+
+
+def test_an_operator_packs_once_per_width(monkeypatch):
+    """A left operator reads the packed rows once for each width it meets,
+    and a product at a width it has met reads none."""
+    P = DENSE_M3["Q"]
+    _, b, a = _operands(P)
+    factors = [P.scale(1 << k, b) for k in (0, 0, 300, 0, 300, 900)]
+    expected = [P.mul(a, c) for c in factors]
+    left = P.left(a)
+    widths = _record_packed_widths(monkeypatch)
+    assert [left(c) for c in factors] == expected
+    assert widths == [_slot_width(P, a, factors[k]) for k in (0, 2, 5)] == [64, 512, 1024]
+
+
+@pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "example2-D2-Q"])
+@KERNEL
+@given(data=st.data())
+def test_one_term_operators_are_mul(name, data):
+    """On a table whose products have one term each, ``left`` and
+    ``right`` give ``mul``'s products and read no packed rows."""
+    P = PRESENTATIONS[name]
+    assert P._table_bounds[0] == 1
+    a = data.draw(_elements(P))
+    b = data.draw(_elements(P))
+    with pytest.MonkeyPatch.context() as m:
+        widths = _record_packed_widths(m)
+        assert P.left(a)(b) == P.mul(a, b)
+        assert P.right(a)(b) == P.mul(b, a)
+    assert widths == []
+
+
+@pytest.mark.parametrize("field", sorted(DENSE_M3))
+def test_a_zero_operand_packs_nothing(monkeypatch, field):
+    """A product with a zero operand is the zero element and reads no
+    packed rows, through ``mul`` and through either operator; and theorem 1
+    on a fresh dense M3 builds no rows of width 2, the width of a zero
+    bound."""
+    P = DENSE_M3[field]
+    zero, b, a = _operands(P)
+    widths = _record_packed_widths(monkeypatch)
+    for x in (a, b, zero):
+        for product in (P.mul(zero, x), P.mul(x, zero), P.left(zero)(x), P.left(x)(zero),
+                        P.right(zero)(x), P.right(x)(zero)):
+            assert product == zero
+    assert widths == []
+    monkeypatch.undo()
+    fresh = dense_change_of_basis(ac.build_matrix_algebra(3, ac.field_from_name(field), "flip"), 1)
+    opts = argparse.Namespace(seed=3, cap=6, trials=8, max_gen=5)
+    assert cc.certify(fresh, "thm1", opts).verdict == "pass"
+    assert fresh._packed and 2 not in fresh._packed
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_operators_reject_an_operand_of_another_dimension(name):
+    P = PRESENTATIONS[name]
+    short = Element._of(P.field, P.dim - 1, (1, ((0, 1),)))
+    b = P.basis_element(0)
+    for make in (P.left, P.right):
+        with pytest.raises(DimensionError):
+            make(short)
+        with pytest.raises(DimensionError):
+            make(b)(short)
 
 
 def test_sparse_tables_keep_the_loop(monkeypatch):

@@ -15,7 +15,6 @@ from algcert.algebra import Element, ideal_span
 from algcert.certificates import (
     _SandwichWitnesses,
     _WordLevels,
-    _sandwich,
     _working,
     random_element,
     random_scalar,
@@ -177,6 +176,13 @@ def test_random_element_on_the_zero_subspace():
     assert P.is_zero(random_element(P, random.Random(0), zero))
     with pytest.raises(ValueError):
         random_element(P, random.Random(0), zero, nonzero=True)
+
+
+def _sandwich(Pw, u, mid, v):
+    """u * mid * v by one-shot products, where u, v may be None (the
+    empty word)."""
+    left = mid if u is None else Pw.mul(u, mid)
+    return left if v is None else Pw.mul(left, v)
 
 
 class _UncachedWitnesses(_SandwichWitnesses):
@@ -349,6 +355,8 @@ def test_witness_search_computes_each_left_factor_once(monkeypatch, name):
         levels = [[("", None)]] + [words.level(n) for n in range(1, L + 1)]
         calls, skipped, products = _expected_witness_run(Pw, search.mid, levels, L)
         muls = count_muls(monkeypatch)
+        # A search built now counts the products of its operators too.
+        search = _SandwichWitnesses(Pw, search.mid, words, 3)
         search._grow_to(L)
         monkeypatch.undo()
         assert muls[0] == calls
@@ -384,7 +392,7 @@ def test_reach_index_yields_the_words_that_meet_the_reach(name):
             upto = search.words.words_upto(length, include_empty=True)
             n_old = len(upto) - len(search.words.level(length)) if length else 0
             assert len(search.lefts) == len(upto)
-            for left, reach in search.lefts:
+            for left, _, reach in search.lefts:
                 table_reach = _table_reach(Pw, left)
                 assert reach == table_reach
                 for start in {1, max(n_old, 1)}:

@@ -61,6 +61,7 @@ INSTANCES = {
     "M16-flip-Fp10007": _flip(16, "Fp:10007"),
     "M4-flip-Q-dense": _dense_flip(4, "Q"),
     "M5-flip-Q-dense": _dense_flip(5, "Q"),
+    "M6-flip-Q-dense": _dense_flip(6, "Q"),
     "example2-D12-Q": _example2(12, "Q"),
     "example2-D24-Q": _example2(24, "Q"),
 }
