@@ -16,14 +16,28 @@ of a (``_reach``), the indices j with b_i * b_j != 0 for some i in its
 support, tells which products a * b can be nonzero, and callers skip the
 others.
 
-On a table with a product of more than one term, a product is summed on
-the table's rows packed into slots of one big int each (Kronecker
+Every product goes through one integer kernel, ``_ints``: it returns a * b
+as an int vector (d, nums), the dict of its nonzero integer coordinates
+over d = da db D (residues over F_p, reduced before anything tests for
+zero). On a table with a product of more than one term, it sums the
+table's rows packed into slots of one big int each (Kronecker
 substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
-section 8.4) and unpacked once. ``mul`` sums the packed rows of each pair
-of the supports, and a caller that multiplies one factor by many holds
-its operator instead (``left``, or ``right`` for a right factor), which
-packs that factor once per slot width, so each product costs one
-multiply-add per term of the other factor.
+section 8.4) and unpacks once: over the packed rows of each pair of the
+supports for a one-shot product, or on a factor's packed operator
+(``_operator``), built once per slot width, so that each product costs
+one multiply-add per term of the other factor.
+
+A product that only feeds a span (``linalg.SpanBuilder``) or the
+combination solver stays an int vector, which both take as it is: the
+closure rounds, ``ideal_span``'s seeds, the bracket spans, the corners of
+``decomposition`` and the witness search. A factor of many products is
+held once (``_factor``: its support's indices, its reach and its left
+operator), and ``_product`` and ``_bracket`` multiply factors only where
+the reach allows, [u, v] as one int vector uv - vu. Elements are built in
+``_element``, for a vector that grew a span and is kept as a factor (see
+``closure``), and in ``mul`` and the maps ``left`` and ``right`` return,
+for the products that callers keep as Elements (words, witnesses,
+generators).
 
 The constructor checks each row of the table and of the involution once,
 in one loop per table that takes each scalar to its exact pair (n, d)
@@ -42,7 +56,7 @@ therefore memoised on the presentation, and so are its packed rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -144,6 +158,30 @@ class Element:
         return f"Element(coords={self.coords!r})"
 
 
+@dataclass(slots=True)
+class _Operator:
+    """A factor's packed operator (``AlgebraPresentation._operator``): its
+    side, the bound 2 X T of its support's abs sum X times the largest
+    constant T, and the {j: Q_j} of each slot width met so far."""
+
+    on_left: bool
+    bound: int
+    widths: dict = dataclass_field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _Factor:
+    """An element held as a factor of many products
+    (``AlgebraPresentation._factor``): the element, the set of its support's
+    indices, its reach and its left operator (None on a one-term table or
+    for a factor not held)."""
+
+    el: Element
+    indices: set
+    reach: set
+    op: _Operator | None
+
+
 class AlgebraPresentation:
     def __init__(
         self,
@@ -167,6 +205,8 @@ class AlgebraPresentation:
             raise FormatError("basis labels must be unique")
         self._set_mul_tables(mul)
         self._set_star_tables(involution)
+        self._p = getattr(field, "p", 0)  # p over F_p, 0 over Q
+        self._zero = Element._of(field, self.dim, (1, ()))
         self.idempotents = {
             str(k): self.element(v) for k, v in dict(idempotents or {}).items()
         }
@@ -327,7 +367,7 @@ class AlgebraPresentation:
         return [Element._of(F, dim, (row[0][1], row)) for row in sub.rows]
 
     def zero(self):
-        return Element._of(self.field, self.dim, (1, ()))
+        return self._zero
 
     def basis_element(self, i):
         if self._basis_cache is None:
@@ -410,51 +450,50 @@ class AlgebraPresentation:
             total += x * inner
         return total
 
-    def _unpacked(self, total, s, d):
-        """The element whose integer coordinates over d are the balanced
-        s-bit digits of the packed sum total."""
-        acc = _balanced_digits(total, s)
-        if not acc:
-            return self.zero()
-        return self._from_ints(acc, d)
-
-    def mul(self, a, b):
-        """Bilinear extension of the structure constants: integer products
-        over the supports of a and b, summed into a dict keyed by output
-        index, one division per nonzero coordinate. A zero operand, or a
-        product whose terms all vanish, is the zero element, with no
-        division.
+    def _ints(self, a, b, op=None):
+        """The product kernel: a * b as an int vector (d, nums), the dict
+        nums of its nonzero integer coordinates over d = da db D (residues
+        over F_p), for the supports (da, sa) and (db, sb) and the table over
+        D. A zero operand gives an empty dict, with no width computed.
 
         When some b_i * b_j has more than one term, the products are summed
-        on packed rows (``_packed_product``): one big-int multiply-add per
-        pair of the supports, then one balanced-digit unpack (Kronecker
-        substitution). Slot k of the sum is sum x_i y_j c_ijk, within X Y T
-        of zero for X = sum |x_i|, Y = sum |y_j| and T the largest |c|; a
-        width s with 2 X Y T < 2^s keeps every slot strictly inside
-        +-2^(s-1), so the balanced digits are the slots exactly, over Q and
-        over F_p alike. s is rounded up to a power of two, so that few
-        widths of packed rows are built. Tables whose products have one
-        term each keep the loop over the supports, and so do slots wider
-        than ``_PACKED_WIDTH_MAX`` bits, where the loop is faster.
-
-        ``mul`` is the one-shot product: its |sa| |sb| multiply-adds cost
-        less than packing a for one use. A caller that multiplies one left
-        factor by many right factors holds its operator (``left``; ``right``
-        for a right factor).
+        on packed rows: one big-int multiply-add per pair of the supports
+        (``_packed_product``), or, given op, the packed operator of a
+        (op.on_left) or of b (``_operator``), one per term of the other
+        factor; then one balanced-digit unpack (Kronecker substitution).
+        Slot k of the sum is sum x_i y_j c_ijk, within X Y T of zero for
+        X = sum |x_i|, Y = sum |y_j| and T the largest |c|; a width s with
+        2 X Y T < 2^s keeps every slot strictly inside +-2^(s-1), so the
+        balanced digits are the slots exactly, over Q and over F_p alike.
+        s is rounded up to a power of two, so that few widths of packed
+        rows are built. Tables whose products have one term each keep the
+        loop over the supports, and so do one-shot products with slots
+        wider than ``_PACKED_WIDTH_MAX`` bits, where the loop is faster.
         """
-        if a._dim != self.dim or b._dim != self.dim:
-            raise DimensionError("element dimension mismatch")
         D, rows = self._int_mul
         da, sa = a.support
         db, sb = b.support
+        d = da * db * D
         if not sa or not sb:
-            return self.zero()
+            return d, {}
         w, top = self._table_bounds
         if w > 1:
-            bound = 2 * sum(abs(x) for _, x in sa) * sum(abs(y) for _, y in sb) * top
-            s = _slot_width(bound)
-            if s <= _PACKED_WIDTH_MAX:
-                return self._unpacked(self._packed_product(sa, sb, s), s, da * db * D)
+            if op is not None:
+                held, other = (sa, sb) if op.on_left else (sb, sa)
+                s = _slot_width(op.bound * sum(abs(y) for _, y in other))
+                q = op.widths.get(s)
+                if q is None:
+                    q = self._pack_operator(op, held, s)
+                total = 0
+                for j, y in other:
+                    Q = q.get(j)
+                    if Q:
+                        total += y * Q
+            else:
+                s = _slot_width(2 * sum(abs(x) for _, x in sa) * sum(abs(y) for _, y in sb) * top)
+                total = self._packed_product(sa, sb, s) if s <= _PACKED_WIDTH_MAX else None
+            if total is not None:
+                return d, self._reduced(_balanced_digits(total, s))
         acc = {}
         for i, x in sa:
             row = rows[i]
@@ -466,74 +505,170 @@ class AlgebraPresentation:
                     xy = x * y
                     for k, c in entries:
                         acc[k] = acc.get(k, 0) + xy * c
-        if not any(acc.values()):
-            return self.zero()
-        return self._from_ints(acc, da * db * D)
+        return d, self._reduced(acc)
+
+    def _reduced(self, nums):
+        """The nonzero entries of the int dict nums, residues over F_p; over
+        Q nums itself when it has no zero entry."""
+        p = self._p
+        if p:
+            return {k: r for k, n in nums.items() if (r := n % p)}
+        if 0 in nums.values():
+            return {k: n for k, n in nums.items() if n}
+        return nums
+
+    def _element(self, vec):
+        """The Element of the int vector vec = (d, nums), the zero element
+        with no division when nums is empty."""
+        d, nums = vec
+        if not nums:
+            return self._zero
+        if self._p and d == 1:
+            # Nonzero residues over 1 need no division.
+            return Element._of(self.field, self.dim, (1, tuple(sorted(nums.items()))))
+        return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
+
+    def _combination(self, first, rest, sign=-1):
+        """first + sign * sum(rest), for sign = 1 or -1 and Elements or int
+        vectors, as one int vector over the lcm of their denominators. Zero
+        terms are dropped first, and an int vector first with every rest
+        zero is returned as it is."""
+        m, nums = first.support if type(first) is Element else first
+        parts = [(1, m, nums)] if nums else []
+        for v in rest:
+            d, nums = v.support if type(v) is Element else v
+            if nums:
+                parts.append((sign, d, nums))
+                m = lcm(m, d)
+        if not parts:
+            return 1, {}
+        if len(parts) == 1 and parts[0][0] == 1 and type(parts[0][2]) is dict:
+            return m, parts[0][2]
+        acc = {}
+        for f, d, nums in parts:
+            f *= m // d
+            for k, n in nums.items() if type(nums) is dict else nums:
+                acc[k] = acc.get(k, 0) + f * n
+        return m, self._reduced(acc)
+
+    def mul(self, a, b):
+        """Bilinear extension of the structure constants: the product kernel
+        (``_ints``) made an Element, one division per nonzero coordinate. A
+        zero operand, or a product whose terms all vanish, is the zero
+        element, with no division.
+
+        ``mul`` is the one-shot product: on a table with a product of more
+        than one term its |sa| |sb| multiply-adds cost less than packing a
+        for one use. A caller that multiplies one left factor by many right
+        factors holds its operator (``left``; ``right`` for a right
+        factor), and a product that only feeds a span stays an int vector
+        (``_ints``, ``_product``, ``_bracket``).
+        """
+        if a._dim != self.dim or b._dim != self.dim:
+            raise DimensionError("element dimension mismatch")
+        # ``_element``, inlined: mul makes most of the Elements kept.
+        d, nums = self._ints(a, b)
+        if not nums:
+            return self._zero
+        if self._p and d == 1:
+            return Element._of(self.field, self.dim, (1, tuple(sorted(nums.items()))))
+        return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
 
     def left(self, a):
         """The map x -> a * x, for a left factor a that multiplies many
-        right factors (``_operator``)."""
-        return self._operator(a, True)
+        right factors: ``mul`` on a table whose products have one term
+        each, else the kernel on a's packed operator (``_operator``)."""
+        op = self._operator(a, True)
+        if op is None:
+            return functools.partial(self.mul, a)
+
+        def times(b):
+            if b._dim != self.dim:
+                raise DimensionError("element dimension mismatch")
+            return self._element(self._ints(a, b, op))
+
+        return times
 
     def right(self, a):
         """The map x -> x * a, for a right factor a that many left factors
-        multiply (``_operator``)."""
-        return self._operator(a, False)
+        multiply, built as ``left`` is."""
+        op = self._operator(a, False)
+        if op is None:
+            return lambda b: self.mul(b, a)
+
+        def times(b):
+            if b._dim != self.dim:
+                raise DimensionError("element dimension mismatch")
+            return self._element(self._ints(b, a, op))
+
+        return times
 
     def _operator(self, a, on_left):
-        """The map x -> a * x (on_left) or x -> x * a.
+        """The packed operator of a as a left factor (on_left) or as a right
+        one, for ``_ints``; None on a table whose products have one term
+        each, where the kernel keeps its loop.
 
-        On a table with a product of more than one term, the map packs a
-        once per slot width s over the packed rows P_ij of b_i * b_j:
+        Over the packed rows P_ij of b_i * b_j at a slot width s, it holds
         Q_j = sum_i x_i P_ij on the left, so that a * b = sum_j y_j Q_j, and
-        Q_j = sum_i x_i P_ji on the right, so that b * a = sum_j y_j Q_j.
-        A product is then one multiply-add per term of b in place of one
-        per pair of the supports, and the unpack ``mul`` does; s is
-        ``mul``'s width for the pair, and the Q_j of each width are built on
-        first use and live as long as the map. On a table whose products
-        have one term each the map is ``mul`` itself.
+        Q_j = sum_i x_i P_ji on the right, so that b * a = sum_j y_j Q_j. A
+        product is then one multiply-add per term of b in place of one per
+        pair of the supports; s is the kernel's width for the pair, and the
+        Q_j of each width are built on first use and live as long as the
+        operator. Operators have no width cap.
         """
         if a._dim != self.dim:
             raise DimensionError("element dimension mismatch")
         w, top = self._table_bounds
         if w == 1:
-            return functools.partial(self.mul, a) if on_left else lambda x: self.mul(x, a)
-        D, _ = self._int_mul
-        da, sa = a.support
-        xt = 2 * sum(abs(x) for _, x in sa) * top
-        operators = {}  # s -> {j: Q_j}
+            return None
+        return _Operator(on_left, 2 * sum(abs(x) for _, x in a.support[1]) * top)
 
-        def times(b):
-            if b._dim != self.dim:
-                raise DimensionError("element dimension mismatch")
-            db, sb = b.support
-            if not sa or not sb:
-                return self.zero()
-            s = _slot_width(xt * sum(abs(y) for _, y in sb))
-            op = operators.get(s)
-            if op is None:
-                op = operators[s] = {}
-                packed = self._packed_rows(s)
-                if on_left:
-                    for i, x in sa:
-                        for j, p in packed[i].items():
-                            op[j] = op.get(j, 0) + x * p
-                else:
-                    for j, row in enumerate(packed):
-                        q = 0
-                        for i, x in sa:
-                            p = row.get(i)
-                            if p:
-                                q += x * p
-                        op[j] = q
-            total = 0
-            for j, y in sb:
-                q = op.get(j)
-                if q:
-                    total += y * q
-            return self._unpacked(total, s, da * db * D)
+    def _pack_operator(self, op, held, s):
+        """The {j: Q_j} of op at width s, for the support held of its
+        factor, stored on op."""
+        packed = self._packed_rows(s)
+        q = op.widths[s] = {}
+        if op.on_left:
+            for i, x in held:
+                for j, p in packed[i].items():
+                    q[j] = q.get(j, 0) + x * p
+        else:
+            for j, row in enumerate(packed):
+                t = 0
+                for i, x in held:
+                    p = row.get(i)
+                    if p:
+                        t += x * p
+                if t:
+                    q[j] = t
+        return q
 
-        return times
+    def _factor(self, a, held=True):
+        """a held as a factor of many products (``_Factor``): the indices
+        of its support, its reach and, when held, its left operator."""
+        return _Factor(a, {i for i, _ in a.support[1]}, self._reach(a),
+                       self._operator(a, True) if held else None)
+
+    def _product(self, u, v):
+        """u * v for the factors u and v as an int vector (``_ints``),
+        computed on u's left operator, and only where the reach of u meets
+        the support of v; an empty dict otherwise."""
+        if u.reach.isdisjoint(v.indices):
+            return u.el.support[0] * v.el.support[0] * self._int_mul[0], {}
+        return self._ints(u.el, v.el, u.op)
+
+    def _bracket(self, u, v):
+        """[u, v] = uv - vu for the factors u and v as one int vector: both
+        sides lie over du dv D, and each is computed only where the reach
+        allows (``_product``)."""
+        d, uv = self._product(u, v)
+        _, vu = self._product(v, u)
+        if not vu:
+            return d, uv
+        acc = dict(uv)
+        for k, n in vu.items():
+            acc[k] = acc.get(k, 0) - n
+        return d, self._reduced(acc)
 
     def mul_basis(self, i, j):
         """Product of two basis elements, as an Element."""
@@ -557,8 +692,8 @@ class AlgebraPresentation:
 
     def commutator(self, a, b):
         """ab - ba, each product taken only when the reach allows it to be
-        nonzero (``_product_or_zero``)."""
-        return self.sub(_product_or_zero(self, a, b), _product_or_zero(self, b, a))
+        nonzero (``_bracket``)."""
+        return self._element(self._bracket(self._factor(a, False), self._factor(b, False)))
 
     def circle(self, a, b):
         half = self._half
@@ -609,14 +744,6 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name!r}, dim={self.dim})"
-
-
-def _product_or_zero(P, a, b):
-    """a * b, or the zero element with no product when the support of b
-    misses the reach of a."""
-    if P._reach(a).isdisjoint(i for i, _ in b.support[1]):
-        return P.zero()
-    return P.mul(a, b)
 
 
 def unital_hull(P):
@@ -673,12 +800,14 @@ def restrict_from_hull(P, el):
 
 
 def _ideal_round(P, vectors, old, n):
+    """b_i r and r b_i for each new vector r and basis element b_i, each
+    only where the reach allows (``_product``), as int vectors."""
     (vectors,), (old,), (n,) = vectors, old, n
+    basis = _basis_factors(P)
     for r in vectors[old:n]:
-        for i in range(P.dim):
-            e_i = P.basis_element(i)
-            yield 0, P.mul(e_i, r)
-            yield 0, P.mul(r, e_i)
+        for b_i in basis:
+            yield 0, P._product(b_i, r)
+            yield 0, P._product(r, b_i)
 
 
 def _ideal_closure(P, seeds):
@@ -694,7 +823,8 @@ def ideal_span(P, x, unit_coeff=0):
     gives R(1+x)R, which is how complements like 1-e are handled without
     leaving the algebra. The seeds are the products (b_i x + c b_i) b_j for
     the b_j in the reach of the left factor, in index order; the others are
-    zero, and a zero left factor yields none.
+    zero, and a zero left factor yields none. Each seed is the int vector
+    of its product (``AlgebraPresentation._ints``).
     """
     coeff = _exact_pair(P.field, unit_coeff)
 
@@ -707,7 +837,7 @@ def ideal_span(P, x, unit_coeff=0):
             if coeff[0]:
                 left = P.add(left, P.scale(coeff, b_i))
             for j in sorted(P._reach(left)):
-                yield P.mul(left, P.basis_element(j))
+                yield P._ints(left, P.basis_element(j))
 
     return _ideal_closure(P, products())
 
@@ -744,6 +874,12 @@ def _per_presentation(fn):
         return P._memo[fn]
 
     return memoised
+
+
+@_per_presentation
+def _basis_factors(P):
+    """The basis elements as factors not held (``_factor``)."""
+    return [P._factor(P.basis_element(i), False) for i in range(P.dim)]
 
 
 def _generators_generate(P, e):

@@ -177,27 +177,29 @@ def _hypothesis_certificate(P, claim, results, seed=None, extra=None):
 def _bracket_span(P, rows):
     """Span of all [r_i, r_j], i < j, over the elements rows. [u, v] is
     zero unless the support of one meets the reach of the other: with each
-    row's support and reach taken once and the rows indexed by support, only
-    those pairs are bracketed (uv, vu each only where the reach allows), and
-    a bracket equal to +-w for a w that grew the span is skipped. The span
-    is canonical, so neither shortcut changes it."""
-    supports = [[i for i, _ in v.support[1]] for v in rows]
-    reaches = [P._reach(v) for v in rows]
+    row held as a factor once (its support, its reach and its left
+    operator) and the rows indexed by support, only those pairs are
+    bracketed, each as one int vector (``AlgebraPresentation._bracket``).
+    A one-term bracket c b_k whose index k an earlier one had is skipped:
+    b_k is in the span once any c b_k was added. The span is canonical, so
+    neither shortcut changes it."""
+    factors = [P._factor(v) for v in rows]
     holds = {}  # basis index -> positions of the rows whose support holds it
-    for q, s in enumerate(supports):
-        for i in s:
+    for q, f in enumerate(factors):
+        for i in f.indices:
             holds.setdefault(i, []).append(q)
-    pairs = {(min(p, q), max(p, q)) for p, r in enumerate(reaches)
-             for i in r for q in holds.get(i, ()) if q != p}
+    pairs = {(min(p, q), max(p, q)) for p, f in enumerate(factors)
+             for i in f.reach for q in holds.get(i, ()) if q != p}
     b = SpanBuilder(P.field, P.dim)
-    grew = set()
+    units = set()  # the indices k of the one-term brackets c b_k added
     for p, q in sorted(pairs):
-        u, v = rows[p], rows[q]
-        uv = P.mul(u, v) if not reaches[p].isdisjoint(supports[q]) else P.zero()
-        vu = P.mul(v, u) if not reaches[q].isdisjoint(supports[p]) else P.zero()
-        w = P.sub(uv, vu)
-        if w not in grew and b.add(w):
-            grew.update((w, P.neg(w)))
+        w = P._bracket(factors[p], factors[q])
+        if len(w[1]) == 1:
+            k, = w[1]
+            if k in units:
+                continue
+            units.add(k)
+        b.add(w)
     return b.subspace()
 
 
@@ -299,7 +301,10 @@ class _SandwichWitnesses:
     the words that ``index`` (basis index -> positions of the words whose
     support holds it) finds in its reach. Each u*mid multiplies every word
     it meets, now and at later lengths, so it is kept with its left
-    operator (``AlgebraPresentation.left``), and mid with its right one.
+    operator (``AlgebraPresentation._operator``), and mid with its right
+    one. The products reach the solver as int vectors
+    (``AlgebraPresentation._ints``), reduced mod p over F_p before the
+    zero test, so that ``products`` and the solver's inputs stay in step.
     Once the solver's span is full, no later input can enter a solution,
     and none is added.
     """
@@ -312,7 +317,7 @@ class _SandwichWitnesses:
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
         self.products = []  # (u_label, u_el, v_label, v_el) per solver input
-        self.lefts = []  # (u * mid, its operator, its reach) for each word u so far
+        self.lefts = []  # (u * mid, its left operator, its reach) for each word u so far
         self.index = {}  # basis index -> positions in words_upto, ascending
         self.length = -1
 
@@ -343,17 +348,21 @@ class _SandwichWitnesses:
             def pairs():
                 for ul, u in new:
                     left = mid if u is None else self.times_mid(u)
-                    times, reach = Pw.left(left), Pw._reach(left)
-                    self.lefts.append((left, times, reach))
+                    op, reach = Pw._operator(left, True), Pw._reach(left)
+                    self.lefts.append((left, op, reach))
                     for pos in [0] + self._meeting(reach, 1):
-                        yield ul, u, left, times, upto[pos]
-                for (ul, u), (left, times, reach) in zip(upto[:n_old], self.lefts):
+                        yield ul, u, left, op, upto[pos]
+                for (ul, u), (left, op, reach) in zip(upto[:n_old], self.lefts):
                     for pos in self._meeting(reach, n_old):
-                        yield ul, u, left, times, upto[pos]
+                        yield ul, u, left, op, upto[pos]
 
-            for ul, u, left, times, (vl, v) in pairs():
-                prod = left if v is None else times(v)
-                if Pw.is_zero(prod):
+            for ul, u, left, op, (vl, v) in pairs():
+                if v is None:
+                    prod, zero = left, Pw.is_zero(left)
+                else:
+                    prod = Pw._ints(left, v, op)
+                    zero = not prod[1]
+                if zero:
                     continue
                 self.products.append((ul, u, vl, v))
                 if solver.add(prod) and solver.rank == Pw.dim:
@@ -767,7 +776,7 @@ def lemma4_check(P, e=None):
         bracket_span = _bracket_span(P, P.elements(K1))
         sq = SpanBuilder(P.field, P.dim)
         for k in _squares_family(P, K1):
-            sq.add(P.mul(k, k))
+            sq.add(P._ints(k, k))
         square_span = sq.subspace()
         checks[f"K_{2 * sigma}=[K_{sigma},K_{sigma}]"] = bracket_span == K2
         checks[f"H_{2 * sigma}=span(k^2)"] = square_span == H2
@@ -819,16 +828,17 @@ def _lemma5_impl(P, grading, search):
     plus_items = _brace_set(P, "e*", grading.estar, wit_plus, search.lower, ee)
 
     spans_ok = True
-    # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1.
+    # R_{2s} times M_{-s} on both sides must span R_s, for s = 1, -1. Each
+    # r and m is held as a factor, and each product enters the span as an
+    # int vector.
     for items, sign in ((minus_items, 1), (plus_items, -1)):
         span = SpanBuilder(P.field, P.dim)
-        rs = P.elements(grading.parts[2 * sign])
-        r_times = [P.left(r) for r in rs]
+        rs = [P._factor(r) for r in P.elements(grading.parts[2 * sign])]
         for _, m, _ in items:
-            m_times = P.left(m)
-            for r, times in zip(rs, r_times):
-                span.add(m_times(r))
-                span.add(times(m))
+            m = P._factor(m)
+            for r in rs:
+                span.add(P._product(m, r))
+                span.add(P._product(r, m))
         spans_ok = spans_ok and span.subspace() == grading.parts[sign]
 
     info = {
@@ -1057,9 +1067,11 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     for sigma in (1, -1):
         fam = _squares_family(P, kh.graded[sigma][0])
         families[sigma] = fam
+        # Only the indices of a solution are read, so the solver takes
+        # each square as its int vector.
         sol = CombinationSolver(P.field, P.dim)
         for k in fam:
-            sol.add(P.mul(k, k))
+            sol.add(P._ints(k, k))
         solvers[sigma] = sol
     sym_parts = []  # (label, h = p + p*, witness ks)
     for source, sigma in ((P2, 1), (Pm2, -1)):
@@ -1136,7 +1148,7 @@ def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
         right_rows = P.elements(right)
         for u in P.elements(left):
             for v in right_rows:
-                D.add(P.mul(u, v))
+                D.add(P._ints(u, v))
     D_rows = P.elements(D.subspace())
 
     rng = random.Random(seed)
@@ -1159,7 +1171,7 @@ def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
                 for x in w[1:]:
                     el = P.mul(el, x)
                 for d in D_rows:
-                    span.add(P.mul(el, d))
+                    span.add(P._ints(el, d))
         return span
 
     checked = 0

@@ -10,6 +10,16 @@ against everything seen so far, so work per round is proportional to the
 new material, while the final echelonized subspaces are canonical and
 schedule-independent. A round stops once every side is full.
 
+A product that only feeds a span stays an integer vector: the rounds
+multiply factors (``AlgebraPresentation._factor``) through the product
+kernel and yield int vectors, which the spans take as they are. Most
+products grow nothing and are never Elements. A vector that grows its side
+becomes an Element, held as a factor with its reach and its packed left
+operator, when the round that first multiplies it starts, and every later
+round reuses both: a bracket or product is computed only where the reach
+allows, and on a table with products of more than one term it costs one
+multiply-add per term of the other factor.
+
 A final is closed by its own rounds, with no re-check. A round multiplies
 each vector found in the previous round with every vector found so far
 (triples skip only those of three old vectors), so each product of
@@ -139,11 +149,19 @@ class ClosureTrace:
 def _saturate_linear(P, seeds, product_round, ceilings=None):
     """Saturate one span per side, from one iterable of seeds per side.
 
-    product_round(P, vectors, old, n) yields (side, product) for the
+    product_round(P, factors, old, n) yields (side, product) for the
     products involving a vector found in the previous round, those at
     index old[s] to n[s] on side s. A round's rank is the total over the
     sides. Every product is taken once its newest factor is found, so when
     a round adds nothing, or every side is full, the finals are closed.
+
+    The products are int vectors (``AlgebraPresentation._ints``), and
+    seeds may be too. A vector that grows its side is kept as it came; it
+    becomes an Element, held as a factor with its reach and its left
+    operator (``AlgebraPresentation._factor``), when the round that
+    multiplies it first starts, and keeps them for every later round. So
+    a product that grows nothing is never an Element, and neither is a
+    vector of a side that ends full or at its ceiling before it is used.
 
     ``ceilings`` holds one rank per side that the side's final is known to
     reach once closed (the rank of a closed span that holds it; see
@@ -157,6 +175,7 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
         ceilings = [P.dim] * len(seeds)
     builders = [SpanBuilder(P.field, P.dim) for _ in seeds]
     vectors = [[] for _ in seeds]
+    factors = [[] for _ in seeds]
     done = [False] * len(seeds)
     for side, els in enumerate(seeds):
         # Seeds may be a lazy stream of products; a side at its ceiling
@@ -178,9 +197,11 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
         # side is there, and the next one records the stagnation without
         # computing products.
         if not all(done):
-            for side, el in product_round(P, vectors, old, n):
-                if not done[side] and builders[side].add(el):
-                    vectors[side].append(el)
+            for side, vs in enumerate(vectors):
+                factors[side].extend(_held(P, vec) for vec in vs[old[side]:])
+            for side, vec in product_round(P, factors, old, n):
+                if not done[side] and builders[side].add(vec):
+                    vectors[side].append(vec)
                     grew = True
                     done[side] = builders[side].rank >= ceilings[side]
                     if all(done):
@@ -193,39 +214,59 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
     return ClosureTrace(tuple(rounds), finals if len(finals) > 1 else finals[0], rnd)
 
 
-# Product rounds, one per structure. Pairs keep the minus side as side 0
-# and the plus side as side 1, and list plus triples first.
+def _held(P, vec):
+    """The factor (``AlgebraPresentation._factor``) of a kept vector: an
+    Element, or an int vector, which becomes an Element here."""
+    return P._factor(P._element(vec) if type(vec) is tuple else vec)
+
+
+# Product rounds, one per structure: each yields (side, int vector) for the
+# products of the factors in ``vectors``. Pairs keep the minus side as side
+# 0 and the plus side as side 1, and list plus triples first.
 
 
 def _lie_round(P, vectors, old, n):
     (vectors,), (old,), (n,) = vectors, old, n
     for j in range(old, n):
         for i in range(j):
-            yield 0, P.commutator(vectors[i], vectors[j])
+            yield 0, P._bracket(vectors[i], vectors[j])
 
 
 def _assoc_round(P, vectors, old, n):
     (vectors,), (old,), (n,) = vectors, old, n
     for j in range(old, n):
-        yield 0, P.mul(vectors[j], vectors[j])
+        v = vectors[j]
+        yield 0, P._product(v, v)
         for i in range(j):
-            yield 0, P.mul(vectors[i], vectors[j])
-            yield 0, P.mul(vectors[j], vectors[i])
+            yield 0, P._product(vectors[i], v)
+            yield 0, P._product(v, vectors[i])
 
 
 def _pair_round(P, vectors, old, n, jordan):
     """Triples x*y*z, x and z on one side, in (x, y, z) index order, except
-    those of three old vectors; for {x,y,z} = {z,y,x} only z from x on."""
-    triple = P.jordan_triple if jordan else P.triple
+    those of three old vectors; for {x,y,z} = {z,y,x} only z from x on. Each
+    x*y is an Element held as a factor, computed once per round on first
+    use; the outer products stay int vectors."""
     for side, other in ((1, 0), (0, 1)):
         outer, inner = vectors[side], vectors[other]
+        lefts = {}  # (i, j) -> the factor outer[i] * inner[j]
+
+        def left(i, j):
+            f = lefts.get((i, j))
+            if f is None:
+                f = lefts[i, j] = P._factor(P._element(P._product(outer[i], inner[j])))
+            return f
+
         for i in range(n[side]):
             for j in range(n[other]):
                 start = i if jordan else 0
                 if i < old[side] and j < old[other]:
                     start = max(start, old[side])
                 for k in range(start, n[side]):
-                    yield side, triple(outer[i], inner[j], outer[k])
+                    xyz = P._product(left(i, j), outer[k])
+                    if jordan:
+                        xyz = P._combination(xyz, (P._product(left(k, j), outer[i]),), 1)
+                    yield side, xyz
 
 
 def lie_closure(P, S, target=None):

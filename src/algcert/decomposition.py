@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 
 from .algebra import hypotheses_for, require_axioms
 from .errors import IdempotentError, MissingInvolutionError
@@ -71,19 +70,22 @@ def _corners(P, idempotents, grade):
     grade share a span. No unit is needed: for a, c < m the element is
     (x_a·b)·x_c, and a corner of x_m is what the rest of its row leaves of
     x_a·b, of its column of b·x_c, or, for x_m·b·x_m, of b. That is m² + 2m
-    products per basis element."""
+    products per basis element. Only the x_a·b are Elements, the left
+    factors of the (x_a·b)·x_c; every corner reaches its span as an int
+    vector (``AlgebraPresentation._ints`` and ``_combination``)."""
     m = len(idempotents)
     spans = defaultdict(lambda: SpanBuilder(P.field, P.dim))
-    times = [P.right(y) for y in idempotents]
+    times = [(y, P._operator(y, False)) for y in idempotents]
+    rest = P._combination  # first - sum(others)
     for i in range(P.dim):
         b = P.basis_element(i)
         left = [P.mul(x, b) for x in idempotents]
-        grid = [[by(xb) for by in times] for xb in left]
+        grid = [[P._ints(xb, y, op) for y, op in times] for xb in left]
         for xb, row in zip(left, grid):
-            row.append(reduce(P.sub, row, xb))
-        grid.append([reduce(P.sub, [row[c] for row in grid], by(b))
-                     for c, by in enumerate(times)])
-        grid[m].append(reduce(P.sub, left + grid[m], b))
+            row.append(rest(xb, row))
+        grid.append([rest(P._ints(b, y, op), [row[c] for row in grid])
+                     for c, (y, op) in enumerate(times)])
+        grid[m].append(rest(b, left + grid[m]))
         for a, row in enumerate(grid):
             for c, x in enumerate(row):
                 spans[grade(a, c)].add(x)

@@ -27,8 +27,12 @@ inputs as ints over a common denominator. Fractions appear only where a
 value leaves the integer form: a ``basis`` that is read, the remainder
 ``reduce`` returns and the coefficients a solve returns. An Element passed
 as a vector hands over its integer support, and nothing here reads its
-dense coordinates; a zero Element is only length-checked (and counted by
-the solver), never eliminated.
+dense coordinates. So does an int vector (d, nums), the dict nums of a
+product's nonzero integer coordinates over d that the product kernel
+returns (``algebra.AlgebraPresentation._ints``): a product that only feeds
+a span or a solver is never made an Element. A zero vector is only
+length-checked (an int vector needs no check) and counted by the solver,
+never eliminated.
 
 The fields turn integers back into scalars: ``from_ints(nums, d)`` gives
 the canonical support of the vector nums / d for a dict nums {index: int}
@@ -289,10 +293,9 @@ def _check_length(vec, ambient_dim):
         raise DimensionError(f"vector length {len(vec)} != ambient dim {ambient_dim}")
 
 
-def _is_zero_element(vec):
-    """True for an Element (anything with a ``support``) that is zero."""
-    support = getattr(vec, "support", None)
-    return support is not None and not support[1]
+def _is_int_vector(vec):
+    """True for an int vector (d, nums): a pair whose nums is a dict."""
+    return type(vec) is tuple and len(vec) == 2 and type(vec[1]) is dict
 
 
 def _modulus(field):
@@ -302,9 +305,15 @@ def _modulus(field):
 
 def _int_vector(field, vec, ambient_dim):
     """(d, w) with vec = w / d for a new dict w of nonzero ints keyed by
-    column, in column order: residues and d = 1 over F_p. An Element
+    column: residues and d = 1 over F_p. An Element
     (anything with a ``support``) hands over its nonzero coordinates as
-    they are."""
+    they are, and so does an int vector (d, nums), a product's nonzero
+    integer coordinates over d (residues over F_p; see
+    ``algebra.AlgebraPresentation._ints``), whose columns the product kernel
+    keeps below the dimension."""
+    if type(vec) is tuple and len(vec) == 2 and type(vec[1]) is dict:
+        d, nums = vec
+        return d, dict(nums)
     _check_length(vec, ambient_dim)
     support = getattr(vec, "support", None)
     if support is not None:
@@ -490,19 +499,23 @@ class SpanBuilder(_Echelon):
         self.rows = {}
         self.pivots = []
         self._holders = {}
+        self._p = _modulus(field)
 
     @property
     def _pivot_rows(self):
         return self.rows
 
     def add(self, vec):
-        """Insert vec into the span. Returns True iff the rank grew. A full
-        span and a zero Element return False once the length is checked."""
-        if self.is_full or _is_zero_element(vec):
-            _check_length(vec, self.ambient_dim)
+        """Insert vec, a vector of scalars, an Element or an int vector,
+        into the span. Returns True iff the rank grew. A full span and a
+        zero vector return False once the length is checked."""
+        if self.is_full:
+            if not _is_int_vector(vec):
+                _check_length(vec, self.ambient_dim)
             return False
         _, w = _int_vector(self.field, vec, self.ambient_dim)
-        _eliminate(w, self.rows, _modulus(self.field))
+        if w:
+            _eliminate(w, self.rows, self._p)
         if not w:
             return False
         self._insert(w, min(w))
@@ -514,7 +527,7 @@ class SpanBuilder(_Echelon):
         that hold it (a*row - c*w over gcd(a, c), a = w[j], c = row[j], then
         made primitive; mod p over F_p, where pivot entries stay 1) and
         insert w as a row. w becomes the row."""
-        p = _modulus(self.field)
+        p = self._p
         _make_primitive(w, j, p)
         a = w[j]
         rows, holders = self.rows, self._holders
@@ -636,17 +649,21 @@ class CombinationSolver:
         return L, sums
 
     def add(self, vec):
-        """Register one more input vector. Returns True iff the rank grew.
-        A zero Element, or any input once the span is full, is only counted
-        after its length is checked."""
+        """Register one more input vector: a vector of scalars, an Element
+        or an int vector, as ``SpanBuilder.add`` takes it. Returns True iff
+        the rank grew. A zero vector, or any input once the span is full, is
+        only counted after its length is checked."""
         idx = self.count
         self.count += 1
         span = self._span
-        if span.is_full or _is_zero_element(vec):
-            _check_length(vec, self.ambient_dim)
+        if span.is_full:
+            if not _is_int_vector(vec):
+                _check_length(vec, self.ambient_dim)
             return False
         p = _modulus(self.field)
         d, w = _int_vector(self.field, vec, self.ambient_dim)
+        if not w:
+            return False
         r = dict(w)
         s = _eliminate(r, span.rows, p)
         if not r:

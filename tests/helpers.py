@@ -356,29 +356,17 @@ def component_pair_gens(P, structure="assoc-pair"):
 
 
 def count_muls(monkeypatch):
-    """Count the products computed: ``AlgebraPresentation.mul`` calls and
-    the calls of the maps that ``left`` and ``right`` return from then on
-    (on a table whose products have one term each those maps call ``mul``
-    and are counted there). Returns a one-element list."""
+    """Count the products computed: the calls of the product kernel
+    ``AlgebraPresentation._ints``, which ``mul``, the maps ``left`` and
+    ``right`` return, the factor products and brackets and every product
+    that feeds a span as an int vector go through, each once. Returns a
+    one-element list."""
     calls = [0]
-    original = AlgebraPresentation.mul
-    operator = AlgebraPresentation._operator
+    kernel = AlgebraPresentation._ints
 
-    def counting(P, a, b):
+    def counting(P, a, b, op=None):
         calls[0] += 1
-        return original(P, a, b)
+        return kernel(P, a, b, op)
 
-    def counting_operator(P, a, on_left):
-        times = operator(P, a, on_left)
-        if P._table_bounds[0] == 1:
-            return times
-
-        def counted(b):
-            calls[0] += 1
-            return times(b)
-
-        return counted
-
-    monkeypatch.setattr(AlgebraPresentation, "mul", counting)
-    monkeypatch.setattr(AlgebraPresentation, "_operator", counting_operator)
+    monkeypatch.setattr(AlgebraPresentation, "_ints", counting)
     return calls

@@ -401,12 +401,13 @@ def test_closure_equals_oracle_on_random_generators(name):
 
 def _saturate_every_round(P, seeds, product_round):
     """closure._saturate_linear on one side as it was before the full-rank
-    exit: every round computes all its products."""
+    exit: every round computes all its products. The round takes the
+    vectors as factors and yields int vectors, each made an Element here."""
     builder = ac.SpanBuilder(P.field, P.dim)
     vectors = []
     for el in seeds:
         if builder.add(el.coords):
-            vectors.append(el)
+            vectors.append(P._factor(el))
     rounds = [(0, builder.rank)]
     old = 0
     rnd = 0
@@ -414,9 +415,10 @@ def _saturate_every_round(P, seeds, product_round):
         rnd += 1
         n = len(vectors)
         grew = False
-        for _, el in product_round(P, [vectors], [old], [n]):
+        for _, vec in product_round(P, [vectors], [old], [n]):
+            el = P._element(vec)
             if builder.add(el.coords):
-                vectors.append(el)
+                vectors.append(P._factor(el))
                 grew = True
         old = n
         rounds.append((rnd, builder.rank))
@@ -517,7 +519,9 @@ def test_pair_round_lists_the_two_builder_triples(jordan, old):
     vectors = [[P.element([rng.randint(-3, 3) for _ in range(P.dim)]) for _ in range(3)]
                for _ in range(2)]
     n = (3, 3)
-    got = list(closure._pair_round(P, vectors, old, n, jordan))
+    factors = [[P._factor(el) for el in side] for side in vectors]
+    got = [(side, P._element(vec))
+           for side, vec in closure._pair_round(P, factors, old, n, jordan)]
     minus, plus = vectors
     want = [(1, w) for w in _two_builder_triples(P, jordan, plus, minus, old[1], old[0], 3, 3)]
     want += [(0, w) for w in _two_builder_triples(P, jordan, minus, plus, old[0], old[1], 3, 3)]

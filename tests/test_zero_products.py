@@ -166,7 +166,8 @@ def test_ideal_seeds_equal_the_full_loop(name, monkeypatch):
                 else:
                     assert P.is_zero(product)
         got = ideal_span(P, x, unit_coeff=c)
-        seeds = seen.pop()
+        # The seeds are the products' int vectors.
+        seeds = [P._element(s) for s in seen.pop()]
         assert seeds == paired
         assert [s for s in seeds if not P.is_zero(s)] == [
             s for s in full if not P.is_zero(s)

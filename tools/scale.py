@@ -58,6 +58,7 @@ INSTANCES = {
     "M16-flip-Q": _flip(16, "Q"),
     "M24-flip-Q": _flip(24, "Q"),
     "M32-flip-Q": _flip(32, "Q"),
+    "M48-flip-Q": _flip(48, "Q"),
     "M16-flip-Fp10007": _flip(16, "Fp:10007"),
     "M4-flip-Q-dense": _dense_flip(4, "Q"),
     "M5-flip-Q-dense": _dense_flip(5, "Q"),
