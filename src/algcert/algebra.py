@@ -531,10 +531,14 @@ class AlgebraPresentation:
     def _combination(self, first, rest, sign=-1):
         """first + sign * sum(rest), for sign = 1 or -1 and Elements or int
         vectors, as one int vector over the lcm of their denominators. Zero
-        terms are dropped first, and an int vector first with every rest
-        zero is returned as it is."""
+        terms are dropped first, and do not enter the lcm; a lone nonzero int
+        vector with sign 1 (first, or a rest term after a zero first) is
+        returned as it is."""
         m, nums = first.support if type(first) is Element else first
-        parts = [(1, m, nums)] if nums else []
+        if nums:
+            parts = [(1, m, nums)]
+        else:
+            parts, m = [], 1
         for v in rest:
             d, nums = v.support if type(v) is Element else v
             if nums:
@@ -801,8 +805,11 @@ def restrict_from_hull(P, el):
 
 def _ideal_round(P, vectors, old, n):
     """b_i r and r b_i for each new vector r and basis element b_i, each
-    only where the reach allows (``_product``), as int vectors."""
+    only where the reach allows (``_product``), as int vectors. A round
+    with no new vector builds no basis factor."""
     (vectors,), (old,), (n,) = vectors, old, n
+    if old == n:
+        return
     basis = _basis_factors(P)
     for r in vectors[old:n]:
         for b_i in basis:
@@ -823,19 +830,28 @@ def ideal_span(P, x, unit_coeff=0):
     gives R(1+x)R, which is how complements like 1-e are handled without
     leaving the algebra. The seeds are the products (b_i x + c b_i) b_j for
     the b_j in the reach of the left factor, in index order; the others are
-    zero, and a zero left factor yields none. Each seed is the int vector
-    of its product (``AlgebraPresentation._ints``).
+    zero, and a zero left factor yields none. Each left factor is one int
+    vector, b_i x on x's held right operator plus c b_i
+    (``AlgebraPresentation._combination``), and becomes an Element only when
+    it is nonzero; each seed is the int vector of its product
+    (``AlgebraPresentation._ints``). c 1 is never folded into x through a
+    declared unit: that needs the unit law, which a file that fails the
+    gate need not satisfy.
     """
-    coeff = _exact_pair(P.field, unit_coeff)
+    n, d = _exact_pair(P.field, unit_coeff)
+    op = P._operator(x, False)
 
     def products():
         for i in range(P.dim):
             # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity; it is zero
             # unless b_j lies in the reach of the left factor.
             b_i = P.basis_element(i)
-            left = P.mul(b_i, x)
-            if coeff[0]:
-                left = P.add(left, P.scale(coeff, b_i))
+            left = P._ints(b_i, x, op)
+            if n:
+                left = P._combination(left, ((d, {i: n}),), 1)
+            if not left[1]:
+                continue
+            left = P._element(left)
             for j in sorted(P._reach(left)):
                 yield P._ints(left, P.basis_element(j))
 

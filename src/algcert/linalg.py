@@ -56,8 +56,10 @@ from math import gcd, lcm
 
 from .errors import DimensionError, FieldMismatchError, FormatError
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
-_INT_RE = re.compile(r"^-?\d+$")
+# Scalars are ASCII digits, matched whole (``fullmatch``): ``\d`` would take
+# any Unicode decimal digit, which int() reads, and ``$`` a final newline.
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"-?[0-9]+")
 # The pair (n, d) of the scalar "0", which ``parse_pair`` returns for it.
 ZERO_PAIR = (0, 1)
 
@@ -129,7 +131,7 @@ class RationalField:
         # conversion; "-0", "00" and the rest take the checked path.
         if s == "0":
             return ZERO_PAIR
-        if not isinstance(s, str) or not _RAT_RE.match(s):
+        if not isinstance(s, str) or not _RAT_RE.fullmatch(s):
             raise FormatError(f"not a rational scalar: {s!r}")
         num, _, den = s.partition("/")
         n = _digits(num)
@@ -217,7 +219,7 @@ class PrimeField:
         is not one."""
         if s == "0":
             return ZERO_PAIR
-        if not isinstance(s, str) or not _INT_RE.match(s):
+        if not isinstance(s, str) or not _INT_RE.fullmatch(s):
             raise FormatError(f"not a prime-field scalar: {s!r}")
         return _digits(s) % self.p, 1
 
@@ -282,7 +284,7 @@ def field_from_name(name):
         return QQ
     if isinstance(name, str) and name.startswith("Fp:"):
         tail = name[3:]
-        if not _INT_RE.match(tail):
+        if not _INT_RE.fullmatch(tail):
             raise FormatError(f"bad prime field tag: {name!r}")
         return PrimeField(_digits(tail))
     raise FormatError(f"unknown field tag: {name!r}")
@@ -661,7 +663,9 @@ class CombinationSolver:
                 _check_length(vec, self.ambient_dim)
             return False
         p = _modulus(self.field)
-        d, w = _int_vector(self.field, vec, self.ambient_dim)
+        # w is only read: an int vector's own dict needs no copy, and r is
+        # the one that elimination changes.
+        d, w = vec if _is_int_vector(vec) else _int_vector(self.field, vec, self.ambient_dim)
         if not w:
             return False
         r = dict(w)
@@ -704,6 +708,11 @@ class CombinationSolver:
         if _modulus(self.field):
             return dict(N)
         return {i: Fraction(n, D) for i, n in N.items()}
+
+    def contains(self, target):
+        """Whether target lies in the span of the inputs, with no
+        combination read."""
+        return self._span.contains(target)
 
     def solve(self, target):
         """Sparse dict {input index: coeff} expressing target, or None."""

@@ -3,7 +3,7 @@ Gauss-Jordan reduction used as an oracle against the library's echelon
 routine, subspace sums, intersections, linear combinations and the
 stagnating word oracle as test references built on the library's public
 span API, a seeded dense change of basis, a presentation's table and
-involution as field scalars, the integer tables the constructor should
+involution as field scalars, its table declared with no unit, the integer tables the constructor should
 build from the rows it is handed, element construction helpers (an
 Element from dense coordinates among them) and lemma 2's generating set
 with the pair components the claims pass it."""
@@ -159,6 +159,16 @@ def _over_lcm(entries):
     d = lcm(*(c.denominator for e in entries for _, c in e))
     return d, [tuple((k, c.numerator * (d // c.denominator)) for k, c in sorted(e))
                for e in entries]
+
+
+def without_unit(P):
+    """P's table, declared with no unit (and no involution)."""
+    return AlgebraPresentation(
+        P.name + "-no-unit",
+        P.field,
+        P.basis_labels,
+        [(i, j, k, c) for (i, j), entries in scalar_table(P).items() for k, c in entries],
+    )
 
 
 def reference_tables(F, dim, mul, involution=None):

@@ -12,6 +12,7 @@ import algcert as ac
 from algcert import algebra, certificates as cc
 from algcert import formats
 from algcert.errors import FormatError
+from algcert.linalg import CombinationSolver
 from helpers import (
     component_pair_gens,
     count_muls,
@@ -235,6 +236,29 @@ def test_d_is_the_largest_minimal_witness_length(name):
                 el = dict(search.gens)[gen]
                 minimal.append(getattr(search, side).decompose(el, gen)[0])
         assert info["d"] == max(minimal)
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_INSTANCES))
+def test_least_length_grows_the_search_as_decompose_does(name, monkeypatch):
+    # Lemma 2 reads only lengths: the membership test grows each search as
+    # far as decompose, leaving the same solver inputs and products for
+    # lemma 5's terms, and solves nothing.
+    P = _WITNESS_INSTANCES[name]()
+    e = P.idempotents["e"]
+    for f in (None, P.involve(e)):
+        solved = cc._witness_search(P, e, f, 6, None)
+        tested = cc._witness_search(P, e, f, 6, None)
+        for side in ("wit_e", "wit_f"):
+            a, b = getattr(solved, side), getattr(tested, side)
+            expected = [a.decompose(el, gen)[0] for gen, el in solved.gens]
+            with monkeypatch.context() as m:
+                m.setattr(CombinationSolver, "solve", None)
+                got = [b.least_length(el, gen) for gen, el in tested.gens]
+            assert got == expected
+            assert (b.length, b.solver.count, b.solver.rank) == (a.length, a.solver.count, a.solver.rank)
+            assert [(ul, vl) for ul, _, vl, _ in b.products] == [(ul, vl) for ul, _, vl, _ in a.products]
+            for gen, el in solved.gens:
+                assert b.decompose(el, gen) == a.decompose(el, gen)
 
 
 def test_theorem2_builds_one_witness_search(monkeypatch):

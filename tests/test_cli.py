@@ -491,6 +491,30 @@ def test_huge_field_modulus_is_a_format_error(capsys, tmp_path):
     assert err.startswith("error: $.field: number too long")
 
 
+@pytest.mark.parametrize("field,scalar", [
+    ("Q", "1\n"), ("Q", "\u0663"), ("Q", "3/\u0664"), ("Fp:101", "1\n"), ("Fp:101", "\u0663"),
+])
+def test_non_ascii_or_newline_scalar_is_a_format_error(capsys, tmp_path, field, scalar):
+    # int() reads Unicode digits, and "$" matches before a final newline:
+    # the grammar takes neither.
+    path = _edited(capsys, tmp_path, field, lambda d: d["mul"][0].__setitem__(3, scalar))
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.mul[0][3]: not a")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tag", ["Fp:101\n", "Fp:\u0661\u0660\u0661"])
+def test_non_ascii_or_newline_field_tag_is_a_format_error(capsys, tmp_path, tag):
+    path = _edited(capsys, tmp_path, "Q", lambda d: d.__setitem__("field", tag))
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.field: bad prime field tag")
+    assert "Traceback" not in err
+
+
 def test_huge_json_integer_is_invalid_json(capsys, tmp_path):
     path = _build(capsys, tmp_path, "m2.json", "--kind", "matrix_n", "--n", "2")
     with open(path) as fh:

@@ -291,6 +291,29 @@ def test_rational_parse_zero_denominator(s):
             parse(s)
 
 
+# Scalars are ASCII digits matched whole: int() reads the Unicode digits
+# (U+0663 is 3, U+0664 is 4), and a final newline slips past "$".
+NOT_SCALARS = ["1\n", "\u0663", "3/\u0664", "\u0663/4", "-\u0663", "1/2\n", " 1", "1 ", "1_0"]
+
+
+@pytest.mark.parametrize("s", NOT_SCALARS)
+def test_scalar_grammar_is_ascii_digits_matched_whole(s):
+    for parse in (QQ.parse, QQ.parse_pair):
+        with pytest.raises(FormatError, match="not a rational scalar"):
+            parse(s)
+    if "/" not in s:
+        Fp = PrimeField(101)
+        for parse in (Fp.parse, Fp.parse_pair):
+            with pytest.raises(FormatError, match="not a prime-field scalar"):
+                parse(s)
+
+
+@pytest.mark.parametrize("name", ["Fp:101\n", "Fp:\u0661\u0660\u0661", "Fp: 101", "Fp:1_01"])
+def test_field_tag_is_ascii_digits_matched_whole(name):
+    with pytest.raises(FormatError, match="bad prime field tag"):
+        field_from_name(name)
+
+
 def test_fp_closure_consistency():
     # The same integer matrix echelonizes compatibly over Q and F_5 when no
     # pivot is divisible by 5.

@@ -62,10 +62,12 @@ def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # The transfer identity costs no product, and neither does the gate's
     # unit law, which sums integer rows. The pair components are Peirce's,
     # three products per basis element (e^2 = e is read from the gate's
-    # memo), not four hull products each.
+    # memo), not four hull products each. [R, R] is read off the table
+    # (``commutator_span``), with none of the 24 products of the table
+    # entries b_i b_j, i != j.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 162
+    assert muls[0] == 138
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import algcert as ac
 from algcert import algebra
-from algcert.algebra import AlgebraPresentation, Element, ideal_span
+from algcert.algebra import Element, ideal_span
 from algcert import certificates as cc
 from algcert.certificates import commutator_span
 from algcert.errors import DimensionError
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder
-from helpers import count_muls, dense_change_of_basis, m3, m4, scalar_table
+from helpers import count_muls, dense_change_of_basis, m3, m4, without_unit
 
 FP = PrimeField(101)
 
@@ -121,9 +121,13 @@ def test_zero_paths_of_mul_and_sums_equal_from_ints(name, data):
 
 
 def _ideal_inputs(P):
-    """(x, unit_coeff) pairs: the hypotheses' own and some sums."""
+    """(x, unit_coeff) pairs: the hypotheses' own and some sums; on a table
+    with no idempotent, zero and basis elements."""
+    out = [(P.zero(), 0), (P.zero(), 1)]
+    if not P.idempotents:
+        return out + [(P.basis_element(0), 0), (P.basis_element(P.dim - 1), 1)]
     e = P.idempotents["e"]
-    out = [(e, 0), (P.neg(e), 1), (P.zero(), 0), (P.zero(), 1)]
+    out += [(e, 0), (P.neg(e), 1)]
     out.append((P.add(e, P.basis_element(P.dim - 1)), 0))
     if P.has_involution:
         e_star = P.involve(e)
@@ -133,10 +137,13 @@ def _ideal_inputs(P):
 
 IDEAL_PRESENTATIONS = {
     "m3-flip-Q": m3("flip"),
+    "m3-flip-Fp101": ac.build_matrix_algebra(3, FP, "flip"),
     "m4-flip-Q": m4("flip"),
     "example2-D2-Q": ac.build_example2(2),
     "example2-D3-Q": ac.build_example2(3),
+    "example2-D3-Fp101": ac.build_example2(3, FP),
     "m3-flip-dense-Q": dense_change_of_basis(m3("flip"), 1),
+    "m3-flip-dense-Q-no-unit": without_unit(dense_change_of_basis(m3("flip"), 1)),
 }
 
 
@@ -213,16 +220,6 @@ def test_zero_inputs_leave_spans_and_solvers_unchanged(name):
 # -- brackets by reach ---------------------------------------------------------
 
 
-def _without_unit(P):
-    """P's table, declared with no unit."""
-    return AlgebraPresentation(
-        P.name + "-no-unit",
-        P.field,
-        P.basis_labels,
-        [(i, j, k, c) for (i, j), entries in scalar_table(P).items() for k, c in entries],
-    )
-
-
 BRACKET_PRESENTATIONS = {
     "m3-flip-Q": m3("flip"),
     "m4-flip-Fp101": ac.build_matrix_algebra(4, FP, "flip"),
@@ -230,7 +227,7 @@ BRACKET_PRESENTATIONS = {
     "m3-flip-dense-Fp1000000007": dense_change_of_basis(
         ac.build_matrix_algebra(3, PrimeField(1000000007), "flip"), 2
     ),
-    "example1-D3-Q-no-unit": _without_unit(ac.build_example1(3)),
+    "example1-D3-Q-no-unit": without_unit(ac.build_example1(3)),
     "example2-D2-Fp101": ac.build_example2(2, FP),
 }
 
@@ -288,9 +285,10 @@ def test_commutator_span_equals_the_all_pairs_span(name, kind, monkeypatch):
     muls = count_muls(monkeypatch)
     span = commutator_span(P) if kind == "basis" else cc._bracket_span(P, rows)
     assert span == all_pairs
-    # One product per ordered pair of rows whose support meets the reach of
-    # the other (on the basis, per table entry b_i * b_j with i != j), none
-    # for the pairs that the table leaves zero both ways.
-    assert muls[0] == sum(
+    # On the basis the brackets are read off the table, with no product.
+    # Elsewhere, one product per ordered pair of rows whose support meets
+    # the reach of the other, none for the pairs that the table leaves zero
+    # both ways.
+    assert muls[0] == 0 if kind == "basis" else muls[0] == sum(
         _meets(P, u, v) for p, u in enumerate(rows) for q, v in enumerate(rows) if p != q
     )

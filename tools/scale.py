@@ -50,6 +50,10 @@ def _dense_flip(n, field):
     return lambda: dense_change_of_basis(_flip(n, field)(), 5)
 
 
+def _example1(D, field):
+    return lambda: instances.build_example1(D, field_from_name(field))
+
+
 def _example2(D, field):
     return lambda: instances.build_example2(D, field_from_name(field))
 
@@ -63,6 +67,7 @@ INSTANCES = {
     "M4-flip-Q-dense": _dense_flip(4, "Q"),
     "M5-flip-Q-dense": _dense_flip(5, "Q"),
     "M6-flip-Q-dense": _dense_flip(6, "Q"),
+    "example1-D24-Q": _example1(24, "Q"),
     "example2-D12-Q": _example2(12, "Q"),
     "example2-D24-Q": _example2(24, "Q"),
 }
@@ -70,8 +75,12 @@ INSTANCES = {
 CASES = {
     f"{name}/{claim}": (name, claim)
     for name in INSTANCES
-    for claim in (("thm1",) if name.startswith("example2") else ("thm1", "thm2"))
+    for claim in (("thm1",) if name.startswith("example") else ("thm1", "thm2"))
 }
+# The stagnation probe on [R, R] (example 1) and [K, K] (example 2) at a size
+# that no bench job reaches: both targets are bracket-abelian.
+CASES.update({f"{name}/stagnation": (name, "stagnation")
+              for name in ("example1-D24-Q", "example2-D24-Q")})
 
 
 def run_case(path, claim, runs):
