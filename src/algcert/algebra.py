@@ -23,21 +23,20 @@ zero). On a table with a product of more than one term, it sums the
 table's rows packed into slots of one big int each (Kronecker
 substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
 section 8.4) and unpacks once: over the packed rows of each pair of the
-supports for a one-shot product, or on a factor's packed operator
-(``_operator``), built once per slot width, so that each product costs
-one multiply-add per term of the other factor.
+supports for a one-shot product, or on a held factor's packed operator
+(``_operator``), built per side and slot width on first use, so that each
+product costs one multiply-add per term of the other operand.
 
-A product that only feeds a span (``linalg.SpanBuilder``) or the
-combination solver stays an int vector, which both take as it is: the
-closure rounds, ``ideal_span``'s seeds, the bracket spans, the corners of
-``decomposition`` and the witness search. A factor of many products is
-held once (``_factor``: its support's indices, its reach and its left
-operator), and ``_product`` and ``_bracket`` multiply factors only where
-the reach allows, [u, v] as one int vector uv - vu. Elements are built in
-``_element``, for a vector that grew a span and is kept as a factor (see
-``closure``), and in ``mul`` and the maps ``left`` and ``right`` return,
-for the products that callers keep as Elements (words, witnesses,
-generators).
+An element that multiplies many others is held as a factor (``_factor``):
+an Element that also carries its support's indices, its reach and its
+packed operators on either side. The kernel picks the path from its
+operands, and ``_product`` and ``_bracket`` multiply factors only where
+the reach allows, [u, v] as one int vector uv - vu. A product that only
+feeds a span (``linalg.SpanBuilder``) or the combination solver stays an
+int vector, which both take as it is: the closure rounds, ``ideal_span``'s
+seeds, the bracket spans, the corners of ``decomposition`` and the witness
+search. ``mul`` makes an Element (``_element``) of a product that a caller
+keeps (words, witnesses, generators).
 
 The constructor checks each row of the table and of the involution once,
 in one loop per table that takes each scalar to its exact pair (n, d)
@@ -56,7 +55,7 @@ therefore memoised on the presentation, and so are its packed rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -91,8 +90,8 @@ def _exact_pair(F, s):
     return n, d
 
 
-# The widest slot, in bits, at which ``mul`` sums on packed rows; wider
-# one-shot products take the loop over the supports. Its packed sum makes
+# The widest slot, in bits, at which a one-shot product sums on packed rows;
+# wider ones take the loop over the supports. Its packed sum makes
 # |sa| |sb| multiply-adds of dim-slot ints, and past 512-bit slots these cost
 # more than the loop's small ones. One-shot products of full operands on the
 # dense flip M_n over Q with both numerators near 2^(s/2), ms per product,
@@ -103,8 +102,8 @@ def _exact_pair(F, s):
 # On dense M7, 431 of theorem 1's one-shot products and 977 of theorem 2's
 # need 512-bit slots, and the loop would take 3.3 s and 9.8 s of them
 # where the packed sum takes 2.1 s and 3.4 s; no one-shot product needs 1024
-# bits there. The operators (``left``, ``right``) pack once per width and
-# have no cap.
+# bits there. A held factor's operators (``_operator``) pack once per side
+# and width and have no cap.
 _PACKED_WIDTH_MAX = 512
 
 
@@ -158,28 +157,17 @@ class Element:
         return f"Element(coords={self.coords!r})"
 
 
-@dataclass(slots=True)
-class _Operator:
-    """A factor's packed operator (``AlgebraPresentation._operator``): its
-    side, the bound 2 X T of its support's abs sum X times the largest
-    constant T, and the {j: Q_j} of each slot width met so far."""
+class _Factor(Element):
+    """An Element held as a factor of many products
+    (``AlgebraPresentation._factor``), equal to its Element and hashed as
+    it. It also holds the set of its support's indices, its reach, the
+    operator bound 2 X T of its support's abs sum X times the largest
+    constant T (None on a table whose products have one term each), and
+    ``ops``, the {j: Q_j} of its packed operator for each side and slot
+    width met so far, keyed (on_left, s) (``AlgebraPresentation._operator``).
+    """
 
-    on_left: bool
-    bound: int
-    widths: dict = dataclass_field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class _Factor:
-    """An element held as a factor of many products
-    (``AlgebraPresentation._factor``): the element, the set of its support's
-    indices, its reach and its left operator (None on a one-term table or
-    for a factor not held)."""
-
-    el: Element
-    indices: set
-    reach: set
-    op: _Operator | None
+    __slots__ = ("indices", "reach", "bound", "ops")
 
 
 class AlgebraPresentation:
@@ -450,25 +438,27 @@ class AlgebraPresentation:
             total += x * inner
         return total
 
-    def _ints(self, a, b, op=None):
+    def _ints(self, a, b):
         """The product kernel: a * b as an int vector (d, nums), the dict
         nums of its nonzero integer coordinates over d = da db D (residues
         over F_p), for the supports (da, sa) and (db, sb) and the table over
         D. A zero operand gives an empty dict, with no width computed.
 
         When some b_i * b_j has more than one term, the products are summed
-        on packed rows: one big-int multiply-add per pair of the supports
-        (``_packed_product``), or, given op, the packed operator of a
-        (op.on_left) or of b (``_operator``), one per term of the other
-        factor; then one balanced-digit unpack (Kronecker substitution).
-        Slot k of the sum is sum x_i y_j c_ijk, within X Y T of zero for
-        X = sum |x_i|, Y = sum |y_j| and T the largest |c|; a width s with
-        2 X Y T < 2^s keeps every slot strictly inside +-2^(s-1), so the
-        balanced digits are the slots exactly, over Q and over F_p alike.
-        s is rounded up to a power of two, so that few widths of packed
-        rows are built. Tables whose products have one term each keep the
-        loop over the supports, and so do one-shot products with slots
-        wider than ``_PACKED_WIDTH_MAX`` bits, where the loop is faster.
+        on packed rows, then unpacked once into balanced digits (Kronecker
+        substitution). A held factor (``_factor``) brings its packed
+        operator (``_operator``): a's left one when a is held, else b's
+        right one when b is held, one big-int multiply-add per term of the
+        other operand. Otherwise the product is one-shot, one multiply-add
+        per pair of the supports (``_packed_product``). Slot k of the sum
+        is sum x_i y_j c_ijk, within X Y T of zero for X = sum |x_i|,
+        Y = sum |y_j| and T the largest |c|; a width s with 2 X Y T < 2^s
+        keeps every slot strictly inside +-2^(s-1), so the balanced digits
+        are the slots exactly, over Q and over F_p alike. s is rounded up to
+        a power of two, so that few widths of packed rows are built. Tables
+        whose products have one term each keep the loop over the supports,
+        and so do one-shot products with slots wider than
+        ``_PACKED_WIDTH_MAX`` bits, where the loop is faster.
         """
         D, rows = self._int_mul
         da, sa = a.support
@@ -478,12 +468,12 @@ class AlgebraPresentation:
             return d, {}
         w, top = self._table_bounds
         if w > 1:
-            if op is not None:
-                held, other = (sa, sb) if op.on_left else (sb, sa)
-                s = _slot_width(op.bound * sum(abs(y) for _, y in other))
-                q = op.widths.get(s)
+            if type(a) is _Factor or type(b) is _Factor:
+                held, on_left, other = (a, True, sb) if type(a) is _Factor else (b, False, sa)
+                s = _slot_width(held.bound * sum(abs(y) for _, y in other))
+                q = held.ops.get((on_left, s))
                 if q is None:
-                    q = self._pack_operator(op, held, s)
+                    q = self._operator(held, on_left, s)
                 total = 0
                 for j, y in other:
                     Q = q.get(j)
@@ -534,13 +524,13 @@ class AlgebraPresentation:
         terms are dropped first, and do not enter the lcm; a lone nonzero int
         vector with sign 1 (first, or a rest term after a zero first) is
         returned as it is."""
-        m, nums = first.support if type(first) is Element else first
+        m, nums = first if type(first) is tuple else first.support
         if nums:
             parts = [(1, m, nums)]
         else:
             parts, m = [], 1
         for v in rest:
-            d, nums = v.support if type(v) is Element else v
+            d, nums = v if type(v) is tuple else v.support
             if nums:
                 parts.append((sign, d, nums))
                 m = lcm(m, d)
@@ -561,85 +551,39 @@ class AlgebraPresentation:
         zero operand, or a product whose terms all vanish, is the zero
         element, with no division.
 
-        ``mul`` is the one-shot product: on a table with a product of more
-        than one term its |sa| |sb| multiply-adds cost less than packing a
-        for one use. A caller that multiplies one left factor by many right
-        factors holds its operator (``left``; ``right`` for a right
-        factor), and a product that only feeds a span stays an int vector
+        ``mul`` is one-shot for plain Elements: on a table with a product
+        of more than one term its |sa| |sb| multiply-adds cost less than
+        packing a for one use. A caller that multiplies one element by many
+        holds it as a factor (``_factor``), whose operators the kernel
+        reads, and a product that only feeds a span stays an int vector
         (``_ints``, ``_product``, ``_bracket``).
         """
         if a._dim != self.dim or b._dim != self.dim:
             raise DimensionError("element dimension mismatch")
-        # ``_element``, inlined: mul makes most of the Elements kept.
-        d, nums = self._ints(a, b)
-        if not nums:
-            return self._zero
-        if self._p and d == 1:
-            return Element._of(self.field, self.dim, (1, tuple(sorted(nums.items()))))
-        return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
+        return self._element(self._ints(a, b))
 
-    def left(self, a):
-        """The map x -> a * x, for a left factor a that multiplies many
-        right factors: ``mul`` on a table whose products have one term
-        each, else the kernel on a's packed operator (``_operator``)."""
-        op = self._operator(a, True)
-        if op is None:
-            return functools.partial(self.mul, a)
+    def _operator(self, f, on_left, s):
+        """The {j: Q_j} of the factor f's packed operator as a left factor
+        (on_left) or as a right one, at slot width s, stored in f.ops.
 
-        def times(b):
-            if b._dim != self.dim:
-                raise DimensionError("element dimension mismatch")
-            return self._element(self._ints(a, b, op))
-
-        return times
-
-    def right(self, a):
-        """The map x -> x * a, for a right factor a that many left factors
-        multiply, built as ``left`` is."""
-        op = self._operator(a, False)
-        if op is None:
-            return lambda b: self.mul(b, a)
-
-        def times(b):
-            if b._dim != self.dim:
-                raise DimensionError("element dimension mismatch")
-            return self._element(self._ints(b, a, op))
-
-        return times
-
-    def _operator(self, a, on_left):
-        """The packed operator of a as a left factor (on_left) or as a right
-        one, for ``_ints``; None on a table whose products have one term
-        each, where the kernel keeps its loop.
-
-        Over the packed rows P_ij of b_i * b_j at a slot width s, it holds
-        Q_j = sum_i x_i P_ij on the left, so that a * b = sum_j y_j Q_j, and
-        Q_j = sum_i x_i P_ji on the right, so that b * a = sum_j y_j Q_j. A
+        Over the packed rows P_ij of b_i * b_j at width s, Q_j is
+        sum_i x_i P_ij on the left, so that f * b = sum_j y_j Q_j, and
+        sum_i x_i P_ji on the right, so that b * f = sum_j y_j Q_j. A
         product is then one multiply-add per term of b in place of one per
         pair of the supports; s is the kernel's width for the pair, and the
-        Q_j of each width are built on first use and live as long as the
-        operator. Operators have no width cap.
+        Q_j of each side and width are built on first use and live as long
+        as the factor. Operators have no width cap.
         """
-        if a._dim != self.dim:
-            raise DimensionError("element dimension mismatch")
-        w, top = self._table_bounds
-        if w == 1:
-            return None
-        return _Operator(on_left, 2 * sum(abs(x) for _, x in a.support[1]) * top)
-
-    def _pack_operator(self, op, held, s):
-        """The {j: Q_j} of op at width s, for the support held of its
-        factor, stored on op."""
         packed = self._packed_rows(s)
-        q = op.widths[s] = {}
-        if op.on_left:
-            for i, x in held:
+        q = f.ops[on_left, s] = {}
+        if on_left:
+            for i, x in f.support[1]:
                 for j, p in packed[i].items():
                     q[j] = q.get(j, 0) + x * p
         else:
             for j, row in enumerate(packed):
                 t = 0
-                for i, x in held:
+                for i, x in f.support[1]:
                     p = row.get(i)
                     if p:
                         t += x * p
@@ -647,19 +591,31 @@ class AlgebraPresentation:
                     q[j] = t
         return q
 
-    def _factor(self, a, held=True):
-        """a held as a factor of many products (``_Factor``): the indices
-        of its support, its reach and, when held, its left operator."""
-        return _Factor(a, {i for i, _ in a.support[1]}, self._reach(a),
-                       self._operator(a, True) if held else None)
+    def _factor(self, x):
+        """x held as a factor of many products (``_Factor``), for an
+        Element or an int vector x; a factor is returned as it is."""
+        if type(x) is _Factor:
+            return x
+        if type(x) is tuple:
+            x = self._element(x)
+        elif x._dim != self.dim:
+            raise DimensionError("element dimension mismatch")
+        f = _Factor._of(self.field, self.dim, x.support)
+        pairs = x.support[1]
+        f.indices = {i for i, _ in pairs}
+        f.reach = self._reach(x)
+        w, top = self._table_bounds
+        f.bound = 2 * sum(abs(n) for _, n in pairs) * top if w > 1 else None
+        f.ops = {}
+        return f
 
     def _product(self, u, v):
-        """u * v for the factors u and v as an int vector (``_ints``),
-        computed on u's left operator, and only where the reach of u meets
-        the support of v; an empty dict otherwise."""
+        """u * v for the factors u and v as an int vector (``_ints``, on
+        u's left operator), computed only where the reach of u meets the
+        support of v; an empty dict otherwise."""
         if u.reach.isdisjoint(v.indices):
-            return u.el.support[0] * v.el.support[0] * self._int_mul[0], {}
-        return self._ints(u.el, v.el, u.op)
+            return u.support[0] * v.support[0] * self._int_mul[0], {}
+        return self._ints(u, v)
 
     def _bracket(self, u, v):
         """[u, v] = uv - vu for the factors u and v as one int vector: both
@@ -697,7 +653,7 @@ class AlgebraPresentation:
     def commutator(self, a, b):
         """ab - ba, each product taken only when the reach allows it to be
         nonzero (``_bracket``)."""
-        return self._element(self._bracket(self._factor(a, False), self._factor(b, False)))
+        return self._element(self._bracket(self._factor(a), self._factor(b)))
 
     def circle(self, a, b):
         half = self._half
@@ -830,29 +786,28 @@ def ideal_span(P, x, unit_coeff=0):
     gives R(1+x)R, which is how complements like 1-e are handled without
     leaving the algebra. The seeds are the products (b_i x + c b_i) b_j for
     the b_j in the reach of the left factor, in index order; the others are
-    zero, and a zero left factor yields none. Each left factor is one int
-    vector, b_i x on x's held right operator plus c b_i
-    (``AlgebraPresentation._combination``), and becomes an Element only when
-    it is nonzero; each seed is the int vector of its product
+    zero, and a zero left factor yields none. x is held as a factor, and
+    each left factor is one int vector, b_i x on x's right operator plus
+    c b_i (``AlgebraPresentation._combination``), held as a factor only
+    when it is nonzero; each seed is the int vector of its product
     (``AlgebraPresentation._ints``). c 1 is never folded into x through a
     declared unit: that needs the unit law, which a file that fails the
     gate need not satisfy.
     """
     n, d = _exact_pair(P.field, unit_coeff)
-    op = P._operator(x, False)
+    x = P._factor(x)
 
     def products():
         for i in range(P.dim):
             # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity; it is zero
             # unless b_j lies in the reach of the left factor.
-            b_i = P.basis_element(i)
-            left = P._ints(b_i, x, op)
+            left = P._ints(P.basis_element(i), x)
             if n:
                 left = P._combination(left, ((d, {i: n}),), 1)
             if not left[1]:
                 continue
-            left = P._element(left)
-            for j in sorted(P._reach(left)):
+            left = P._factor(left)
+            for j in sorted(left.reach):
                 yield P._ints(left, P.basis_element(j))
 
     return _ideal_closure(P, products())
@@ -894,8 +849,8 @@ def _per_presentation(fn):
 
 @_per_presentation
 def _basis_factors(P):
-    """The basis elements as factors not held (``_factor``)."""
-    return [P._factor(P.basis_element(i), False) for i in range(P.dim)]
+    """The basis elements as factors (``_factor``)."""
+    return [P._factor(P.basis_element(i)) for i in range(P.dim)]
 
 
 def _generators_generate(P, e):

@@ -324,10 +324,11 @@ class _SandwichWitnesses:
     its input i. A product (u*mid)*v is zero when v's support misses the
     reach of u*mid, so each u*mid is paired only with the empty word and
     the words that ``index`` (basis index -> positions of the words whose
-    support holds it) finds in its reach. Each u*mid multiplies every word
-    it meets, now and at later lengths, so it is kept with its left
-    operator (``AlgebraPresentation._operator``), and mid with its right
-    one. The products reach the solver as int vectors
+    support holds it) finds in its reach. mid multiplies every word u, and
+    each u*mid every word it meets, now and at later lengths, so both are
+    held as factors (``AlgebraPresentation._factor``): each product is
+    computed on the held side's packed operator, and u*mid carries its
+    reach. The products reach the solver as int vectors
     (``AlgebraPresentation._ints``), reduced mod p over F_p before the
     zero test, so that ``products`` and the solver's inputs stay in step.
     Once the solver's span is full, no later input can enter a solution,
@@ -336,13 +337,12 @@ class _SandwichWitnesses:
 
     def __init__(self, Pw, mid, words, cap):
         self.Pw = Pw
-        self.mid = mid
-        self.times_mid = Pw.right(mid)
+        self.mid = Pw._factor(mid)
         self.words = words
         self.cap = cap
         self.solver = CombinationSolver(Pw.field, Pw.dim)
         self.products = []  # (u_label, u_el, v_label, v_el) per solver input
-        self.lefts = []  # (u * mid, its left operator, its reach) for each word u so far
+        self.lefts = []  # the factor u * mid for each word u so far
         self.index = {}  # basis index -> positions in words_upto, ascending
         self.length = -1
 
@@ -372,20 +372,19 @@ class _SandwichWitnesses:
 
             def pairs():
                 for ul, u in new:
-                    left = mid if u is None else self.times_mid(u)
-                    op, reach = Pw._operator(left, True), Pw._reach(left)
-                    self.lefts.append((left, op, reach))
-                    for pos in [0] + self._meeting(reach, 1):
-                        yield ul, u, left, op, upto[pos]
-                for (ul, u), (left, op, reach) in zip(upto[:n_old], self.lefts):
-                    for pos in self._meeting(reach, n_old):
-                        yield ul, u, left, op, upto[pos]
+                    left = mid if u is None else Pw._factor(Pw._ints(u, mid))
+                    self.lefts.append(left)
+                    for pos in [0] + self._meeting(left.reach, 1):
+                        yield ul, u, left, upto[pos]
+                for (ul, u), left in zip(upto[:n_old], self.lefts):
+                    for pos in self._meeting(left.reach, n_old):
+                        yield ul, u, left, upto[pos]
 
-            for ul, u, left, op, (vl, v) in pairs():
+            for ul, u, left, (vl, v) in pairs():
                 if v is None:
                     prod, zero = left, Pw.is_zero(left)
                 else:
-                    prod = Pw._ints(left, v, op)
+                    prod = Pw._ints(left, v)
                     zero = not prod[1]
                 if zero:
                     continue
@@ -482,9 +481,7 @@ def _lemma2_impl(P, search, components):
     Returns (GeneratorSet, info) where info carries d and the bound 3d + 1.
     """
     Pw, lower, words = search.Pw, search.lower, search.words
-    e_w, f_w = search.wit_e.mid, search.wit_f.mid
-    e_times, f_times = Pw.left(e_w), Pw.left(f_w)
-    times_e, times_f = Pw.right(e_w), Pw.right(f_w)
+    e_w, f_w = search.wit_e.mid, search.wit_f.mid  # held factors
     comp_minus, comp_plus = components
 
     for name, el in search.gens:
@@ -502,11 +499,11 @@ def _lemma2_impl(P, search, components):
         if done:
             break
         for lab, u in words.level(length):
-            gm = lower(times_f(e_times(u)))
+            gm = lower(Pw.mul(Pw.mul(e_w, u), f_w))
             if got_minus.add(gm):
                 items.append((f"e*{lab}*f", gm, f"word:{lab}"))
                 sides.append("-")
-            gp = lower(times_e(f_times(u)))
+            gp = lower(Pw.mul(Pw.mul(f_w, u), e_w))
             if got_plus.add(gp):
                 items.append((f"f*{lab}*e", gp, f"word:{lab}"))
                 sides.append("+")
@@ -836,10 +833,10 @@ def _brace_set(P, mid_name, mid, witnesses, lower, ee):
     decomposition right-words w (None is the empty word)."""
     out = []
     seen = SpanBuilder(P.field, P.dim)
-    mid_times, times_ee = P.left(mid), P.right(ee)
+    mid, ee = P._factor(mid), P._factor(ee)
     for w_label, w in witnesses:
-        x = mid if w is None else mid_times(lower(w))
-        br = P.brace(P.sub(x, times_ee(x)))
+        x = mid if w is None else P.mul(mid, lower(w))
+        br = P.brace(P.sub(x, P.mul(x, ee)))
         if seen.add(br):
             out.append((f"{{{mid_name}*{w_label or '1'}*s}}", br, f"witness:{w_label or '1'}"))
     return out

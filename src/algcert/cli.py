@@ -34,7 +34,7 @@ from .errors import AlgcertError, CliInputError
 from .formats import canonical_json, dump_presentation, loads_presentation
 from .instances import KINDS, INVOLUTIONS, InstanceSpec, build_instance
 from .linalg import field_from_name
-from .algebra import require_axioms, validate_presentation
+from .algebra import hypotheses_for, require_axioms, validate_presentation
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -214,8 +214,7 @@ def _cmd_decompose(P, args):
         },
     }
     if P.has_involution:
-        estar = P.involve(e)
-        if P.is_zero(P.mul(e, estar)) and P.is_zero(P.mul(estar, e)):
+        if all(hypotheses_for(P, e, ("ee*=0", "e*e=0")).values()):
             grading = z_grading(P, e)
             kh = kh_split(P, grading)
             payload["grading"] = {

@@ -14,11 +14,11 @@ A product that only feeds a span stays an integer vector: the rounds
 multiply factors (``AlgebraPresentation._factor``) through the product
 kernel and yield int vectors, which the spans take as they are. Most
 products grow nothing and are never Elements. A vector that grows its side
-becomes an Element, held as a factor with its reach and its packed left
-operator, when the round that first multiplies it starts, and every later
-round reuses both: a bracket or product is computed only where the reach
-allows, and on a table with products of more than one term it costs one
-multiply-add per term of the other factor.
+becomes a factor, an Element with its reach and its packed operators, when
+the round that first multiplies it starts, and every later round reuses
+them: a bracket or product is computed only where the reach allows, and on
+a table with products of more than one term it costs one multiply-add per
+term of the other factor.
 
 A final is closed by its own rounds, with no re-check. A round multiplies
 each vector found in the previous round with every vector found so far
@@ -157,11 +157,11 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
 
     The products are int vectors (``AlgebraPresentation._ints``), and
     seeds may be too. A vector that grows its side is kept as it came; it
-    becomes an Element, held as a factor with its reach and its left
-    operator (``AlgebraPresentation._factor``), when the round that
-    multiplies it first starts, and keeps them for every later round. So
-    a product that grows nothing is never an Element, and neither is a
-    vector of a side that ends full or at its ceiling before it is used.
+    becomes a factor, an Element with its reach and its packed operators
+    (``AlgebraPresentation._factor``), when the round that multiplies it
+    first starts, and keeps them for every later round. So a product that
+    grows nothing is never an Element, and neither is a vector of a side
+    that ends full or at its ceiling before it is used.
 
     ``ceilings`` holds one rank per side that the side's final is known to
     reach once closed (the rank of a closed span that holds it; see
@@ -198,7 +198,7 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
         # computing products.
         if not all(done):
             for side, vs in enumerate(vectors):
-                factors[side].extend(_held(P, vec) for vec in vs[old[side]:])
+                factors[side].extend(map(P._factor, vs[old[side]:]))
             for side, vec in product_round(P, factors, old, n):
                 if not done[side] and builders[side].add(vec):
                     vectors[side].append(vec)
@@ -212,12 +212,6 @@ def _saturate_linear(P, seeds, product_round, ceilings=None):
             break
     finals = tuple(b.subspace() for b in builders)
     return ClosureTrace(tuple(rounds), finals if len(finals) > 1 else finals[0], rnd)
-
-
-def _held(P, vec):
-    """The factor (``AlgebraPresentation._factor``) of a kept vector: an
-    Element, or an int vector, which becomes an Element here."""
-    return P._factor(P._element(vec) if type(vec) is tuple else vec)
 
 
 # Product rounds, one per structure: each yields (side, int vector) for the
@@ -254,7 +248,7 @@ def _pair_round(P, vectors, old, n, jordan):
         def left(i, j):
             f = lefts.get((i, j))
             if f is None:
-                f = lefts[i, j] = P._factor(P._element(P._product(outer[i], inner[j])))
+                f = lefts[i, j] = P._factor(P._product(outer[i], inner[j]))
             return f
 
         for i in range(n[side]):

@@ -75,16 +75,16 @@ def _corners(P, idempotents, grade):
     vector (``AlgebraPresentation._ints`` and ``_combination``)."""
     m = len(idempotents)
     spans = defaultdict(lambda: SpanBuilder(P.field, P.dim))
-    times = [(y, P._operator(y, False)) for y in idempotents]
+    times = [P._factor(y) for y in idempotents]
     rest = P._combination  # first - sum(others)
     for i in range(P.dim):
         b = P.basis_element(i)
         left = [P.mul(x, b) for x in idempotents]
-        grid = [[P._ints(xb, y, op) for y, op in times] for xb in left]
+        grid = [[P._ints(xb, y) for y in times] for xb in left]
         for xb, row in zip(left, grid):
             row.append(rest(xb, row))
-        grid.append([rest(P._ints(b, y, op), [row[c] for row in grid])
-                     for c, (y, op) in enumerate(times)])
+        grid.append([rest(P._ints(b, y), [row[c] for row in grid])
+                     for c, y in enumerate(times)])
         grid[m].append(rest(b, left + grid[m]))
         for a, row in enumerate(grid):
             for c, x in enumerate(row):

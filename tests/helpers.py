@@ -367,16 +367,15 @@ def component_pair_gens(P, structure="assoc-pair"):
 
 def count_muls(monkeypatch):
     """Count the products computed: the calls of the product kernel
-    ``AlgebraPresentation._ints``, which ``mul``, the maps ``left`` and
-    ``right`` return, the factor products and brackets and every product
-    that feeds a span as an int vector go through, each once. Returns a
-    one-element list."""
+    ``AlgebraPresentation._ints``, which ``mul``, the products and brackets
+    of held factors and every product that feeds a span as an int vector
+    go through, each once. Returns a one-element list."""
     calls = [0]
     kernel = AlgebraPresentation._ints
 
-    def counting(P, a, b, op=None):
+    def counting(P, a, b):
         calls[0] += 1
-        return kernel(P, a, b, op)
+        return kernel(P, a, b)
 
     monkeypatch.setattr(AlgebraPresentation, "_ints", counting)
     return calls

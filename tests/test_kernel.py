@@ -246,8 +246,8 @@ def _record_packed_widths(monkeypatch):
 
 def test_wide_slots_are_packed(monkeypatch):
     """A one-shot dense product at s = 256 and one at s = 512 sum on packed
-    rows of their width; one at s = 1024 takes the loop, and an operator
-    packs at that width. All equal the scalar loop."""
+    rows of their width; one at s = 1024 takes the loop, and a held
+    factor's operator packs at that width. All equal the scalar loop."""
     P = DENSE_M3["Q"]
     widths = _record_packed_widths(monkeypatch)
     a, b, _ = [pair for pair in _edge_pairs(P) if _slot_width(P, *pair[:2]) == 256][0]
@@ -256,7 +256,7 @@ def test_wide_slots_are_packed(monkeypatch):
     for x, y in ((a, b), (wide, b), (wider, b)):
         assert P.mul(x, y).coords == _fraction_mul(P, x, y)
     assert widths == [256, 512]
-    assert P.left(wider)(b).coords == _fraction_mul(P, wider, b)
+    assert P.mul(P._factor(wider), b).coords == _fraction_mul(P, wider, b)
     assert widths == [256, 512, 1024]
 
 
@@ -273,35 +273,35 @@ def _operands(P):
 
 @pytest.mark.parametrize("field", sorted(DENSE_M3))
 def test_operators_equal_the_scalar_loop_at_every_width(field):
-    """One left and one right operator per operand, each reused over right
-    (left) factors scaled by 2^k: over Q the products reach every slot
-    width from 32 to 2048 bits, over F_p the widths its residues reach.
-    Every product equals the scalar loop and ``mul``."""
+    """One held factor per operand, its left and right operators reused
+    over right (left) factors scaled by 2^k: over Q the products reach every
+    slot width from 32 to 2048 bits, over F_p the widths its residues reach.
+    Every product equals the scalar loop and the one-shot ``mul``."""
     P = DENSE_M3[field]
     operands = _operands(P)
     widths = set()
     for a in operands:
-        left, right = P.left(a), P.right(a)
+        f = P._factor(a)
         for b in operands:
             for k in range(0, 1900, 23):
                 c = P.scale(1 << k, b)
                 widths.add(_slot_width(P, a, c))
-                assert left(c).coords == _fraction_mul(P, a, c) == P.mul(a, c).coords
-                assert right(c).coords == _fraction_mul(P, c, a) == P.mul(c, a).coords
+                assert P.mul(f, c).coords == _fraction_mul(P, a, c) == P.mul(a, c).coords
+                assert P.mul(c, f).coords == _fraction_mul(P, c, a) == P.mul(c, a).coords
     if field == "Q":
         assert {32, 64, 128, 256, 512, 1024, 2048} <= widths
 
 
 def test_an_operator_packs_once_per_width(monkeypatch):
-    """A left operator reads the packed rows once for each width it meets,
-    and a product at a width it has met reads none."""
+    """A held factor's left operator reads the packed rows once for each
+    width it meets, and a product at a width it has met reads none."""
     P = DENSE_M3["Q"]
     _, b, a = _operands(P)
     factors = [P.scale(1 << k, b) for k in (0, 0, 300, 0, 300, 900)]
     expected = [P.mul(a, c) for c in factors]
-    left = P.left(a)
+    left = P._factor(a)
     widths = _record_packed_widths(monkeypatch)
-    assert [left(c) for c in factors] == expected
+    assert [P.mul(left, c) for c in factors] == expected
     assert widths == [_slot_width(P, a, factors[k]) for k in (0, 2, 5)] == [64, 512, 1024]
 
 
@@ -309,31 +309,36 @@ def test_an_operator_packs_once_per_width(monkeypatch):
 @KERNEL
 @given(data=st.data())
 def test_one_term_operators_are_mul(name, data):
-    """On a table whose products have one term each, ``left`` and
-    ``right`` give ``mul``'s products and read no packed rows."""
+    """On a table whose products have one term each, a held factor on
+    either side gives the plain elements' products and reads no packed
+    rows."""
     P = PRESENTATIONS[name]
     assert P._table_bounds[0] == 1
     a = data.draw(_elements(P))
     b = data.draw(_elements(P))
     with pytest.MonkeyPatch.context() as m:
         widths = _record_packed_widths(m)
-        assert P.left(a)(b) == P.mul(a, b)
-        assert P.right(a)(b) == P.mul(b, a)
+        f = P._factor(a)
+        assert P.mul(f, b) == P.mul(a, b)
+        assert P.mul(b, f) == P.mul(b, a)
     assert widths == []
+    assert f.bound is None and f.ops == {}
 
 
 @pytest.mark.parametrize("field", sorted(DENSE_M3))
 def test_a_zero_operand_packs_nothing(monkeypatch, field):
     """A product with a zero operand is the zero element and reads no
-    packed rows, through ``mul`` and through either operator; and theorem 1
-    on a fresh dense M3 builds no rows of width 2, the width of a zero
-    bound."""
+    packed rows, with plain elements and with a held factor on either side;
+    and theorem 1 on a fresh dense M3 builds no rows of width 2, the width
+    of a zero bound."""
     P = DENSE_M3[field]
     zero, b, a = _operands(P)
     widths = _record_packed_widths(monkeypatch)
+    held_zero = P._factor(zero)
     for x in (a, b, zero):
-        for product in (P.mul(zero, x), P.mul(x, zero), P.left(zero)(x), P.left(x)(zero),
-                        P.right(zero)(x), P.right(x)(zero)):
+        held = P._factor(x)
+        for product in (P.mul(zero, x), P.mul(x, zero), P.mul(held_zero, x), P.mul(held, zero),
+                        P.mul(x, held_zero), P.mul(zero, held)):
             assert product == zero
     assert widths == []
     monkeypatch.undo()
@@ -347,12 +352,40 @@ def test_a_zero_operand_packs_nothing(monkeypatch, field):
 def test_operators_reject_an_operand_of_another_dimension(name):
     P = PRESENTATIONS[name]
     short = Element._of(P.field, P.dim - 1, (1, ((0, 1),)))
-    b = P.basis_element(0)
-    for make in (P.left, P.right):
+    held = P._factor(P.basis_element(0))
+    with pytest.raises(DimensionError):
+        P._factor(short)
+    for pair in ((held, short), (short, held)):
         with pytest.raises(DimensionError):
-            make(short)
-        with pytest.raises(DimensionError):
-            make(b)(short)
+            P.mul(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+@KERNEL
+@given(data=st.data())
+def test_a_held_factor_behaves_as_its_element(name, data):
+    """A factor equals its Element, hashes, renders and spans as it, is
+    made alike from an int vector and from that vector's Element, is
+    returned as it is, enters ``_combination`` on either side, and gives
+    the plain elements' product with a factor on the left, the right or
+    both sides."""
+    P = PRESENTATIONS[name]
+    a = data.draw(_elements(P))
+    b = data.draw(_elements(P))
+    f, g = P._factor(a), P._factor(b)
+    assert f == a and a == f and hash(f) == hash(a)
+    assert P.render(f) == P.render(a)
+    assert P.span_of([f, g]) == P.span_of([a, b])
+    vec = P._ints(a, b)
+    assert P._factor(vec) == P._factor(P._element(vec)) == P._element(vec)
+    assert P._factor(f) is f
+    assert P._combination(f, (b,)) == P._combination(a, (g,)) == P._combination(a, (b,))
+    assert P._combination(vec, (f,), 1) == P._combination(vec, (a,), 1)
+    product = P.mul(a, b)
+    for x, y in ((f, b), (a, g), (f, g)):
+        assert P.mul(x, y) == product
+        assert P._element(P._ints(x, y)) == product
+    assert P._element(P._product(f, g)) == product
 
 
 def test_sparse_tables_keep_the_loop(monkeypatch):

@@ -392,8 +392,8 @@ def test_reach_index_yields_the_words_that_meet_the_reach(name):
             upto = search.words.words_upto(length, include_empty=True)
             n_old = len(upto) - len(search.words.level(length)) if length else 0
             assert len(search.lefts) == len(upto)
-            for left, _, reach in search.lefts:
-                table_reach = _table_reach(Pw, left)
+            for left in search.lefts:
+                reach, table_reach = left.reach, _table_reach(Pw, left)
                 assert reach == table_reach
                 for start in {1, max(n_old, 1)}:
                     assert search._meeting(reach, start) == [

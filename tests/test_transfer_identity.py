@@ -72,8 +72,8 @@ def test_theorem1_mul_count_on_m3_flip(monkeypatch):
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])
 def test_product_or_zero_equals_the_product(monkeypatch, name):
-    # The product of two factors computes a product only when b meets the
-    # reach of a, and is a * b either way.
+    # The product of two held factors computes a product only when b meets
+    # the reach of a, and is a * b either way.
     P = INSTANCES[name]
     rng = random.Random(1)
     elements = [P.basis_element(i) for i in range(P.dim)]
