@@ -36,16 +36,15 @@ from .algebra import (
 )
 from .closure import (
     GeneratorSet,
+    WordBudget,
     _pair_closure,
     assoc_closure,
     generator_set,
     lie_closure,
     pair_closure,
-    word_budget,
 )
 from .decomposition import kh_split, peirce_decompose, z_grading
 from .errors import (
-    BudgetExceededError,
     CapExceededError,
     FormatError,
     MissingGeneratorsError,
@@ -265,47 +264,38 @@ def _working(P):
     return H, functools.partial(embed_in_hull, H), functools.partial(restrict_from_hull, P)
 
 
-class _WordLevels:
-    """Length-graded, zero-pruned enumeration of products of generators."""
+class _WordLevels(WordBudget):
+    """Length-graded, zero-pruned enumeration of products of generators,
+    charged to its own word budget. Level 0 is the empty word, which
+    stands for the hull's unit."""
 
-    def __init__(self, Pw, gens, budget):
+    def __init__(self, Pw, gens):
+        super().__init__()
         self.Pw = Pw
         self.gens = gens
-        self.budget = budget
-        self.count = 0
         first = []
         for name, el in gens:
-            self._tick()
+            self.tick()
             if not Pw.is_zero(el):
                 first.append((name, el))
-        self.levels = [first]
-
-    def _tick(self):
-        self.count += 1
-        if self.count > self.budget:
-            raise BudgetExceededError(self.count, self.budget)
+        self.levels = [[("", None)], first]
 
     def level(self, length):
         """Nonzero products of exactly ``length`` generators."""
-        if length < 1:
-            raise ValueError("word length must be >= 1")
-        while len(self.levels) < length:
+        while len(self.levels) <= length:
             prev = self.levels[-1]
             nxt = []
             for lab, w in prev:
                 for name, g in self.gens:
-                    self._tick()
+                    self.tick()
                     prod = self.Pw.mul(w, g)
                     if not self.Pw.is_zero(prod):
                         nxt.append((f"{lab}*{name}", prod))
             self.levels.append(nxt)
-        return self.levels[length - 1]
+        return self.levels[length]
 
-    def words_upto(self, length, include_empty=False):
-        out = [("", None)] if include_empty else []
-        for n in range(1, length + 1):
-            out.extend(self.level(n))
-        return out
+    def words_upto(self, length):
+        return [word for n in range(length + 1) for word in self.level(n)]
 
 
 class _SandwichWitnesses:
@@ -363,8 +353,8 @@ class _SandwichWitnesses:
         Pw, mid, solver = self.Pw, self.mid, self.solver
         while self.length < L and solver.rank < Pw.dim:
             self.length += 1
-            new = self.words.level(self.length) if self.length >= 1 else [("", None)]
-            upto = self.words.words_upto(self.length, include_empty=True)
+            new = self.words.level(self.length)
+            upto = self.words.words_upto(self.length)
             n_old = len(upto) - len(new)
             for pos in range(max(n_old, 1), len(upto)):
                 for i, _ in upto[pos][1].support[1]:
@@ -411,19 +401,18 @@ class _SandwichWitnesses:
         return L, [(c,) + self.products[i] for i, c in sorted(sol.items())]
 
 
-def _witness_search(P, e, f, cap, budget):
+def _witness_search(P, e, f, cap):
     """The witness search over e and f (1 - e when f is None, taken in the
     hull when P has no unit): the working copy, the declared generators
     lifted into it, one ``_WordLevels`` over them and one
     ``_SandwichWitnesses`` for each of e and f. Lemma 2 and lemma 5 read
     the generators' decompositions from it; theorem 2 builds one for both.
     """
-    budget = word_budget(budget)
     Pw, lift, lower = _working(P)
     gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
     if not gens:
         raise MissingGeneratorsError(f"{P.name} declares no generators")
-    words = _WordLevels(Pw, gens, budget)
+    words = _WordLevels(Pw, gens)
     e_w = lift(e)
     f_w = Pw.sub(Pw.unit, e_w) if f is None else lift(f)
     return SimpleNamespace(
@@ -520,7 +509,7 @@ def _lemma2_impl(P, search, components):
     return gens_out, {"d": d, "word_bound": bound}
 
 
-def lemma2_generating_set(P, e=None, cap=6, budget=None):
+def lemma2_generating_set(P, e=None, cap=6):
     """Sandwich words e*u*f and f*u*e of bounded length, deduplicated by span,
     for f = 1 - e (taken in the hull when the algebra is not unital).
 
@@ -529,10 +518,10 @@ def lemma2_generating_set(P, e=None, cap=6, budget=None):
     """
     e = _resolve_idempotent(P, e)
     pd = peirce_decompose(P, e)
-    return _lemma2_impl(P, _witness_search(P, e, None, cap, budget), (pd.eRf, pd.fRe))[0]
+    return _lemma2_impl(P, _witness_search(P, e, None, cap), (pd.eRf, pd.fRe))[0]
 
 
-def lemma2_certificate(P, e=None, cap=6, budget=None):
+def lemma2_certificate(P, e=None, cap=6):
     """The bounded word set generates the associative pair (eRf, fRe)."""
     require_axioms(P)
     e = _resolve_idempotent(P, e)
@@ -541,7 +530,7 @@ def lemma2_certificate(P, e=None, cap=6, budget=None):
         return _hypothesis_certificate(P, "lemma2", hyp)
     pd = peirce_decompose(P, e)
     target = (pd.eRf, pd.fRe)
-    gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap, budget), target)
+    gens, info = _lemma2_impl(P, _witness_search(P, e, None, cap), target)
     # eRf.fRe.eRf lies in eRf (and symmetrically) by associativity, so the
     # components are closed behind the gate.
     trace = _pair_closure(P, gens, "assoc-pair", target, closed=True)
@@ -575,7 +564,7 @@ def _index_sequences(n_outer, n_inner):
                 yield iseq, jseq
 
 
-def _distinct_index_monomials(P, pair_gens, components, budget=None):
+def _distinct_index_monomials(P, pair_gens, components):
     """Alternating monomials whose outer-side indices are pairwise distinct.
 
     For the '+' family these are a+_{i1} b-_{j1} a+_{i2} ... a+_{i_{s+1}}
@@ -588,8 +577,7 @@ def _distinct_index_monomials(P, pair_gens, components, budget=None):
     full enumeration, and only the words enumerated before the stop are
     charged to the budget.
     """
-    budget = word_budget(budget)
-    count = 0
+    words = WordBudget()
     by_side = {"+": [], "-": []}
     for (label, el, _), side in zip(pair_gens.elements, pair_gens.sides):
         by_side[side].append((label, el))
@@ -602,9 +590,7 @@ def _distinct_index_monomials(P, pair_gens, components, budget=None):
         for iseq, jseq in _index_sequences(len(outer), len(inner)):
             if got.rank == ceiling:
                 break
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(count, budget)
+            words.tick()
             el = outer[iseq[0]][1]
             word = outer[iseq[0]][0]
             for t in range(len(jseq)):
@@ -682,7 +668,7 @@ def _lemma3_claim(P, opts):
 TRANSFER_IDENTITY_TRIPLES = 200
 
 
-def theorem1_certify(P, e=None, seed=0, cap=6, budget=None):
+def theorem1_certify(P, e=None, seed=0, cap=6):
     """Pipeline certificate: [R,R] is finitely generated.
 
     Bounded sandwich words generate the off-diagonal associative pair; the
@@ -706,14 +692,12 @@ def theorem1_certify(P, e=None, seed=0, cap=6, budget=None):
 
     pd = peirce_decompose(P, e)
     comp_minus, comp_plus = pd.eRf, pd.fRe
-    search = _witness_search(P, e, None, cap, budget)
+    search = _witness_search(P, e, None, cap)
     pair_gens, info = _lemma2_impl(P, search, (comp_minus, comp_plus))
 
     # eRf.fRe.eRf lies in eRf (and symmetrically), so every monomial lies in
     # its side's component.
-    monomials = _distinct_index_monomials(
-        P, pair_gens, (comp_minus, comp_plus), budget
-    )
+    monomials = _distinct_index_monomials(P, pair_gens, (comp_minus, comp_plus))
     jordan_trace = _pair_closure(
         P, monomials, "jordan-pair", (comp_minus, comp_plus), closed=True
     )
@@ -878,7 +862,7 @@ def _lemma5_impl(P, grading, search):
     return generator_set("lie", minus_items), generator_set("lie", plus_items), info
 
 
-def lemma5_sets(P, e=None, cap=6, budget=None):
+def lemma5_sets(P, e=None, cap=6):
     """Finite skew sets M_{-1}, M_1 with R_1 = M_{-1}R_2 + R_2M_{-1} and the
     mirror equality, built from braces over decomposition witnesses.
 
@@ -887,17 +871,17 @@ def lemma5_sets(P, e=None, cap=6, budget=None):
     """
     e = _resolve_idempotent(P, e)
     grading, _ = _graded_split(P, e)
-    return _lemma5_impl(P, grading, _witness_search(P, e, grading.estar, cap, budget))
+    return _lemma5_impl(P, grading, _witness_search(P, e, grading.estar, cap))
 
 
-def lemma5_certificate(P, e=None, cap=6, budget=None):
+def lemma5_certificate(P, e=None, cap=6):
     """Certificate form of the odd-component spanning equalities."""
     require_axioms(P)
     e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, ("involution", "e^2=e", "ee*=0", "e*e=0", "ReR=R"))
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "lemma5", hyp)
-    M_minus, M_plus, info = lemma5_sets(P, e, cap=cap, budget=budget)
+    M_minus, M_plus, info = lemma5_sets(P, e, cap=cap)
     merged = generator_set(
         "lie", tuple(M_minus.elements) + tuple(M_plus.elements)
     )
@@ -954,7 +938,7 @@ def lemma6_check(P, e=None):
 # -- theorem2 ---------------------------------------------------------------
 
 
-def _alternating_products(P, outer, inner, r_max, budget, ceiling):
+def _alternating_products(P, outer, inner, r_max, ceiling):
     """Span-representative alternating products a b a ... a with <= r_max
     outer slots.
 
@@ -964,44 +948,37 @@ def _alternating_products(P, outer, inner, r_max, budget, ceiling):
     product lies in a corner component of rank ``ceiling``, so the
     enumeration stops once the span has that rank.
     """
+    words = WordBudget()
     reps = []
     seen = SpanBuilder(P.field, P.dim)
-    count = 0
-    level = []
-    for lab, el in outer:
-        count += 1
-        if count > budget:
-            raise BudgetExceededError(count, budget)
-        if seen.add(el):
-            reps.append((lab, el))
-            level.append((lab, el))
-            if seen.rank == ceiling:
-                return reps
-    for _ in range(2, r_max + 1):
+    level = outer
+    for r in range(1, r_max + 1):
         nxt = []
-        for lab, w in level:
-            for blab, b in inner:
-                wb = P.mul(w, b)
-                if P.is_zero(wb):
-                    continue
-                for alab, a in outer:
-                    count += 1
-                    if count > budget:
-                        raise BudgetExceededError(count, budget)
-                    wba = P.mul(wb, a)
-                    if seen.add(wba):
-                        entry = (f"{lab}*{blab}*{alab}", wba)
-                        reps.append(entry)
-                        nxt.append(entry)
-                        if seen.rank == ceiling:
-                            return reps
+        for entry in level if r == 1 else _extensions(P, level, inner, outer):
+            words.tick()
+            if seen.add(entry[1]):
+                reps.append(entry)
+                nxt.append(entry)
+                if seen.rank == ceiling:
+                    return reps
         level = nxt
         if not level:
             break
     return reps
 
 
-def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
+def _extensions(P, level, inner, outer):
+    """The products w b a, in order, of each (w, b) in level x inner with
+    w b nonzero and each a in outer."""
+    for lab, w in level:
+        for blab, b in inner:
+            wb = P.mul(w, b)
+            if not P.is_zero(wb):
+                for alab, a in outer:
+                    yield f"{lab}*{blab}*{alab}", P.mul(wb, a)
+
+
+def theorem2_certify(P, e=None, seed=0, cap=6):
     """Pipeline certificate: [K,K] is finitely generated.
 
     Assembles the finite union set: the odd skew sets M_{±1}, brackets of
@@ -1015,7 +992,6 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
     hyp = hypotheses_for(P, e, _THEOREM2_FULL_HYPS)
     if not all(hyp.values()):
         return _hypothesis_certificate(P, "theorem2", hyp, seed=seed)
-    budget_n = word_budget(budget)
 
     grading, kh = _graded_split(P, e)
     estar = grading.estar
@@ -1031,7 +1007,7 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
                                          "failed_stage": "lemma4"}, seed=seed,
         )
 
-    search = _witness_search(P, e, estar, cap, budget)
+    search = _witness_search(P, e, estar, cap)
     M_minus, M_plus, l5info = _lemma5_impl(P, grading, search)
     stage["lemma5_spans_ok"] = l5info["spans_ok"]
     if not l5info["spans_ok"]:
@@ -1062,10 +1038,10 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 
     # P2 lies in the + corner component and Pm2 in the - one.
     P2 = _alternating_products(
-        P, split_sides["+"], split_sides["-"], n + 2, budget_n, corner_plus.rank
+        P, split_sides["+"], split_sides["-"], n + 2, corner_plus.rank
     )
     Pm2 = _alternating_products(
-        P, split_sides["-"], split_sides["+"], n + 2, budget_n, corner_minus.rank
+        P, split_sides["-"], split_sides["+"], n + 2, corner_minus.rank
     )
     stage["corner_product_counts"] = (len(Pm2), len(P2))
 
@@ -1153,8 +1129,11 @@ def theorem2_certify(P, e=None, seed=0, cap=6, budget=None):
 
 # -- lemma7 ---------------------------------------------------------------
 
+# Lemma 7's n: the checked products a1 b1 ... bn a_{n+1} have n - 1 distinct b's.
+LEMMA7_N = 2
 
-def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
+
+def lemma7_reduction_check(P, e=None, trials=12, seed=0):
     """Alternating corner products with a repeated middle factor reduce.
 
     For random a's in K_2 ∪ H_2 and b's in K_{-2} ∪ H_{-2} with fewer than n
@@ -1162,8 +1141,6 @@ def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
     shorter alternating products times (K_{-2}K_2 + H_{-2}H_2).
     """
     require_axioms(P)
-    if n_bound < 2:
-        raise ValueError("n_bound must be >= 2")
     e = _resolve_idempotent(P, e)
     hyp = hypotheses_for(P, e, ("involution", "e^2=e", "ee*=0", "e*e=0"))
     if not all(hyp.values()):
@@ -1181,7 +1158,7 @@ def lemma7_reduction_check(P, e=None, n_bound=2, trials=12, seed=0):
     D_rows = P.elements(D.subspace())
 
     rng = random.Random(seed)
-    n = n_bound
+    n = LEMMA7_N
 
     def sample_from(parts):
         pools = [s for s in parts if s.rank > 0]

@@ -59,21 +59,27 @@ DEFAULT_WORD_BUDGET = 200_000
 _BUDGET_ENV = "ALGCERT_MAX_WORDS"
 
 
-def word_budget(budget=None):
-    """The word budget: budget when given, else ``ALGCERT_MAX_WORDS``, else
-    the default. The variable must hold a positive integer."""
-    if budget is not None:
-        return int(budget)
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_WORD_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise StructureError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
-    return value
+class WordBudget:
+    """The words one enumeration has charged against the word budget:
+    ``ALGCERT_MAX_WORDS`` when it is set, else the default. Every
+    enumeration counts from zero on its own ``WordBudget``."""
+
+    def __init__(self):
+        raw = os.environ.get(_BUDGET_ENV, str(DEFAULT_WORD_BUDGET))
+        try:
+            # ASCII digits only: int() would also read "1_0", " 7 ", "+4"
+            # and any Unicode decimal digit.
+            self.budget = int(raw) if raw.isascii() and raw.isdigit() else 0
+        except ValueError:  # past the interpreter's int-string digit limit
+            self.budget = 0
+        if self.budget < 1:
+            raise StructureError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
+        self.count = 0
+
+    def tick(self, n=1):
+        self.count += n
+        if self.count > self.budget:
+            raise BudgetExceededError(self.count, self.budget)
 
 
 @dataclass(frozen=True)
@@ -332,18 +338,7 @@ def _dedupe_exact(elements):
     return list(seen.values())
 
 
-class _WordCounter:
-    def __init__(self, budget):
-        self.budget = budget
-        self.count = 0
-
-    def tick(self, n=1):
-        self.count += n
-        if self.count > self.budget:
-            raise BudgetExceededError(self.count, self.budget)
-
-
-def word_oracle(P, S, max_len, budget=None):
+def word_oracle(P, S, max_len):
     """Span of all structure words over S up to the given length.
 
     Pure enumeration: full binary bracket trees for 'lie', left-nested
@@ -355,7 +350,7 @@ def word_oracle(P, S, max_len, budget=None):
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    counter = _WordCounter(word_budget(budget))
+    counter = WordBudget()
     if S.structure == "lie":
         return _oracle_lie(P, S, max_len, counter)
     if S.structure == "associative":

@@ -84,13 +84,13 @@ def linear_combination(field, vectors, target):
     return out
 
 
-def oracle_until_stagnation(P, S, start_len=1, budget=None, max_rounds=12):
+def oracle_until_stagnation(P, S, start_len=1, max_rounds=12):
     """Grow max_len until the oracle span stops changing; returns (span, len)."""
     step = 2 if S.structure in PAIR_STRUCTURES else 1
-    prev = word_oracle(P, S, start_len, budget)
+    prev = word_oracle(P, S, start_len)
     length = start_len
     for _ in range(max_rounds):
-        nxt = word_oracle(P, S, length + step, budget)
+        nxt = word_oracle(P, S, length + step)
         if nxt == prev:
             return prev, length
         prev = nxt
@@ -324,7 +324,7 @@ def lemma2_parts(P, e, f):
     else:
         parts = ac.z_grading(P, e).parts
         components = (parts[-2], parts[2])
-    gens, info = cc._lemma2_impl(P, cc._witness_search(P, e, f, 6, None), components)
+    gens, info = cc._lemma2_impl(P, cc._witness_search(P, e, f, 6), components)
     return gens, info, components
 
 

@@ -232,7 +232,7 @@ def test_d_is_the_largest_minimal_witness_length(name):
         minimal = []
         for gen in sorted(P.generators):
             for side in ("wit_e", "wit_f"):
-                search = cc._witness_search(P, e, f, 6, None)
+                search = cc._witness_search(P, e, f, 6)
                 el = dict(search.gens)[gen]
                 minimal.append(getattr(search, side).decompose(el, gen)[0])
         assert info["d"] == max(minimal)
@@ -246,8 +246,8 @@ def test_least_length_grows_the_search_as_decompose_does(name, monkeypatch):
     P = _WITNESS_INSTANCES[name]()
     e = P.idempotents["e"]
     for f in (None, P.involve(e)):
-        solved = cc._witness_search(P, e, f, 6, None)
-        tested = cc._witness_search(P, e, f, 6, None)
+        solved = cc._witness_search(P, e, f, 6)
+        tested = cc._witness_search(P, e, f, 6)
         for side in ("wit_e", "wit_f"):
             a, b = getattr(solved, side), getattr(tested, side)
             expected = [a.decompose(el, gen)[0] for gen, el in solved.gens]
@@ -652,7 +652,7 @@ def test_alternating_products_stop_at_the_ceiling_inside_a_level(monkeypatch):
     outer = [("a", elem(P, {"E13": 1, "E24": 1}))]
     inner = [(lab, unit_elem(P, lab)) for lab in ("E31", "E32", "E41", "E42")]
     muls = count_muls(monkeypatch)
-    capped = cc._alternating_products(P, outer, inner, 4, 10**6, 4)
+    capped = cc._alternating_products(P, outer, inner, 4, 4)
     capped_muls = muls[0]
     full = _uncapped_alternating_products(P, outer, inner, 4)
     assert [(lab, el.coords) for lab, el in capped] == [(lab, el.coords) for lab, el in full]
@@ -671,7 +671,7 @@ def test_capped_alternating_products_equal_full_enumeration(n):
         sides[side].append((label, el))
     for (outer, inner), comp in zip(((sides["-"], sides["+"]), (sides["+"], sides["-"])),
                                     components):
-        capped = cc._alternating_products(P, outer, inner, 5, 10**6, comp.rank)
+        capped = cc._alternating_products(P, outer, inner, 5, comp.rank)
         full = _uncapped_alternating_products(P, outer, inner, 5)
         assert [(lab, el.coords) for lab, el in capped] == [
             (lab, el.coords) for lab, el in full

@@ -206,10 +206,15 @@ def test_budget_env_exit1(capsys, tmp_path, monkeypatch):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("raw", ["0", "-5", "ten"])
+@pytest.mark.parametrize("raw", [
+    "0", "-5", "ten", "1_0", " 7 ", "+4", "\u0663",
+    pytest.param("9" * (sys.get_int_max_str_digits() + 1), id="past-the-digit-limit"),
+])
 def test_budget_env_must_be_positive(capsys, tmp_path, monkeypatch, raw):
     # A budget below one is an input error, not a budget exceeded by the
-    # first word.
+    # first word. The budget is ASCII digits only: int() would read "1_0",
+    # " 7 ", "+4" and the Arabic-Indic digit three, and refuse a number past
+    # the interpreter's int-string digit limit with a ValueError.
     path = _build(capsys, tmp_path, "m3.json", "--kind", "matrix_n", "--n", "3")
     monkeypatch.setenv("ALGCERT_MAX_WORDS", raw)
     code, out, err = _run(

@@ -150,11 +150,12 @@ def test_word_oracle_assoc_len2():
     assert ac.word_oracle(P, assoc_gens(P, ["E12", "E21"]), 2).rank == 4
 
 
-def test_word_oracle_budget():
+def test_word_oracle_budget(monkeypatch):
+    monkeypatch.setenv("ALGCERT_MAX_WORDS", "10")
     P = m3()
     gens = lie_gens(P, ["E12", "E21", "E23", "E32"])
     with pytest.raises(BudgetExceededError):
-        ac.word_oracle(P, gens, 6, budget=10)
+        ac.word_oracle(P, gens, 6)
 
 
 def test_budget_env_override(monkeypatch):

@@ -93,7 +93,7 @@ def _old_grading(P, e):
 def _old_lemma2_components(P, e, f):
     """(e·b·f, f·b·e) over the basis, computed in the search's working copy
     (the unital hull when P has no unit) and taken back to P."""
-    search = cc._witness_search(P, e, f, 6, None)
+    search = cc._witness_search(P, e, f, 6)
     Pw, lift, lower = search.Pw, search.lift, search.lower
     e_w, f_w = search.wit_e.mid, search.wit_f.mid
     minus, plus = [], []

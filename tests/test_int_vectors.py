@@ -230,8 +230,8 @@ class _ElementWitnesses(cc._SandwichWitnesses):
         Pw, mid, solver = self.Pw, self.mid, self.solver
         while self.length < L and solver.rank < Pw.dim:
             self.length += 1
-            new = self.words.level(self.length) if self.length >= 1 else [("", None)]
-            upto = self.words.words_upto(self.length, include_empty=True)
+            new = self.words.level(self.length)
+            upto = self.words.words_upto(self.length)
             n_old = len(upto) - len(new)
             for pos in range(max(n_old, 1), len(upto)):
                 for i, _ in upto[pos][1].support[1]:
@@ -254,7 +254,7 @@ class _ElementWitnesses(cc._SandwichWitnesses):
 
 
 def _searches(P, cls):
-    search = cc._witness_search(P, P.idempotents["e"], None, 3, None)
+    search = cc._witness_search(P, P.idempotents["e"], None, 3)
     mids = [search.wit_e.mid, search.wit_f.mid]
     if P.has_involution:
         mids.append(search.Pw.involve(search.wit_e.mid))
@@ -319,7 +319,7 @@ def test_the_dense_fp_search_meets_products_that_vanish_mod_p():
     # and terms are the Element-fed search's, and theorem 2 still passes.
     P = INSTANCES["m3-flip-dense-Fp:101"]
     e = P.idempotents["e"]
-    search = cc._witness_search(P, e, P.involve(e), 3, None)
+    search = cc._witness_search(P, e, P.involve(e), 3)
     reference = _ElementWitnesses(search.Pw, search.wit_f.mid, search.words, 3)
     wit = search.wit_f
     for _, el in search.gens:
@@ -327,7 +327,7 @@ def test_the_dense_fp_search_meets_products_that_vanish_mod_p():
     assert wit.products == reference.products
     vanishing = 0
     for left, _, _ in reference.lefts:
-        for _, v in search.words.words_upto(reference.length):
+        for _, v in search.words.words_upto(reference.length)[1:]:
             raw = _raw_product(search.Pw, left, v)
             if any(raw.values()) and not search.Pw._ints(left, v)[1]:
                 vanishing += 1

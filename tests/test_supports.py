@@ -197,11 +197,11 @@ class _UncachedWitnesses(_SandwichWitnesses):
     def _grow_to(self, L):
         while self.length < L:
             self.length += 1
-            new = self.words.level(self.length) if self.length >= 1 else [("", None)]
-            old = self.words.words_upto(self.length - 1, include_empty=True) if self.length >= 1 else []
+            new = self.words.level(self.length)
+            old = self.words.words_upto(self.length - 1)
             pairs = []
             for ul, u in new:
-                for vl, v in self.words.words_upto(self.length, include_empty=True):
+                for vl, v in self.words.words_upto(self.length):
                     pairs.append((ul, u, vl, v))
             for ul, u in old:
                 for vl, v in new:
@@ -240,7 +240,7 @@ def _labelled_combos(search):
 def _witness_searches(P, cls, cap):
     Pw, lift, _ = _working(P)
     gens = [(name, lift(el)) for name, el in sorted(P.generators.items())]
-    words = _WordLevels(Pw, gens, 200_000)
+    words = _WordLevels(Pw, gens)
     e = lift(P.idempotents["e"])
     mids = [e, Pw.sub(Pw.unit, e)]
     if P.has_involution:
@@ -389,7 +389,7 @@ def test_reach_index_yields_the_words_that_meet_the_reach(name):
         search.solver = _NoSpan()
         for length in range(4):
             search._grow_to(length)
-            upto = search.words.words_upto(length, include_empty=True)
+            upto = search.words.words_upto(length)
             n_old = len(upto) - len(search.words.level(length)) if length else 0
             assert len(search.lefts) == len(upto)
             for left in search.lefts:
