@@ -507,16 +507,17 @@ class AlgebraPresentation:
             return {k: n for k, n in nums.items() if n}
         return nums
 
-    def _element(self, vec):
+    def _element(self, vec, cls=Element):
         """The Element of the int vector vec = (d, nums), the zero element
-        with no division when nums is empty."""
+        with no division when nums is empty; with cls = ``_Factor``, a
+        factor built on the same canonical support."""
         d, nums = vec
         if not nums:
-            return self._zero
+            return self._zero if cls is Element else cls._of(self.field, self.dim, (1, ()))
         if self._p and d == 1:
             # Nonzero residues over 1 need no division.
-            return Element._of(self.field, self.dim, (1, tuple(sorted(nums.items()))))
-        return Element._of(self.field, self.dim, self.field.from_ints(nums, d))
+            return cls._of(self.field, self.dim, (1, tuple(sorted(nums.items()))))
+        return cls._of(self.field, self.dim, self.field.from_ints(nums, d))
 
     def _combination(self, first, rest, sign=-1):
         """first + sign * sum(rest), for sign = 1 or -1 and Elements or int
@@ -597,13 +598,14 @@ class AlgebraPresentation:
         if type(x) is _Factor:
             return x
         if type(x) is tuple:
-            x = self._element(x)
+            f = self._element(x, _Factor)
         elif x._dim != self.dim:
             raise DimensionError("element dimension mismatch")
-        f = _Factor._of(self.field, self.dim, x.support)
-        pairs = x.support[1]
+        else:
+            f = _Factor._of(self.field, self.dim, x.support)
+        pairs = f.support[1]
         f.indices = {i for i, _ in pairs}
-        f.reach = self._reach(x)
+        f.reach = self._reach(f)
         w, top = self._table_bounds
         f.bound = 2 * sum(abs(n) for _, n in pairs) * top if w > 1 else None
         f.ops = {}

@@ -27,6 +27,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import (
+    axiom_violations,
     embed_in_hull,
     hypotheses_for,
     ideal_span,  # noqa: F401  bound here for bench/selftest.py's tracer check
@@ -382,13 +383,17 @@ class _SandwichWitnesses:
                 if solver.add(prod) and solver.rank == Pw.dim:
                     return
 
+    def holds(self, target):
+        """Whether the span so far holds target, tested by membership with
+        no solve (none once the span is full)."""
+        solver = self.solver
+        return solver.rank == self.Pw.dim or solver.contains(target)
+
     def least_length(self, target, what):
-        """The least L up to the cap whose span holds target, grown to and
-        tested by membership, with no solve (none once the span is full)."""
-        solver, dim = self.solver, self.Pw.dim
+        """The least L up to the cap whose span holds target, grown to."""
         for L in range(0, self.cap + 1):
             self._grow_to(L)
-            if solver.rank == dim or solver.contains(target):
+            if self.holds(target):
                 return L
         raise CapExceededError(what, self.cap)
 
@@ -416,7 +421,7 @@ def _witness_search(P, e, f, cap):
     e_w = lift(e)
     f_w = Pw.sub(Pw.unit, e_w) if f is None else lift(f)
     return SimpleNamespace(
-        Pw=Pw, lift=lift, lower=lower, gens=gens, words=words,
+        e=e, f=f, Pw=Pw, lift=lift, lower=lower, gens=gens, words=words,
         wit_e=_SandwichWitnesses(Pw, e_w, words, cap),
         wit_f=_SandwichWitnesses(Pw, f_w, words, cap),
     )
@@ -458,25 +463,78 @@ def lemma1_certificate(P, e=None):
 # -- lemma2 ---------------------------------------------------------------
 
 
+def _ideals_are_whole(P, e, f):
+    """Whether the ideals that e and f generate are R, behind the axiom
+    gate: ReR = R, and R(1-e)R = R for f None (1 - e), or f = e*, whose
+    ideal Re*R = (ReR)* is then R too. The gate and the hypotheses are
+    memoised on P, so after a claim's own checks this costs nothing."""
+    if axiom_violations(P):
+        return False
+    if f is None:
+        wants = ("ReR=R", "R(1-e)R=R")
+    elif P.has_involution and P.equal(f, P.involve(e)):
+        wants = ("ReR=R",)
+    else:
+        return False
+    return all(hypotheses_for(P, e, wants).values())
+
+
+def _lemma2_length(P, search):
+    """d, the least word length whose sandwiches over e and over f hold
+    every declared generator, tested by membership (no terms are read).
+
+    Each of e and f grows one length at a time while it misses a
+    generator, and d is the first length at which both hold them all;
+    the cap error names the first generator missed at the cap, in name
+    order, over e before f. A fresh search whose ideals are whole
+    (``_ideals_are_whole``) also keeps W, the span of the words of length
+    at most L (length 0 is the empty word, the unit), and adds the words
+    of length L + 1 before growing to it. Once W is the working algebra
+    Pw, the sandwiches u*m*v of length L + 1 span Pw m Pw, which holds
+    RmR = R for m = e and for m = f; every generator lies in R and was
+    missed at L, so d = L + 1 with no sandwich of that length made.
+    Otherwise d is the larger of the lengths the two searches grew to,
+    which for a search already grown (theorem 2's, by lemma 5's
+    ``decompose``) may exceed the generators' own.
+    """
+    sides = (search.wit_e, search.wit_f)
+    gens, cap = search.gens, search.wit_e.cap
+    n = len(gens)
+    span = None
+    if all(wit.length < 0 for wit in sides) and _ideals_are_whole(P, search.e, search.f):
+        Pw = search.Pw
+        span = SpanBuilder(Pw.field, Pw.dim)
+        span.add(Pw.unit)
+    held = [0, 0]  # per side, how many generators, in name order, it holds
+    for L in range(cap + 1):
+        for k, wit in enumerate(sides):
+            if held[k] < n:
+                wit._grow_to(L)
+            while held[k] < n and wit.holds(gens[held[k]][1]):
+                held[k] += 1
+        if min(held) == n:
+            return max(wit.length for wit in sides)
+        if span is not None and L < cap:
+            for _, w in search.words.level(L + 1):
+                span.add(w)
+            if span.is_full:
+                return L + 1
+    k = 0 if held[0] <= held[1] else 1
+    raise CapExceededError(f"{gens[held[k]][0]} over {'ef'[k]}", cap)
+
+
 def _lemma2_impl(P, search, components):
     """The bounded sandwich-word generating set over a ``_witness_search``
     for the pair components (eRf, fRe) the caller read from its corners:
-    Peirce's for f = 1 - e, the grading's (R_{-2}, R_2) for f = e*.
-
-    Grows the search's e and f until each holds every declared generator
-    (``_SandwichWitnesses.least_length``: no terms are read); d, the larger
-    of the lengths the two searches grew to, is the least length that
-    decomposes them all.
+    Peirce's for f = 1 - e, the grading's (R_{-2}, R_2) for f = e*, with
+    d from ``_lemma2_length``.
     Returns (GeneratorSet, info) where info carries d and the bound 3d + 1.
     """
     Pw, lower, words = search.Pw, search.lower, search.words
     e_w, f_w = search.wit_e.mid, search.wit_f.mid  # held factors
     comp_minus, comp_plus = components
 
-    for name, el in search.gens:
-        search.wit_e.least_length(el, f"{name} over e")
-        search.wit_f.least_length(el, f"{name} over f")
-    d = max(search.wit_e.length, search.wit_f.length)
+    d = _lemma2_length(P, search)
     bound = 3 * d + 1
 
     items = []

@@ -261,6 +261,68 @@ def test_least_length_grows_the_search_as_decompose_does(name, monkeypatch):
                 assert b.decompose(el, gen) == a.decompose(el, gen)
 
 
+def _full_search_d(search):
+    """d as lemma 2 found it before the word-span stop: each declared
+    generator, in name order, grown to over e and then over f, and d the
+    larger of the lengths the two searches grew to."""
+    for name, el in search.gens:
+        search.wit_e.least_length(el, f"{name} over e")
+        search.wit_f.least_length(el, f"{name} over f")
+    return max(search.wit_e.length, search.wit_f.length)
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_INSTANCES))
+def test_word_span_stop_keeps_d(name):
+    # The stop returns L + 1 once the words of length <= L + 1 span the
+    # algebra; d must be the full search's, and neither search may grow
+    # further than the full one. On the matrix tables every unit is
+    # declared, so the words span at length 1 and no sandwich of length 1
+    # is made; on example2 the searches hold every generator first.
+    P = _WITNESS_INSTANCES[name]()
+    e = P.idempotents["e"]
+    for f in (None, P.involve(e)):
+        search, reference = (cc._witness_search(P, e, f, 6) for _ in range(2))
+        d = cc._lemma2_length(P, search)
+        assert d == _full_search_d(reference)
+        grown = [getattr(search, side).length for side in ("wit_e", "wit_f")]
+        full = [getattr(reference, side).length for side in ("wit_e", "wit_f")]
+        assert all(g <= r for g, r in zip(grown, full))
+        assert (max(grown) < d) == name.startswith("m")
+
+
+def _m3_flip_with(edit):
+    d = formats.presentation_to_dict(m3("flip"))
+    edit(d)
+    return formats.presentation_from_dict(d)
+
+
+def test_word_span_stop_needs_the_ideal_hypotheses():
+    # With e zeroed, ReR = 0. The nine declared units span R at length 1,
+    # but no sandwich over e holds E11: an ungated stop would return d = 1
+    # and an empty generating set.
+    P = _m3_flip_with(lambda d: d["idempotents"].update(e=["0"] * 9))
+    assert not algebra.axiom_violations(P)
+    assert not algebra.hypotheses_for(P, P.idempotents["e"], ("ReR=R",))["ReR=R"]
+    with pytest.raises(ac.errors.CapExceededError, match="E11 over e"):
+        ac.lemma2_generating_set(P, cap=3)
+
+
+def test_word_span_stop_needs_the_axiom_gate():
+    # A doubled structure constant fails the gate but keeps both ideal
+    # hypotheses, and the nine units span R at length 1: the search still
+    # grows as it did before the stop, to the same lengths and products.
+    P = _m3_flip_with(lambda d: d["mul"][0].__setitem__(3, "2"))
+    e = P.idempotents["e"]
+    assert algebra.axiom_violations(P)
+    assert all(algebra.hypotheses_for(P, e, ("ReR=R", "R(1-e)R=R")).values())
+    search, reference = (cc._witness_search(P, e, None, 6) for _ in range(2))
+    d = cc._lemma2_length(P, search)
+    assert d == _full_search_d(reference) == max(search.wit_e.length, search.wit_f.length)
+    for side in ("wit_e", "wit_f"):
+        got, expected = getattr(search, side), getattr(reference, side)
+        assert (got.length, got.products) == (expected.length, expected.products)
+
+
 def test_theorem2_builds_one_witness_search(monkeypatch):
     built = []
     for cls in (cc._SandwichWitnesses, cc._WordLevels):

@@ -64,10 +64,12 @@ def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # three products per basis element (e^2 = e is read from the gate's
     # memo), not four hull products each. [R, R] is read off the table
     # (``commutator_span``), with none of the 24 products of the table
-    # entries b_i b_j, i != j.
+    # entries b_i b_j, i != j. Lemma 2's d is 1, read from the span of the
+    # words of length <= 1 (the nine declared units span R), with no
+    # sandwich of length 1 made.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 138
+    assert muls[0] == 101
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])
