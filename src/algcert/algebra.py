@@ -49,7 +49,8 @@ stored form of the table and the involution: every product, the axiom
 gate, dumps and the unital hull read them. The presentation is treated as
 immutable once built; every operation is a pure function of its inputs.
 The axiom checks and the named generation hypotheses (``HYPOTHESES``) are
-therefore memoised on the presentation, and so are its packed rows.
+therefore memoised on the presentation, and so are its packed rows,
+which only a table with a product of more than one term builds.
 """
 
 from __future__ import annotations
@@ -412,7 +413,9 @@ class AlgebraPresentation:
 
     def _packed_rows(self, s):
         """rows[i][j] = sum_k c_ijk * D * 2^(s k): the integer row of
-        b_i * b_j packed into s-bit slots, built once per width s."""
+        b_i * b_j packed into s-bit slots, built once per width s. Only a
+        table with a product of more than one term reads them, in ``_ints``
+        and in the associativity check; a one-term table builds none."""
         packed = self._packed.get(s)
         if packed is None:
             _, rows = self._int_mul
@@ -963,6 +966,21 @@ def _unequal_keys(F, left, right, s):
     ]
 
 
+def _unequal_terms(p, left, right):
+    """The sorted keys of the dicts of one-term sides left and right,
+    {key: (l, c)}, at which the sides differ: a key that one side lacks (a
+    zero side), or unequal terms once each c is reduced mod p over F_p
+    (p > 0; over Q, p = 0 and c is compared as it is). Raw sides that
+    are equal need no reduction."""
+    if p and left != right:
+        left = {key: (l, c % p) for key, (l, c) in left.items()}
+        right = {key: (l, c % p) for key, (l, c) in right.items()}
+    if left == right:
+        return []
+    return [key for key in sorted(left.keys() | right.keys())
+            if left.get(key) != right.get(key)]
+
+
 def _left_generators(P):
     """The indices of a left generating set G of the basis, in order: the
     right-nested products b_g1 (b_g2 (... b_gr)) of its elements span R.
@@ -1063,6 +1081,8 @@ def _associativity_triples(P, indices=None):
     sum reaches the pairs (j, k) through the column index
     m -> (j dim + k, c_jkm). The sums for one i are keyed by j dim + k, and
     when the two sides are equal dicts, no triple of that i is violated.
+    A table whose products have one term each packs nothing: each side of
+    each key is one term, compared as it is (``_one_term_triples``).
 
     A slot of either side sums at most w products of two constants, w the
     most entries of any b_i b_j and T the largest |c|, so each slot of the
@@ -1089,6 +1109,9 @@ def _associativity_triples(P, indices=None):
     dim = P.dim
     _, rows = P._int_mul
     width, top = P._table_bounds
+    indices = range(dim) if indices is None else indices
+    if width <= 1:
+        return _one_term_triples(P, indices)
     s = (2 * width * top * top).bit_length()
     packed = P._packed_rows(s)
     column = [[] for _ in range(dim)]  # m -> (j dim + k, c_jkm)
@@ -1097,7 +1120,7 @@ def _associativity_triples(P, indices=None):
             for m, c in e:
                 column[m].append((j * dim + k, c))
     triples = []
-    for i in range(dim) if indices is None else indices:
+    for i in indices:
         left = {}
         for j, e in rows[i].items():
             for m, c in e:
@@ -1109,6 +1132,37 @@ def _associativity_triples(P, indices=None):
             for jk, c in column[m]:
                 right[jk] = right.get(jk, 0) + c * x
         triples.extend((i, *divmod(jk, dim)) for jk in _unequal_keys(F, left, right, s))
+    return triples
+
+
+def _one_term_triples(P, indices):
+    """``_associativity_triples`` on a table whose products have one term
+    each.
+
+    For b_i b_j = c b_m and b_m b_k = x b_l, (b_i b_j) b_k is the one term
+    (l, c x) over D^2, and b_i (b_j b_k) is (l, c x) for b_j b_k = c b_m
+    and b_i b_m = x b_l, reached through the column index
+    m -> (j dim + k, c); a side with a zero factor is zero, and has no key.
+    A product of two nonzero constants is nonzero over Q, and over F_p,
+    whose constants are nonzero residues of a prime, once reduced mod p.
+    So the sides are equal iff their terms are, which is what the packed
+    sums and their balanced digits decide on a wider table, with no row
+    packed."""
+    p = P._p
+    dim = P.dim
+    _, rows = P._int_mul
+    column = [[] for _ in range(dim)]  # m -> (j dim + k, c_jkm)
+    for j, row in enumerate(rows):
+        jd = j * dim
+        for k, ((m, c),) in row.items():
+            column[m].append((jd + k, c))
+    triples = []
+    for i in indices:
+        row = rows[i]
+        left = {j * dim + k: (l, c * x)
+                for j, ((m, c),) in row.items() for k, ((l, x),) in rows[m].items()}
+        right = {jk: (l, c * x) for m, ((l, x),) in row.items() for jk, c in column[m]}
+        triples.extend((i, *divmod(jk, dim)) for jk in _unequal_terms(p, left, right))
     return triples
 
 
@@ -1138,7 +1192,8 @@ def _involution_law_pairs(P, indices=None):
     here, at width t, and not kept: ``mul``'s per-width cache holds only
     the widths that products and the associativity check read. Only the
     columns b the right side reads are packed, those in the supports of
-    the b_i* visited.
+    the b_i* visited. When every product and every b_m* has one term, each
+    side is one term, compared as it is (``_one_term_pairs``).
     """
     F = P.field
     dim = P.dim
@@ -1146,9 +1201,11 @@ def _involution_law_pairs(P, indices=None):
     S, star = P._int_star
     width, top = P._table_bounds
     v = max(map(len, star))
+    indices = range(dim) if indices is None else indices
+    if width <= 1 and v <= 1:
+        return _one_term_pairs(P, indices)
     u = max((abs(c) for row in star for _, c in row), default=0)
     t = (2 * (S * width * top * u + v * v * u * u * top)).bit_length()
-    indices = range(dim) if indices is None else indices
     packed_star = [_pack(row, t) for row in star]
     read = {b for i in indices for b, _ in star[i]}
     by_right = [[] for _ in range(dim)]  # b -> (a, P_ab)
@@ -1174,6 +1231,39 @@ def _involution_law_pairs(P, indices=None):
             for j, c in star_column[a]:
                 right[j] = right.get(j, 0) + c * x
         pairs.extend((i, j) for j in _unequal_keys(F, left, right, t))
+    return pairs
+
+
+def _one_term_pairs(P, indices):
+    """``_involution_law_pairs`` when every b_i b_j and every b_i* has at
+    most one term.
+
+    For b_i b_j = c b_m and b_m* = s b_n, the left side over D S^2 is the
+    one term (n, S c s); for b_i* = s_i b_b, b_j* = s_j b_a and
+    b_a b_b = c b_l, the right side is (l, s_j s_i c). Each j has one a,
+    so the column index a -> (j, s_ja) gives each pair one right term. As
+    in ``_one_term_triples``, a product of nonzero constants is nonzero, so
+    the sides are equal iff their terms are once reduced mod p."""
+    p = P._p
+    dim = P.dim
+    _, rows = P._int_mul
+    S, star = P._int_star
+    read = {b for i in indices for b, _ in star[i]}
+    by_right = [[] for _ in range(dim)]  # b -> (a, l, c) for b_a b_b = c b_l
+    for a, row in enumerate(rows):
+        for b, ((l, c),) in row.items():
+            if b in read:
+                by_right[b].append((a, l, c))
+    star_column = [[] for _ in range(dim)]  # a -> (j, s_ja)
+    for j, row in enumerate(star):
+        for a, c in row:
+            star_column[a].append((j, c))
+    pairs = []
+    for i in indices:
+        left = {j: (n, S * c * s) for j, ((m, c),) in rows[i].items() for n, s in star[m]}
+        right = {j: (l, sj * s * c)
+                 for b, s in star[i] for a, l, c in by_right[b] for j, sj in star_column[a]}
+        pairs.extend((i, j) for j in _unequal_terms(p, left, right))
     return pairs
 
 
@@ -1239,9 +1329,9 @@ def _order2_failures(P, indices=None):
 @_per_presentation
 def axiom_violations(P):
     """The violated algebra axioms, as a tuple of Violations: associativity
-    (on packed rows, see ``_associativity_triples``), the involution laws,
-    the unit law, then e^2 = e for every declared idempotent in name
-    order.
+    (on one terms or packed rows, see ``_associativity_triples``), the
+    involution laws, the unit law, then e^2 = e for every declared
+    idempotent in name order.
 
     Associativity, the involution laws and the unit law are checked first
     only on the rows of a left generating set G (``_left_generators``),

@@ -400,10 +400,15 @@ class _SandwichWitnesses:
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)],
         for L = ``least_length``: lemma 2 reads only L, and grows the search
-        as far as this does."""
-        L = self.least_length(target, what)
-        sol = self.solver.solve(target)
-        return L, [(c,) + self.products[i] for i, c in sorted(sol.items())]
+        as far as this does. The solve is the membership test, so the
+        target is eliminated once per length: ``solve`` returns None below
+        L."""
+        for L in range(0, self.cap + 1):
+            self._grow_to(L)
+            sol = self.solver.solve(target)
+            if sol is not None:
+                return L, [(c,) + self.products[i] for i, c in sorted(sol.items())]
+        raise CapExceededError(what, self.cap)
 
 
 def _witness_search(P, e, f, cap):
@@ -546,14 +551,17 @@ def _lemma2_impl(P, search, components):
         if done:
             break
         for lab, u in words.level(length):
-            gm = lower(Pw.mul(Pw.mul(e_w, u), f_w))
-            if got_minus.add(gm):
-                items.append((f"e*{lab}*f", gm, f"word:{lab}"))
-                sides.append("-")
-            gp = lower(Pw.mul(Pw.mul(f_w, u), e_w))
-            if got_plus.add(gp):
-                items.append((f"f*{lab}*e", gp, f"word:{lab}"))
-                sides.append("+")
+            # A side whose span is its whole component can take no item.
+            if got_minus.rank < comp_minus.rank:
+                gm = lower(Pw.mul(Pw.mul(e_w, u), f_w))
+                if got_minus.add(gm):
+                    items.append((f"e*{lab}*f", gm, f"word:{lab}"))
+                    sides.append("-")
+            if got_plus.rank < comp_plus.rank:
+                gp = lower(Pw.mul(Pw.mul(f_w, u), e_w))
+                if got_plus.add(gp):
+                    items.append((f"f*{lab}*e", gp, f"word:{lab}"))
+                    sides.append("+")
             if (
                 got_minus.rank == comp_minus.rank
                 and got_plus.rank == comp_plus.rank
@@ -876,7 +884,8 @@ def _brace_set(P, mid_name, mid, witnesses, lower, ee):
     out = []
     seen = SpanBuilder(P.field, P.dim)
     mid, ee = P._factor(mid), P._factor(ee)
-    for w_label, w in witnesses:
+    # A label names one word, whose brace seen already holds on its repeat.
+    for w_label, w in dict(witnesses).items():
         x = mid if w is None else P.mul(mid, lower(w))
         br = P.brace(P.sub(x, P.mul(x, ee)))
         if seen.add(br):

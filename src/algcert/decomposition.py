@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import hypotheses_for, require_axioms
 from .errors import IdempotentError, MissingInvolutionError
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, echelonize
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,20 @@ def kh_split(P, grading=None):
     H_i = H ∩ R_i. The grading was built behind the axiom gate, and under
     the axioms (xRy)* = y*Rx* has the grade of xRy, so R_i is *-stable and
     K_i = (1 - *)R_i, H_i = (1 + *)R_i: spanned over the basis of R_i.
+    As R = ⊕R_i, K and H are then the sums of the K_i and of the H_i, with
+    no second pass over the basis.
     """
     if not P.has_involution:
         raise MissingInvolutionError(f"{P.name} has no involution")
-    K, H = _skew_symmetric_spans(P, [P.basis_element(i) for i in range(P.dim)])
-    graded = None
-    if grading is not None:
-        graded = {
-            i: _skew_symmetric_spans(P, P.elements(grading.parts[i]))
-            for i in range(-2, 3)
-        }
+    if grading is None:
+        K, H = _skew_symmetric_spans(P, [P.basis_element(i) for i in range(P.dim)])
+        return KHSplit(K, H, None)
+    graded = {
+        i: _skew_symmetric_spans(P, P.elements(grading.parts[i]))
+        for i in range(-2, 3)
+    }
+    K, H = (
+        echelonize(P.field, [x for i in range(-2, 3) for x in P.elements(graded[i][side])], P.dim)
+        for side in (0, 1)
+    )
     return KHSplit(K, H, graded)

@@ -10,7 +10,8 @@ import algcert as ac
 from algcert import formats
 from algcert.algebra import axiom_violations
 from algcert.errors import FormatError, IdempotentError, MissingInvolutionError
-from helpers import component_pair_gens, elem, intersect, m2, m3, m4, unit_elem
+from algcert.linalg import QQ, PrimeField
+from helpers import component_pair_gens, dense_change_of_basis, elem, intersect, m2, m3, m4, unit_elem
 
 
 def test_peirce_m2_dims():
@@ -234,6 +235,47 @@ def test_kh_eigenvalue_property():
             v = P.element(row)
             assert P.equal(P.involve(v), v)
         assert kh.K.rank + kh.H.rank == P.dim
+
+
+def _isotropic_transpose():
+    """M3 transpose over F_101 and e = v w^T for v = (1, 10, 0) and
+    w = (1, -10, 0) / 2: v.v = w.w = 0 and v.w = 1 mod 101, so e^2 = e,
+    ee* = (w.w) v v^T = 0 and e*e = (v.v) w w^T = 0. Over Q no e != 0 has
+    ee^T = 0 (its trace is the sum of the squares of e's entries), so M3
+    transpose has no grading there."""
+    P = ac.build_matrix_algebra(3, PrimeField(101), "transpose")
+    v, w = (1, 10, 0), (51, 96, 0)
+    return P, P.element([v[a] * w[b] for a in range(3) for b in range(3)])
+
+
+def _kh_cases():
+    out = {}
+    for field, F in (("Q", QQ), ("Fp101", PrimeField(101))):
+        P = ac.build_matrix_algebra(3, F, "flip")
+        out[f"m3-flip-{field}"] = P, P.idempotents["e"]
+        ex2 = ac.build_example2(2, F)
+        out[f"example2-D2-{field}"] = ex2, ex2.idempotents["e"]
+        dense = dense_change_of_basis(P, 5)
+        out[f"m3-flip-dense-{field}"] = dense, dense.idempotents["e"]
+    out["m3-transpose-Fp101"] = _isotropic_transpose()
+    return out
+
+
+KH_CASES = _kh_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KH_CASES))
+def test_graded_kh_sums_equal_the_ungraded_split(name):
+    # R is the direct sum of the *-stable R_i behind the gate, so K and H
+    # are the sums of the K_i and of the H_i.
+    P, e = KH_CASES[name]
+    g = ac.z_grading(P, e)
+    kh = ac.kh_split(P, g)
+    plain = ac.kh_split(P)
+    assert plain.graded is None
+    assert (kh.K, kh.H) == (plain.K, plain.H)
+    assert kh.K.rank + kh.H.rank == P.dim
+    assert sum(kh.graded[i][0].rank for i in range(-2, 3)) == kh.K.rank
 
 
 def test_graded_kh_m3_flip():

@@ -390,10 +390,10 @@ def test_a_held_factor_behaves_as_its_element(name, data):
 
 def test_sparse_tables_keep_the_loop(monkeypatch):
     """Every b_i * b_j of a matrix or example2 table has at most one term,
-    so ``mul`` never reads packed rows there: outside the axiom gate,
-    theorem 1 on M3 flip and theorem 2 on example2 D=2 enter the packed
-    path zero times (theorem 2 on M3 flip neither). Theorem 1 on a dense
-    change of basis enters it."""
+    so neither ``mul`` nor the axiom gate reads packed rows there: theorem 1
+    on M3 flip and theorem 2 on example2 D=2 enter the packed path zero
+    times (theorem 2 on M3 flip neither), and the gate compares the one
+    terms themselves. Theorem 1 on a dense change of basis enters it."""
     entries = {"gate": 0, "mul": 0}
     in_gate = []
     gate = algebra._associativity_triples
@@ -421,9 +421,10 @@ def test_sparse_tables_keep_the_loop(monkeypatch):
     for P, claim, verdict in runs:
         assert P._table_bounds[0] == 1
         assert cc.certify(P, claim, opts).verdict == verdict
-    assert entries["gate"] > 0
+    assert entries["gate"] == 0
     assert entries["mul"] == 0
     assert cc.certify(dense_change_of_basis(m3("flip"), 1), "thm1", opts).verdict == "pass"
+    assert entries["gate"] > 0
     assert entries["mul"] > 0
 
 
