@@ -61,7 +61,7 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 
-from .closure import _saturate_linear, assoc_closure, generator_set
+from .closure import _saturate_linear
 from .errors import (
     DimensionError,
     FormatError,
@@ -795,12 +795,22 @@ def ideal_span(P, x, unit_coeff=0):
     each left factor is one int vector, b_i x on x's right operator plus
     c b_i (``AlgebraPresentation._combination``), held as a factor only
     when it is nonzero; each seed is the int vector of its product
-    (``AlgebraPresentation._ints``). c 1 is never folded into x through a
-    declared unit: that needs the unit law, which a file that fails the
-    gate need not satisfy.
+    (``AlgebraPresentation._ints``).
+
+    Behind the axiom gate, a declared unit folds c 1 into x: the unit law
+    gives b_i (c 1 + x) = b_i x + c b_i, so x becomes y = c 1 + x and c
+    becomes 0, and each left factor is the one product b_i y. A file that
+    fails the gate need not satisfy the unit law, and ``validate`` still
+    evaluates it, so there c 1 is not folded. With c = 0, a zero x (a zero
+    y behind the gate) returns the zero subspace with no product.
     """
     n, d = _exact_pair(P.field, unit_coeff)
+    if n and P.unital and not axiom_violations(P):
+        du, unit = P.unit.support
+        x, n = P._combination(x, ((du * d, {k: n * u for k, u in unit}),), 1), 0
     x = P._factor(x)
+    if not n and not x.indices:
+        return _ideal_closure(P, ())
 
     def products():
         for i in range(P.dim):
@@ -859,14 +869,44 @@ def _basis_factors(P):
 
 
 def _generators_generate(P, e):
-    """The declared generators (with the unit, when present) span R as an
-    associative subalgebra."""
+    """The declared generators S (with the unit, when present) span R as an
+    associative subalgebra.
+
+    Behind the axiom gate, V, the span of the words in S and the unit, is
+    grown level by level: the closure of S and the unit under x -> g x for
+    g in S, each new vector held as a factor (``_product``). V lies in the
+    subalgebra W that S and the unit generate, which is the span of the
+    words by associativity. Once V holds b_g for every g in the gate's
+    left generating set G (``_left_generators``), W holds every
+    right-nested product of G, so W = R, with no further product. A V that
+    stops growing first is W, and is not R. Every claim that asks this
+    gates first; a presentation that fails the gate raises FormatError
+    (``require_axioms``).
+    """
+    require_axioms(P)
     if not P.generators:
         return False
-    items = [(name, el, "declared") for name, el in sorted(P.generators.items())]
-    if P.unital:
-        items.append(("@1", P.unit, "unit"))
-    return assoc_closure(P, generator_set("associative", items)).final.is_full
+    declared = [el for _, el in sorted(P.generators.items())]
+    held = None  # the declared generators as factors, from level 1 on
+    span = SpanBuilder(P.field, P.dim)
+    missing = list(_left_generators(P))
+    level = declared + [P.unit] if P.unital else declared
+    while True:
+        grown = []
+        for v in level:
+            if span.add(v):
+                # V only grows, so testing the last index still missing
+                # after each growth finds the first growth that holds G;
+                # b_g lies in V only if g is a pivot of V's rows.
+                while missing and (j := missing[-1]) in span.rows and span.contains((1, {j: 1})):
+                    missing.pop()
+                if not missing:
+                    return True
+                grown.append(v)
+        if not grown:
+            return False
+        held = held or [P._factor(el) for el in declared]
+        level = (P._product(g, v) for v in map(P._factor, grown) for g in held)
 
 
 def _desk_simple(P, e):
@@ -981,6 +1021,7 @@ def _unequal_terms(p, left, right):
             if left.get(key) != right.get(key)]
 
 
+@_per_presentation
 def _left_generators(P):
     """The indices of a left generating set G of the basis, in order: the
     right-nested products b_g1 (b_g2 (... b_gr)) of its elements span R.
@@ -994,6 +1035,7 @@ def _left_generators(P):
     b_g b_x = c b_l for g in G and x reached, and the closure costs
     O(|G| dim) dict reads. The first product with more than one term hands
     the walk to ``_span_generators``, which keeps V in a ``SpanBuilder``.
+    Memoised as a tuple: the gate and ``R=alg<gens>`` share it.
     """
     _, rows = P._int_mul
     reached = [False] * P.dim
@@ -1018,7 +1060,7 @@ def _left_generators(P):
             x = todo.pop()
             products = [rows[g].get(x) for g in gens]
             tried.append(x)
-    return gens
+    return tuple(gens)
 
 
 def _span_generators(P, gens, reached, start):
@@ -1062,7 +1104,7 @@ def _span_generators(P, gens, reached, start):
                 found(times(g, v))
             tried.append(v)
         if span.is_full:
-            return gens
+            return tuple(gens)
         g = next(i for i in indices if found(((i, 1),)))
         gens.append(g)
         for v in tried:

@@ -389,20 +389,11 @@ class _SandwichWitnesses:
         solver = self.solver
         return solver.rank == self.Pw.dim or solver.contains(target)
 
-    def least_length(self, target, what):
-        """The least L up to the cap whose span holds target, grown to."""
-        for L in range(0, self.cap + 1):
-            self._grow_to(L)
-            if self.holds(target):
-                return L
-        raise CapExceededError(what, self.cap)
-
     def decompose(self, target, what):
         """(L, terms) with terms = [(coeff, u_label, u_el, v_label, v_el)],
-        for L = ``least_length``: lemma 2 reads only L, and grows the search
-        as far as this does. The solve is the membership test, so the
-        target is eliminated once per length: ``solve`` returns None below
-        L."""
+        for L the least length up to the cap whose span holds target, grown
+        to. The solve is the membership test, so the target is eliminated
+        once per length: ``solve`` returns None below L."""
         for L in range(0, self.cap + 1):
             self._grow_to(L)
             sol = self.solver.solve(target)

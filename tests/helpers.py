@@ -162,12 +162,14 @@ def _over_lcm(entries):
 
 
 def without_unit(P):
-    """P's table, declared with no unit (and no involution)."""
+    """P's table and declared generators, declared with no unit (and no
+    involution or idempotent)."""
     return AlgebraPresentation(
         P.name + "-no-unit",
         P.field,
         P.basis_labels,
         [(i, j, k, c) for (i, j), entries in scalar_table(P).items() for k, c in entries],
+        generators={name: el.coords for name, el in P.generators.items()},
     )
 
 

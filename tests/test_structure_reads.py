@@ -10,7 +10,7 @@ import random
 import pytest
 
 import algcert as ac
-from algcert import algebra
+from algcert import algebra, formats
 from algcert import certificates as cc
 from algcert.algebra import ideal_span
 from algcert.closure import generator_set, lie_closure
@@ -117,13 +117,26 @@ def test_zero_x_with_unit_coeff_on_a_non_unital_table_is_r_times_r(field):
     assert ideal_span(P, P.zero()).rank == 0
 
 
+def _left_unit_broken(P):
+    """example2 with E11 E21 = E21 added to its table: 1 E21 = 2 E21, so the
+    unit law fails on the left, while b 1 = b still holds for every b."""
+    d = formats.presentation_to_dict(P)
+    E11, E21 = (P.basis_labels.index(label) for label in ("E11", "E21"))
+    d["mul"].append([E11, E21, E21, "1"])
+    return formats.presentation_from_dict(d)
+
+
 @pytest.mark.parametrize("field", [ac.QQ, FP])
 def test_a_zero_ideal_costs_only_the_left_factors(field, monkeypatch):
-    # e + e* = 1 in example 2, so R(1 - e - e*)R = 0: one product b_i x per
-    # basis element, no seed and no basis factor.
+    # e + e* = 1 in example 2, so y = 1 - e - e* = 0: behind the gate the
+    # unit law makes every left factor b_i y zero, and R y R = 0 takes no
+    # product and no basis factor. A copy that fails the gate on the unit
+    # law keeps one product b_i x per basis element; there each left factor
+    # b_i x + b_i is still zero, since b 1 = b.
     P = ac.build_example2(3, field)
-    e = P.idempotents["e"]
-    x = P.neg(P.add(e, P.involve(e)))
+    broken = _left_unit_broken(P)
+    assert not algebra.axiom_violations(P)
+    assert "unit" in {v.axiom for v in algebra.axiom_violations(broken)}
     built = [0]
     basis_factors = algebra._basis_factors
 
@@ -133,9 +146,35 @@ def test_a_zero_ideal_costs_only_the_left_factors(field, monkeypatch):
 
     monkeypatch.setattr(algebra, "_basis_factors", counting)
     muls = count_muls(monkeypatch)
-    assert ideal_span(P, x, unit_coeff=1).rank == 0
-    assert muls[0] == P.dim
-    assert built[0] == 0
+    e = P.idempotents["e"]
+    assert ideal_span(P, P.neg(P.add(e, P.involve(e))), unit_coeff=1).rank == 0
+    assert (muls[0], built[0]) == (0, 0)
+    assert ideal_span(broken, broken.neg(broken.unit), unit_coeff=1).rank == 0
+    assert (muls[0], built[0]) == (P.dim, 0)
+
+
+@pytest.mark.parametrize("field", [ac.QQ, FP])
+def test_the_unit_is_folded_into_x_once_behind_the_gate(field, monkeypatch):
+    # R(1 - e)R: behind the gate y = 1 - e is formed once and each left
+    # factor is the product b_i y; on the copy that fails the gate each
+    # left factor is b_i x + b_i, one combination per b_i, until the span
+    # is full after the seeds of b_0 to b_3. The ideal is R either way.
+    P = ac.build_example2(3, field)
+    broken = _left_unit_broken(P)
+    combined = [0]
+    combination = ac.AlgebraPresentation._combination
+
+    def counting(Q, first, rest, sign=-1):
+        combined[0] += 1
+        return combination(Q, first, rest, sign)
+
+    algebra.axiom_violations(P), algebra.axiom_violations(broken)
+    monkeypatch.setattr(ac.AlgebraPresentation, "_combination", counting)
+    assert ideal_span(P, P.neg(P.idempotents["e"]), unit_coeff=1).is_full
+    assert combined[0] == 1
+    combined[0] = 0
+    assert ideal_span(broken, broken.neg(broken.idempotents["e"]), unit_coeff=1).is_full
+    assert combined[0] == 4
 
 
 # -- combinations ---------------------------------------------------------------------

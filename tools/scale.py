@@ -71,11 +71,11 @@ INSTANCES = {
     "example2-D12-Q": _example2(12, "Q"),
     "example2-D24-Q": _example2(24, "Q"),
 }
-# case name -> (instance, claim)
+# case name -> (instance, claim); example1 has no involution, so no thm2.
 CASES = {
     f"{name}/{claim}": (name, claim)
     for name in INSTANCES
-    for claim in (("thm1",) if name.startswith("example") else ("thm1", "thm2"))
+    for claim in (("thm1",) if name.startswith("example1") else ("thm1", "thm2"))
 }
 # The stagnation probe on [R, R] (example 1) and [K, K] (example 2) at a size
 # that no bench job reaches: both targets are bracket-abelian.
