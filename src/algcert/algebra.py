@@ -68,7 +68,7 @@ from .errors import (
     MissingInvolutionError,
     UnitalityError,
 )
-from .linalg import ZERO_PAIR, PrimeField, SpanBuilder, echelonize
+from .linalg import ZERO_PAIR, PrimeField, SpanBuilder, echelonize, unit_span
 
 
 def _exact_pair(F, s):
@@ -785,7 +785,7 @@ def _ideal_closure(P, seeds):
 
 
 def ideal_span(P, x, unit_coeff=0):
-    """Span of all products b_i * (unit_coeff + x) * b_j, saturated on both sides.
+    """The two-sided ideal that the products b_i * (unit_coeff + x) * b_j span.
 
     With unit_coeff=0 this is the two-sided product space R x R; unit_coeff=1
     gives R(1+x)R, which is how complements like 1-e are handled without
@@ -803,29 +803,61 @@ def ideal_span(P, x, unit_coeff=0):
     fails the gate need not satisfy the unit law, and ``validate`` still
     evaluates it, so there c 1 is not folded. With c = 0, a zero x (a zero
     y behind the gate) returns the zero subspace with no product.
+
+    Behind the gate the seeds' span is already the ideal, so it takes no
+    saturation round: the seeds span R y R, and by associativity
+    b_k (b_i y b_j) = (b_k b_i) y b_j, a combination of seeds, and the same
+    on the right. The seeds go into one span, which stops once it is full.
+    On a one-term table (``_table_bounds``) a one-term left factor c b_k has
+    as seeds the nonzero multiples of the b_t in row k, so its seeds are
+    the unit vectors b_t of the indices t in that row, read with no product
+    and kept as a set of indices: with no other seed their span is built
+    with no elimination (``linalg.unit_span``). A file that fails the gate
+    keeps the saturation (``_ideal_closure``).
     """
     n, d = _exact_pair(P.field, unit_coeff)
-    if n and P.unital and not axiom_violations(P):
+    gated = not axiom_violations(P)
+    if n and P.unital and gated:
         du, unit = P.unit.support
         x, n = P._combination(x, ((du * d, {k: n * u for k, u in unit}),), 1), 0
     x = P._factor(x)
     if not n and not x.indices:
-        return _ideal_closure(P, ())
+        return unit_span(P.field, P.dim, ())
 
-    def products():
+    def lefts():
         for i in range(P.dim):
-            # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity; it is zero
-            # unless b_j lies in the reach of the left factor.
+            # b_i(c + x)b_j = (b_i x + c b_i) b_j by bilinearity.
             left = P._ints(P.basis_element(i), x)
             if n:
                 left = P._combination(left, ((d, {i: n}),), 1)
-            if not left[1]:
-                continue
-            left = P._factor(left)
-            for j in sorted(left.reach):
-                yield P._ints(left, P.basis_element(j))
+            if left[1]:
+                yield left
 
-    return _ideal_closure(P, products())
+    def seeds(left):
+        # A seed is zero unless b_j lies in the reach of the left factor.
+        left = P._factor(left)
+        return (P._ints(left, P.basis_element(j)) for j in sorted(left.reach))
+
+    if not gated:
+        return _ideal_closure(P, (s for left in lefts() for s in seeds(left)))
+    rows = P._int_mul[1] if P._table_bounds[0] <= 1 else None
+    span = SpanBuilder(P.field, P.dim)  # the seeds of the other left factors
+    reached = set()  # the indices t of the unit vectors read off the table
+    for left in lefts():
+        if rows is not None and len(left[1]) == 1:
+            k, = left[1]
+            reached.update(t for (t, _), in rows[k].values())
+        else:
+            for s in seeds(left):
+                if span.add(s) and span.is_full:
+                    break
+        if span.is_full or len(reached) == P.dim:
+            break
+    if not span.rank:
+        return unit_span(P.field, P.dim, reached)
+    for t in sorted(reached):
+        span.add((1, {t: 1}))
+    return span.subspace()
 
 
 def principal_ideal(P, x):

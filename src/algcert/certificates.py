@@ -203,27 +203,39 @@ def _bracket_span(P, rows):
     return b.subspace()
 
 
-def commutator_span(P):
-    """Span of all [b_i, b_j] over basis pairs, read off the integer table:
-    [b_i, b_j] = sum_k (c_ijk - c_jik) b_k, one int vector over the table's
-    D (mod p over F_p), with no product computed. Only the pairs with
-    b_i b_j or b_j b_i in the table are visited, each once, so the cost is
-    the table's entries; the other brackets are zero. As in
-    ``_bracket_span``, a one-term bracket whose index an earlier one had is
-    skipped."""
+def _table_bracket_span(P, combos):
+    """Span of all [u_p, u_q], p < q, over the integer combinations combos,
+    each a tuple of (basis index, int) pairs, read off the integer table:
+    [b_a, b_c] = sum_k (c_ack - c_cak) b_k, so each bracket is one int
+    vector over the table's D (mod p over F_p), with no product computed.
+    Only the pairs whose supports hold some b_a b_c or b_c b_a in the
+    table are visited, each once: u_p finds the u_q that hold an index of
+    its reach, and visits each unless q < p and u_q found u_p. The other
+    brackets are zero. As in ``_bracket_span``, a one-term bracket whose
+    index an earlier one had is skipped."""
     D, rows = P._int_mul
+    holds = {}  # basis index -> positions of the combinations that hold it
+    for q, v in enumerate(combos):
+        for c, _ in v:
+            holds.setdefault(c, []).append(q)
+    found = []  # found[q]: the positions that u_q found
     b = SpanBuilder(P.field, P.dim)
     units = set()  # the indices k of the one-term brackets c b_k added
-    for i, row in enumerate(rows):
-        for j, uv in row.items():
-            # The pair is visited from its smaller index, or from i alone
-            # when b_j b_i = 0.
-            vu = rows[j].get(i)
-            if j == i or (j < i and vu):
+    for p, u in enumerate(combos):
+        partners = {q for a, _ in u for j in rows[a] for q in holds.get(j, ())}
+        found.append(partners)
+        for q in partners:
+            if q == p or (q < p and p in found[q]):
                 continue
-            acc = dict(uv)
-            for k, c in vu or ():
-                acc[k] = acc.get(k, 0) - c
+            acc = {}
+            for a, x in u:
+                row = rows[a]
+                for c, y in combos[q]:
+                    xy = x * y
+                    for k, t in row.get(c, ()):
+                        acc[k] = acc.get(k, 0) + xy * t
+                    for k, t in rows[c].get(a, ()):
+                        acc[k] = acc.get(k, 0) - xy * t
             acc = P._reduced(acc)
             if len(acc) == 1:
                 k, = acc
@@ -232,6 +244,13 @@ def commutator_span(P):
                 units.add(k)
             b.add((D, acc))
     return b.subspace()
+
+
+def commutator_span(P):
+    """Span of all [b_i, b_j] over basis pairs, read off the integer table
+    (``_table_bracket_span``): only the pairs with b_i b_j or b_j b_i in
+    the table are visited, so the cost is the table's entries."""
+    return _table_bracket_span(P, [((i, 1),) for i in range(P.dim)])
 
 
 def derived_subspace(P):
@@ -243,7 +262,29 @@ def derived_subspace(P):
 
 
 def skew_commutator_span(P):
-    """Span of all [k_i, k_j] over a basis of the skew part K."""
+    """Span of all [k_i, k_j] over a spanning set of the skew part K.
+
+    Behind the axiom gate, when every row of the involution has one term,
+    b_i* = (s_i / S) b_sigma(i), it is read off the table. Over a field of
+    characteristic not 2, K = {x - x*}, since ** = id (which the gate
+    proves) makes x - x* skew and k = (k - k*) / 2 for k in K. So K is
+    spanned by the S b_i - s_i b_sigma(i), one per orbit of sigma: the
+    orbit's other vector is a multiple, and a fixed point gives 0
+    (s_i = S) or a multiple of b_i (s_i = -S). Their brackets are summed
+    from the table entries (``_table_bracket_span``), with no product. A
+    dense involution, or a file that fails the gate, brackets a basis of K
+    as elements (``_bracket_span``).
+    """
+    if P.has_involution and not axiom_violations(P):
+        S, star = P._int_star
+        if all(len(r) == 1 for r in star):
+            combos = []
+            for i, ((j, s),) in enumerate(star):
+                if i < j:
+                    combos.append(((i, S), (j, -s)))
+                elif i == j and s != S:
+                    combos.append(((i, 1),))
+            return _table_bracket_span(P, combos)
     return _bracket_span(P, P.elements(_skew_part(P)))
 
 
@@ -1365,14 +1406,46 @@ def lemma9_check(P, samples=20, seed=0):
 # -- stagnation probe ---------------------------------------------------------
 
 
-def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
-    """Randomized refutation: bounded generator sets drawn inside ``target``
-    never Lie-generate it.
+def _nilpotent(P, target, brackets):
+    """The Lie algebra L = target, with [L, L] = brackets, is nilpotent:
+    its lower central series L^(k+1) = [L, L^k] reaches 0. Each term lies
+    in the one before, so a term of the rank of the one before is that
+    term, and the series stops there short of 0; a perfect L != 0 stops
+    at once, with no bracket."""
+    if brackets.rank == target.rank:
+        return not target.rank
+    basis = [P._factor(v) for v in P.elements(target)]
+    term = brackets
+    while term.rank:
+        b = SpanBuilder(P.field, P.dim)
+        for m in map(P._factor, P.elements(term)):
+            for u in basis:
+                b.add(P._bracket(u, m))
+        if b.rank == term.rank:
+            return False
+        term = b.subspace()
+    return True
 
-    The target must be bracket-closed. Reports per-trial closure ranks and
-    whether every trial stagnated strictly below the target rank; also
-    records whether the target is bracket-abelian, in which case any g
-    generators span at most rank g.
+
+def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
+    """Bounded generator sets drawn inside ``target`` never Lie-generate it.
+
+    The target L must be bracket-closed. If S generates L, then
+    L = span(S) + [L, L], since every bracket lies in [L, L]; so every
+    generating set has at least bound = dim L - dim [L, L] elements. The
+    verdict is exact:
+
+    - ``fail`` when a random trial reaches L (an exact witness);
+    - ``pass`` when bound > max_gen, which proves the claim;
+    - ``fail`` on a nilpotent L, where S generates L exactly when it spans
+      L modulo [L, L] (Jacobson, *Lie Algebras*), with a basis of L modulo
+      [L, L], bound <= max_gen elements, as the witness set;
+    - ``hypothesis-not-met`` otherwise, naming the bound: no trial reached
+      L, and nothing is proved.
+
+    The report keeps the per-trial closure ranks and whether the target is
+    bracket-abelian; on a bracket-abelian target a trial's rank is the rank
+    of its generators' span. The last two verdicts add the bound.
     """
     brackets = _bracket_span(P, P.elements(target))
     if not target.contains_subspace(brackets):
@@ -1397,21 +1470,42 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
         hit = rank == target.rank
         reached += hit
         results.append({"trial": t, "size": g, "rank": rank, "reached": hit})
-    verdict = PASS if reached == 0 else FAIL
+    detail = {
+        "trials": trials,
+        "max_gen": max_gen,
+        "target_rank": target.rank,
+        "max_rank_achieved": max_rank,
+        "reached_target_count": reached,
+        "bracket_abelian": abelian,
+        "results": results,
+    }
+    bound = target.rank - brackets.rank
+    witness = None
+    if reached:
+        verdict = FAIL
+    elif bound > max_gen:
+        verdict = PASS
+    else:
+        detail["generator_bound"] = bound
+        if _nilpotent(P, target, brackets):
+            verdict = FAIL
+            modulo = brackets.builder()
+            witness = generator_set("lie", [
+                (f"w{i}", v, "L mod [L,L]")
+                for i, v in enumerate(v for v in P.elements(target) if modulo.add(v))
+            ])
+        else:
+            verdict = HYPOTHESIS_NOT_MET
+            name = "dim L - dim [L,L] > max_gen"
+            detail["hypotheses"] = {name: False}
+            detail["failed_hypotheses"] = [name]
     return Certificate(
         claim="stagnation",
         verdict=verdict,
         presentation=P,
+        generators=witness,
         target=target,
-        detail={
-            "trials": trials,
-            "max_gen": max_gen,
-            "target_rank": target.rank,
-            "max_rank_achieved": max_rank,
-            "reached_target_count": reached,
-            "bracket_abelian": abelian,
-            "results": results,
-        },
+        detail=detail,
         seed=seed,
     )
 

@@ -3,12 +3,14 @@ plus a brute-force word oracle used to cross-check the saturation engine.
 
 One engine, ``_saturate_linear``, serves every closure: Lie and associative
 subalgebras, associative and Jordan pairs (one span per side) and the
-two-sided ideals of ``algebra.ideal_span`` and ``principal_ideal``. Per side
-it keeps an append-only list of spanning vectors and a canonical echelon
-accumulator. Each round multiplies the vectors found in the previous round
-against everything seen so far, so work per round is proportional to the
-new material, while the final echelonized subspaces are canonical and
-schedule-independent. A round stops once every side is full.
+two-sided ideals of ``algebra.principal_ideal`` and of ``ideal_span`` on a
+file that fails the axiom gate (behind it the seeds already span the
+ideal). Per side it keeps an append-only list of spanning vectors and a
+canonical echelon accumulator. Each round multiplies the vectors found in
+the previous round against everything seen so far, so work per round is
+proportional to the new material, while the final echelonized subspaces
+are canonical and schedule-independent. A round stops once every side is
+full.
 
 A product that only feeds a span stays an integer vector: the rounds
 multiply factors (``AlgebraPresentation._factor``) through the product

@@ -429,7 +429,7 @@ class Subspace(_Echelon):
     ``((column, n), ...)`` in column order; its first entry is its pivot.
     Pivots strictly increase and every pivot column is zero outside its
     row, so the rows are canonical and equality of subspaces is equality
-    of rows. Only :meth:`SpanBuilder.subspace` builds one.
+    of rows. Only :meth:`SpanBuilder.subspace` and ``unit_span`` build one.
     """
 
     field: object
@@ -592,6 +592,13 @@ def echelonize(field, vectors, ambient_dim):
     for v in vectors:
         b.add(v)
     return b.subspace()
+
+
+def unit_span(field, ambient_dim, indices):
+    """The span of the unit vectors b_t for t in indices: its canonical rows
+    are the ((t, 1),), so it is built with no elimination."""
+    pivots = tuple(sorted(indices))
+    return Subspace(field, ambient_dim, pivots, tuple(((t, 1),) for t in pivots))
 
 
 def _lowest(nums, d, p):

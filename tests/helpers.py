@@ -3,7 +3,8 @@ Gauss-Jordan reduction used as an oracle against the library's echelon
 routine, subspace sums, intersections, linear combinations and the
 stagnating word oracle as test references built on the library's public
 span API, a seeded dense change of basis, a presentation's table and
-involution as field scalars, its table declared with no unit, the integer tables the constructor should
+involution as field scalars, its table declared with no unit, a copy that
+fails the axiom gate, the integer tables the constructor should
 build from the rows it is handed, element construction helpers (an
 Element from dense coordinates among them) and lemma 2's generating set
 with the pair components the claims pass it."""
@@ -13,8 +14,8 @@ from fractions import Fraction
 from math import lcm
 
 import algcert as ac
-from algcert import certificates as cc
-from algcert.algebra import AlgebraPresentation, Element
+from algcert import certificates as cc, formats
+from algcert.algebra import AlgebraPresentation, Element, axiom_violations
 from algcert.closure import PAIR_STRUCTURES, word_oracle
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder, echelonize
 
@@ -159,6 +160,16 @@ def _over_lcm(entries):
     d = lcm(*(c.denominator for e in entries for _, c in e))
     return d, [tuple((k, c.numerator * (d // c.denominator)) for k, c in sorted(e))
                for e in entries]
+
+
+def gate_failing(P):
+    """P with its first structure constant doubled, which breaks
+    associativity (the involution, if any, keeps its rows)."""
+    d = formats.presentation_to_dict(P)
+    d["mul"][0][3] = str(2 * Fraction(d["mul"][0][3]))
+    Q = formats.presentation_from_dict(d)
+    assert axiom_violations(Q)
+    return Q
 
 
 def without_unit(P):

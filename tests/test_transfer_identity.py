@@ -67,10 +67,14 @@ def test_theorem1_mul_count_on_m3_flip(monkeypatch):
     # entries b_i b_j, i != j. Lemma 2's d is 1, read from the span of the
     # words of length <= 1 (the nine declared units span R), with no
     # sandwich of length 1 made. Its generating loop makes no sandwich for
-    # a side whose span is already its whole component.
+    # a side whose span is already its whole component. The hypotheses
+    # ReR = R and R(1-e)R = R make only their 9 + 9 left factors b_i y: on
+    # the one-term table each nonzero left factor is one term c b_k, and
+    # its seeds are read off row k as unit vectors, so none of the 24 seed
+    # products (9 for ReR, 15 for R(1-e)R until its span is full) is made.
     muls = count_muls(monkeypatch)
     cc.theorem1_certify(ac.build_matrix_algebra(3, involution="flip"))
-    assert muls[0] == 93
+    assert muls[0] == 69
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "m3-flip-dense-Q"])

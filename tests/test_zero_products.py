@@ -1,6 +1,7 @@
 """Products the structure constants make zero are skipped, not computed: the
 reach of an element against the multiplication table, the ideal seeds that
-pair a left factor only with the basis elements in its reach, the spans and
+pair a left factor only with the basis elements in its reach (saturated on
+a file that fails the gate, and behind it already the ideal), the spans and
 the combination solver that take a zero element without eliminating it, and
 the zero paths of ``mul`` and of sums, each against the full computation it
 replaces, over Q (mixed denominators) and over F_101."""
@@ -17,7 +18,7 @@ from algcert import certificates as cc
 from algcert.certificates import commutator_span
 from algcert.errors import DimensionError
 from algcert.linalg import CombinationSolver, PrimeField, SpanBuilder
-from helpers import count_muls, dense_change_of_basis, m3, m4, without_unit
+from helpers import count_muls, dense_change_of_basis, gate_failing, m3, m4, without_unit
 
 FP = PrimeField(101)
 
@@ -147,9 +148,27 @@ IDEAL_PRESENTATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(IDEAL_PRESENTATIONS))
-def test_ideal_seeds_equal_the_full_loop(name, monkeypatch):
-    P = IDEAL_PRESENTATIONS[name]
+def _products(P, x, c):
+    """(full, paired): every product b_i (c + x) b_j, and those whose b_j
+    lies in the reach of the left factor b_i x + c b_i, as Elements in
+    index order; the others are checked to be zero."""
+    full, paired = [], []
+    for i in range(P.dim):
+        b_i = P.basis_element(i)
+        left = P.add(P.mul(b_i, x), P.scale(c, b_i))
+        reach = _table_reach(P, left)
+        for j in range(P.dim):
+            product = P.mul(left, P.basis_element(j))
+            full.append(product)
+            if j in reach:
+                paired.append(product)
+            else:
+                assert P.is_zero(product)
+    return full, paired
+
+
+def _recording(monkeypatch):
+    """Wrap ``_ideal_closure`` so that each call's seeds are recorded."""
     closure = algebra._ideal_closure
     seen = []
 
@@ -159,20 +178,39 @@ def test_ideal_seeds_equal_the_full_loop(name, monkeypatch):
         return closure(Q, seeds)
 
     monkeypatch.setattr(algebra, "_ideal_closure", recording)
+    return closure, seen
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_PRESENTATIONS))
+def test_ideal_seeds_equal_the_full_loop(name, monkeypatch):
+    # Behind the gate the span of the seeds b_i y b_j is the ideal R y R,
+    # two-sided by associativity, so ideal_span runs no saturation: it never
+    # calls _ideal_closure, and still equals the saturation of every
+    # product b_i (c + x) b_j. On the one-term tables a one-term left
+    # factor's seeds are read off its row as unit vectors.
+    P = IDEAL_PRESENTATIONS[name]
+    assert not algebra.axiom_violations(P)
+    closure, seen = _recording(monkeypatch)
     for x, c in _ideal_inputs(P):
-        full, paired = [], []
-        for i in range(P.dim):
-            b_i = P.basis_element(i)
-            left = P.add(P.mul(b_i, x), P.scale(c, b_i))
-            reach = _table_reach(P, left)
-            for j in range(P.dim):
-                product = P.mul(left, P.basis_element(j))
-                full.append(product)
-                if j in reach:
-                    paired.append(product)
-                else:
-                    assert P.is_zero(product)
+        full, _ = _products(P, x, c)
+        assert ideal_span(P, x, unit_coeff=c) == closure(P, full)
+    assert seen == []
+
+
+@pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101", "example2-D3-Q", "m3-flip-dense-Q"])
+def test_a_gate_failing_table_saturates_its_seeds(name, monkeypatch):
+    # A file that fails the gate need not be associative, so its seeds go
+    # through the saturation: the products of each nonzero left factor with
+    # the basis elements in its reach, in index order, and no others.
+    P = gate_failing(IDEAL_PRESENTATIONS[name])
+    closure, seen = _recording(monkeypatch)
+    for x, c in _ideal_inputs(P):
+        full, paired = _products(P, x, c)
         got = ideal_span(P, x, unit_coeff=c)
+        if not c and not x.support[1]:
+            # A zero ideal needs no saturation.
+            assert got.rank == 0
+            continue
         # The seeds are the products' int vectors.
         seeds = [P._element(s) for s in seen.pop()]
         assert seeds == paired
@@ -180,6 +218,7 @@ def test_ideal_seeds_equal_the_full_loop(name, monkeypatch):
             s for s in full if not P.is_zero(s)
         ]
         assert got == closure(P, full)
+    assert seen == []
 
 
 @pytest.mark.parametrize("name", ["m3-flip-Q", "m3-flip-Fp101"])
