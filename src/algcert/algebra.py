@@ -371,28 +371,11 @@ class AlgebraPresentation:
     def equal(self, a, b):
         return a == b
 
-    def _combine(self, a, b, sign):
-        """a + sign * b for sign = 1 or -1, on the integer supports over the
-        lcm of their denominators, converted once. A zero b gives a, and a
-        zero a with sign 1 gives b."""
-        da, sa = a.support
-        db, sb = b.support
-        if not sb:
-            return a
-        if not sa and sign == 1:
-            return b
-        d = lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        acc = {i: n * fa for i, n in sa}
-        for i, n in sb:
-            acc[i] = acc.get(i, 0) + n * fb
-        return self._from_ints(acc, d)
-
     def add(self, a, b):
-        return self._combine(a, b, 1)
+        return self._element(self._combination(a, (b,), 1))
 
     def sub(self, a, b):
-        return self._combine(a, b, -1)
+        return self._element(self._combination(a, (b,), -1))
 
     def neg(self, a):
         return self.scale(-1, a)

@@ -175,82 +175,70 @@ def _hypothesis_certificate(P, claim, results, seed=None, extra=None):
 
 
 def _bracket_span(P, rows):
-    """Span of all [r_i, r_j], i < j, over the elements rows. [u, v] is
-    zero unless the support of one meets the reach of the other: with each
-    row held as a factor once (its support, its reach and its left
-    operator) and the rows indexed by support, only those pairs are
-    bracketed, each as one int vector (``AlgebraPresentation._bracket``).
-    A one-term bracket c b_k whose index k an earlier one had is skipped:
-    b_k is in the span once any c b_k was added. The span is canonical, so
-    neither shortcut changes it."""
-    factors = [P._factor(v) for v in rows]
+    """Span of all [u_p, u_q], p < q, over the integer rows rows, each a
+    tuple of (basis index, int) pairs (a ``Subspace``'s ``rows``, or the
+    unit rows ((i, 1),)). [u, v] is zero unless the support of one meets
+    the reach of the other: the rows are indexed by support, u_p finds the
+    u_q that hold an index of its reach, and visits each unless q < p and
+    u_q found u_p, so each pair that can be nonzero is bracketed once.
+
+    When every product of the table or every row has one term, each
+    bracket is read off the integer table, [b_a, b_c] = sum_k (c_ack -
+    c_cak) b_k, as one int vector over the table's D (mod p over F_p),
+    with no product. Otherwise, where a read would sum many terms per
+    bracket, the rows are held as factors (their support, reach and left
+    operators) and each bracket is one int vector
+    (``AlgebraPresentation._bracket``). A one-term bracket c b_k whose
+    index k an earlier one had is skipped: b_k is in the span once any
+    c b_k was added. The span is canonical, so neither shortcut changes
+    it."""
+    D, table = P._int_mul
+    read = P._table_bounds[0] <= 1 or all(len(u) == 1 for u in rows)
+    if not read:
+        factors = [P._factor((1, dict(u))) for u in rows]
     holds = {}  # basis index -> positions of the rows whose support holds it
-    for q, f in enumerate(factors):
-        for i in f.indices:
-            holds.setdefault(i, []).append(q)
-    pairs = {(min(p, q), max(p, q)) for p, f in enumerate(factors)
-             for i in f.reach for q in holds.get(i, ()) if q != p}
-    b = SpanBuilder(P.field, P.dim)
-    units = set()  # the indices k of the one-term brackets c b_k added
-    for p, q in sorted(pairs):
-        w = P._bracket(factors[p], factors[q])
-        if len(w[1]) == 1:
-            k, = w[1]
-            if k in units:
-                continue
-            units.add(k)
-        b.add(w)
-    return b.subspace()
-
-
-def _table_bracket_span(P, combos):
-    """Span of all [u_p, u_q], p < q, over the integer combinations combos,
-    each a tuple of (basis index, int) pairs, read off the integer table:
-    [b_a, b_c] = sum_k (c_ack - c_cak) b_k, so each bracket is one int
-    vector over the table's D (mod p over F_p), with no product computed.
-    Only the pairs whose supports hold some b_a b_c or b_c b_a in the
-    table are visited, each once: u_p finds the u_q that hold an index of
-    its reach, and visits each unless q < p and u_q found u_p. The other
-    brackets are zero. As in ``_bracket_span``, a one-term bracket whose
-    index an earlier one had is skipped."""
-    D, rows = P._int_mul
-    holds = {}  # basis index -> positions of the combinations that hold it
-    for q, v in enumerate(combos):
-        for c, _ in v:
+    for q, u in enumerate(rows):
+        for c, _ in u:
             holds.setdefault(c, []).append(q)
     found = []  # found[q]: the positions that u_q found
     b = SpanBuilder(P.field, P.dim)
     units = set()  # the indices k of the one-term brackets c b_k added
-    for p, u in enumerate(combos):
-        partners = {q for a, _ in u for j in rows[a] for q in holds.get(j, ())}
+    for p, u in enumerate(rows):
+        if read:
+            partners = {q for a, _ in u for j in table[a] for q in holds.get(j, ())}
+        else:
+            partners = {q for j in factors[p].reach for q in holds.get(j, ())}
         found.append(partners)
         for q in partners:
             if q == p or (q < p and p in found[q]):
                 continue
-            acc = {}
-            for a, x in u:
-                row = rows[a]
-                for c, y in combos[q]:
-                    xy = x * y
-                    for k, t in row.get(c, ()):
-                        acc[k] = acc.get(k, 0) + xy * t
-                    for k, t in rows[c].get(a, ()):
-                        acc[k] = acc.get(k, 0) - xy * t
-            acc = P._reduced(acc)
-            if len(acc) == 1:
-                k, = acc
+            if read:
+                acc = {}
+                for a, x in u:
+                    row = table[a]
+                    for c, y in rows[q]:
+                        xy = x * y
+                        for k, t in row.get(c, ()):
+                            acc[k] = acc.get(k, 0) + xy * t
+                        for k, t in table[c].get(a, ()):
+                            acc[k] = acc.get(k, 0) - xy * t
+                d, w = D, P._reduced(acc)
+            else:
+                d, w = P._bracket(factors[p], factors[q])
+            if len(w) == 1:
+                k, = w
                 if k in units:
                     continue
                 units.add(k)
-            b.add((D, acc))
+            b.add((d, w))
     return b.subspace()
 
 
 def commutator_span(P):
     """Span of all [b_i, b_j] over basis pairs, read off the integer table
-    (``_table_bracket_span``): only the pairs with b_i b_j or b_j b_i in
-    the table are visited, so the cost is the table's entries."""
-    return _table_bracket_span(P, [((i, 1),) for i in range(P.dim)])
+    (``_bracket_span`` on the unit rows): only the pairs with b_i b_j or
+    b_j b_i in the table are visited, so the cost is the table's entries."""
+    return _bracket_span(P, [((i, 1),) for i in range(P.dim)])
 
 
 def derived_subspace(P):
@@ -262,30 +250,9 @@ def derived_subspace(P):
 
 
 def skew_commutator_span(P):
-    """Span of all [k_i, k_j] over a spanning set of the skew part K.
-
-    Behind the axiom gate, when every row of the involution has one term,
-    b_i* = (s_i / S) b_sigma(i), it is read off the table. Over a field of
-    characteristic not 2, K = {x - x*}, since ** = id (which the gate
-    proves) makes x - x* skew and k = (k - k*) / 2 for k in K. So K is
-    spanned by the S b_i - s_i b_sigma(i), one per orbit of sigma: the
-    orbit's other vector is a multiple, and a fixed point gives 0
-    (s_i = S) or a multiple of b_i (s_i = -S). Their brackets are summed
-    from the table entries (``_table_bracket_span``), with no product. A
-    dense involution, or a file that fails the gate, brackets a basis of K
-    as elements (``_bracket_span``).
-    """
-    if P.has_involution and not axiom_violations(P):
-        S, star = P._int_star
-        if all(len(r) == 1 for r in star):
-            combos = []
-            for i, ((j, s),) in enumerate(star):
-                if i < j:
-                    combos.append(((i, S), (j, -s)))
-                elif i == j and s != S:
-                    combos.append(((i, 1),))
-            return _table_bracket_span(P, combos)
-    return _bracket_span(P, P.elements(_skew_part(P)))
+    """Span of all [k_i, k_j] over the canonical basis of the skew part K
+    (``_bracket_span`` on its rows)."""
+    return _bracket_span(P, _skew_part(P).rows)
 
 
 def derived_K_subspace(P):
@@ -884,7 +851,7 @@ def lemma4_check(P, e=None):
     for sigma in (1, -1):
         K1, _ = kh.graded[sigma]
         K2, H2 = kh.graded[2 * sigma]
-        bracket_span = _bracket_span(P, P.elements(K1))
+        bracket_span = _bracket_span(P, K1.rows)
         sq = SpanBuilder(P.field, P.dim)
         for k in _squares_family(P, K1):
             sq.add(P._ints(k, k))
@@ -1447,7 +1414,7 @@ def stagnation_probe(P, target, trials=50, max_gen=5, seed=0):
     bracket-abelian; on a bracket-abelian target a trial's rank is the rank
     of its generators' span. The last two verdicts add the bound.
     """
-    brackets = _bracket_span(P, P.elements(target))
+    brackets = _bracket_span(P, target.rows)
     if not target.contains_subspace(brackets):
         raise ValueError("stagnation target is not bracket-closed")
     # On a bracket-abelian target every bracket of its elements is zero by

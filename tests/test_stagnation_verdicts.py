@@ -42,11 +42,18 @@ def _target(P):
     return cc.derived_K_subspace(P) if P.has_involution else cc.derived_subspace(P)
 
 
+def _derived_rank(P, target):
+    """dim [L, L] for L = target: the span of [u, v] over all pairs of a
+    basis of L, one commutator each."""
+    basis = P.elements(target)
+    return P.span_of([P.commutator(u, v) for i, u in enumerate(basis) for v in basis[i + 1:]]).rank
+
+
 def _check(P, target, trials, max_gen, seed):
     """Run the probe and check its verdict against the exact rule."""
     cert = cc.stagnation_probe(P, target, trials=trials, max_gen=max_gen, seed=seed)
     d = cert.detail
-    bound = target.rank - cc._bracket_span(P, P.elements(target)).rank
+    bound = target.rank - _derived_rank(P, target)
     if d["reached_target_count"]:
         assert cert.verdict == "fail"
         assert "generator_bound" not in d

@@ -110,7 +110,10 @@ def test_computed_elements_compare_by_support(name, data):
     P = PRESENTATIONS[name]
     a = data.draw(_elements(P))
     b = data.draw(_elements(P))
-    results = [P.mul(a, b), P.add(a, b), P.sub(a, a), P.scale(3, a), P.neg(b)]
+    results = [
+        P.mul(a, b), P.add(a, b), P.sub(a, a), P.scale(3, a), P.neg(b),
+        P.add(a, P.zero()), P.add(P.zero(), b), P.sub(a, b),
+    ]
     if P.has_involution:
         results.append(P.involve(a))
     for el in results:

@@ -292,10 +292,13 @@ def test_commutator_takes_a_product_only_when_the_reach_meets(name, data):
 
 def _bracket_rows(P, kind):
     """Rows whose bracket span the certificates take: the basis ([R,R]),
-    the skew basis ([K,K]), lemma 4's K_1 or K_-1 rows, or seeded random
-    elements with a zero, a repeat and a basis element among them."""
+    the skew basis ([K,K]), lemma 4's K_1 or K_-1 rows, the unit rows
+    scaled by k + 1, or seeded random elements with a zero, a repeat and a
+    basis element among them."""
     if kind == "basis":
         return [P.basis_element(i) for i in range(P.dim)]
+    if kind == "units":
+        return [P.scale(k + 1, P.basis_element(k)) for k in range(P.dim)]
     if kind == "skew":
         return [P.element(r) for r in cc._skew_part(P).basis]
     if kind in ("K1", "K-1"):
@@ -311,7 +314,7 @@ BRACKET_SPANS = [
     for name, P in sorted(BRACKET_PRESENTATIONS.items())
     for kind in ("basis", "skew", "K1", "K-1", "random")
     if P.has_involution or kind in ("basis", "random")
-]
+] + [("m3-flip-dense-Q", "units")]
 
 
 @pytest.mark.parametrize("name,kind", BRACKET_SPANS)
@@ -322,12 +325,17 @@ def test_commutator_span_equals_the_all_pairs_span(name, kind, monkeypatch):
         [P.sub(P.mul(u, v), P.mul(v, u)) for i, u in enumerate(rows) for v in rows[i + 1:]]
     )
     muls = count_muls(monkeypatch)
-    span = commutator_span(P) if kind == "basis" else cc._bracket_span(P, rows)
+    ints = [u.support[1] for u in rows]
+    span = commutator_span(P) if kind == "basis" else cc._bracket_span(P, ints)
     assert span == all_pairs
-    # On the basis the brackets are read off the table, with no product.
-    # Elsewhere, one product per ordered pair of rows whose support meets
-    # the reach of the other, none for the pairs that the table leaves zero
-    # both ways.
-    assert muls[0] == 0 if kind == "basis" else muls[0] == sum(
-        _meets(P, u, v) for p, u in enumerate(rows) for q, v in enumerate(rows) if p != q
-    )
+    # When every product of the table or every row has one term (the basis
+    # everywhere), the brackets are read off the table, with no product.
+    # Otherwise the rows are held as factors: one product per ordered pair
+    # of rows whose support meets the reach of the other, none for the
+    # pairs that the table leaves zero both ways.
+    if P._table_bounds[0] <= 1 or all(len(u) == 1 for u in ints):
+        assert muls[0] == 0
+    else:
+        assert muls[0] == sum(
+            _meets(P, u, v) for p, u in enumerate(rows) for q, v in enumerate(rows) if p != q
+        )

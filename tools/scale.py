@@ -78,9 +78,11 @@ CASES = {
     for claim in (("thm1",) if name.startswith("example1") else ("thm1", "thm2"))
 }
 # The stagnation probe on [R, R] (example 1) and [K, K] (example 2) at a size
-# that no bench job reaches: both targets are bracket-abelian.
+# that no bench job reaches: both targets are bracket-abelian. On dense M4
+# flip [K, K] is not abelian, and its closedness test brackets K's dense
+# rows as held factors.
 CASES.update({f"{name}/stagnation": (name, "stagnation")
-              for name in ("example1-D24-Q", "example2-D24-Q")})
+              for name in ("example1-D24-Q", "example2-D24-Q", "M4-flip-Q-dense")})
 
 
 def run_case(path, claim, runs):
